@@ -37,7 +37,6 @@ class RunConfig:
     atol: float = 1e-14
     out: str | None = None
     json_out: str | None = None
-    seed: int = 0
     jobs: int = 1
 
     @classmethod
@@ -81,10 +80,10 @@ def cmd_profile_make(args) -> int:
         print(f"profile written to {args.out}")
     if args.table:
         t = np.linspace(0.0, p.ell, args.samples)
+        g, dg, _ = p.jet(t, 1)
         rows = ["t,gamma,dgamma,curvature"]
-        for ti in t:
-            rows.append("%.12g,%.12g,%.12g,%.12g"
-                        % (ti, p.gamma(ti), p.dgamma(ti), p.curvature(ti)))
+        rows += ["%.12g,%.12g,%.12g,%.12g" % row
+                 for row in zip(t, g, dg, p.curvature(t))]
         _write_text(args.table, rows)
         print(f"sample table written to {args.table}")
     return EXIT_OK if rep.passed else EXIT_VERDICT_FAIL

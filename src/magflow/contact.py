@@ -31,17 +31,25 @@ class ContactPrimitiveError(RuntimeError):
 
 
 def beta_theta(p: ProfileFunction, t):
-    return p.Gamma(t) + p.dgamma(t)
+    _, dg, G = p.jet(t, 1)
+    return G + dg
+
+
+def reeb_factor(m: float, beta_theta, sin_phi, gamma):
+    """h = m^2 + 1 - m beta_theta sin(phi) / gamma, the Reeb rescaling.
+
+    Bounds use the same spelling: sin_phi = 1 and gamma = 1 with beta_theta
+    = m_gamma give the certified floor m^2 + 1 - m m_gamma.
+    """
+    return m * m + 1.0 - m * beta_theta * sin_phi / gamma
 
 
 def beta_ratio(p: ProfileFunction, t):
     """beta_theta / gamma, which vanishes at both poles in the limit."""
-    t = np.asarray(t, dtype=float)
-    g = np.asarray(p.gamma(t), dtype=float)
-    b = np.asarray(beta_theta(p, t), dtype=float)
+    g, dg, G = p.jet(t, 1)
     near = np.abs(g) < 1e-9
-    out = np.where(near, 0.0, b / np.where(near, 1.0, g))
-    return out if t.ndim else float(out)
+    out = np.where(near, 0.0, (G + dg) / np.where(near, 1.0, g))
+    return out if out.ndim else float(out)
 
 
 def _m_gamma_argmax(p: ProfileFunction, n: int = 4096):
@@ -147,7 +155,7 @@ def contact_interval(p: ProfileFunction, n: int = 4096) -> ContactBoundsReport:
 
 def h_min(p: ProfileFunction, m: float, n: int = 4096) -> float:
     """Certified lower bound m^2 + 1 - m * m_gamma for h over the unit bundle."""
-    return m * m + 1.0 - m * m_gamma(p, n=n)
+    return reeb_factor(m, m_gamma(p, n=n), 1.0, 1.0)
 
 
 def require_contact(p: ProfileFunction, m: float, n: int = 4096) -> float:

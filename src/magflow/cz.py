@@ -27,14 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp, simpson
+from scipy.integrate import solve_ivp
 
 from .numerics import golden_max
 from .profiles import ProfileFunction
-from .contact import ContactPrimitiveError
+from .contact import ContactPrimitiveError, reeb_factor
 from .reduced import LatitudeOrbit, find_latitude, rational_closures, \
     minimal_contractible_closure
-from .flow import Trajectory
+from .flow import band_state
 
 DEGENERACY_TOL = 1e-6
 SYMPLECTIC_TOL = 1e-5
@@ -49,15 +49,12 @@ class FrameError(RuntimeError):
 
 
 def _fields(p: ProfileFunction, t, phi, m: float):
-    g = float(p.gamma(t))
+    g, dg, ddg, G = map(float, p.jet(t, 2))
     if g <= 0.0:
         raise ContactPrimitiveError(f"frame evaluated at a pole: t = {t}")
-    dg = float(p.dgamma(t))
-    ddg = float(p.ddgamma(t))
-    G = float(p.Gamma(t))
     bt = G + dg
     sp, cp = np.sin(phi), np.cos(phi)
-    h = m * m + 1.0 - m * bt * sp / g
+    h = reeb_factor(m, bt, sp, g)
     if h <= 1e-12:
         raise ContactPrimitiveError(
             f"h = {h:.6g} not positive at (t, phi) = ({t}, {phi})")
@@ -77,8 +74,7 @@ def coframe_eval(p: ProfileFunction, state, W):
     flow generator F satisfies psi(F) = 1 identically.
     """
     t, phi = float(state[0]), float(state[1])
-    g = float(p.gamma(t))
-    dg = float(p.dgamma(t))
+    g, dg, _ = map(float, p.jet(t, 1))
     sp, cp = np.sin(phi), np.cos(phi)
     W = np.asarray(W, dtype=float)
     alpha = W[0] * cp + W[2] * g * sp
@@ -102,7 +98,6 @@ def linearized_rhs(p: ProfileFunction, m: float):
     def rhs(tau, y):
         t, phi = y[0], y[1]
         g, dg, ddg, G, bt, sp, cp, h = _fields(p, t, phi, m)
-        dddg = float(p.dddgamma(t))
         F = np.array([m * cp, 1.0 - m * dg * sp / g, m * sp / g])
         # dF in the (t, phi) variables; theta derivatives vanish
         dF = np.array([
@@ -128,11 +123,9 @@ def linearized_rhs(p: ProfileFunction, m: float):
 def chi_project(p: ProfileFunction, m: float, states: np.ndarray) -> np.ndarray:
     """Project stacked states (9, n) to the matrix path Psi of shape (n, 2, 2)."""
     t, phi = states[0], states[1]
-    g = np.asarray(p.gamma(t))
-    bt = np.asarray(p.Gamma(t)) + np.asarray(p.dgamma(t))
+    g, dg, G = p.jet(t, 1)
     sp, cp = np.sin(phi), np.cos(phi)
-    h = m * m + 1.0 - m * bt * sp / g
-    rh = np.sqrt(h)
+    rh = np.sqrt(reeb_factor(m, G + dg, sp, g))
     Psi = np.empty((states.shape[1], 2, 2))
     for j, Y in enumerate((states[3:6], states[6:9])):
         alpha = Y[0] * cp + Y[2] * g * sp
@@ -188,26 +181,6 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
                           states=sol.y)
 
 
-def linearized_flow(p: ProfileFunction, m: float, orbit: Trajectory,
-                    covers: int = 1, n_out: int = 4097) -> SymplecticPath:
-    """Linearized Reeb flow over a closed orbit given in flow time.
-
-    The Reeb period is covers times the integral of h ds along the orbit;
-    the linearized system is then integrated directly in Reeb time from
-    the orbit's initial state.
-    """
-    g = np.asarray(p.gamma(orbit.t))
-    bt = np.asarray(p.Gamma(orbit.t)) + np.asarray(p.dgamma(orbit.t))
-    h = m * m + 1.0 - m * bt * np.sin(orbit.phi) / g
-    if np.any(h <= 0.0):
-        raise ContactPrimitiveError("h changes sign along the orbit")
-    T_reeb = covers * float(simpson(h, x=orbit.s))
-    z0 = frame_state(p, m, float(orbit.t[0]), float(orbit.phi[0]),
-                     float(orbit.theta[0]))
-    return integrate_linearized(p, m, z0, T_reeb, n_out=n_out,
-                                descriptor=f"orbit x{covers}")
-
-
 # -- winding ---------------------------------------------------------------------
 
 
@@ -225,12 +198,6 @@ def _windings(path: SymplecticPath, dirs: np.ndarray) -> np.ndarray:
 def _winding_of_angle(path: SymplecticPath, u_angle: float) -> float:
     d = np.array([[np.cos(u_angle)], [np.sin(u_angle)]])
     return float(_windings(path, d)[0])
-
-
-def _golden_opt(f, a: float, b: float, sign: float, tol: float = 1e-10):
-    """Golden-section extremum of f on [a, b]; sign=+1 max, -1 min."""
-    x, v = golden_max(lambda u: sign * f(u), a, b, tol=tol)
-    return x, sign * v
 
 
 @dataclass(frozen=True)
@@ -258,9 +225,10 @@ def winding_interval(path: SymplecticPath,
     du = np.pi / n_dirs
     f = lambda a: _winding_of_angle(path, a)
     k_lo, k_hi = int(np.argmin(w)), int(np.argmax(w))
-    u_lo, w_lo = _golden_opt(f, u[k_lo] - du, u[k_lo] + du, -1.0)
-    u_hi, w_hi = _golden_opt(f, u[k_hi] - du, u[k_hi] + du, +1.0)
-    w_lo = min(w_lo, float(np.min(w)))
+    u_lo, neg = golden_max(lambda a: -f(a), u[k_lo] - du, u[k_lo] + du,
+                           tol=1e-10)
+    u_hi, w_hi = golden_max(f, u[k_hi] - du, u[k_hi] + du, tol=1e-10)
+    w_lo = min(-neg, float(np.min(w)))
     w_hi = max(w_hi, float(np.max(w)))
     if w_hi - w_lo >= 0.5 + 1e-4:
         raise FrameError(f"winding interval [{w_lo}, {w_hi}] too long; "
@@ -479,7 +447,6 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
                            "covers": full.q,
                            "T": full.q * level.reeb_period})
     for level, info in closures[:rho_orbits]:
-        from .flow import band_state
         z0 = frame_state(p, m, *band_state(p, m, level.I))
         rho_paths.append(integrate_linearized(
             p, m, z0, level.reeb_period, n_out=4097,

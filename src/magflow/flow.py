@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .contact import reeb_factor
 from .profiles import ProfileFunction
-from .reduced import ReducedLevel, turning_points
+from .reduced import I_hat, birkhoff_action, turning_points
 
 POLE_GUARD = 1e-6  # terminate when gamma < POLE_GUARD * ell
 
@@ -32,10 +33,8 @@ class PoleApproachError(RuntimeError):
 
 def flow_rhs(p: ProfileFunction, m: float):
     def rhs(s, y):
-        t, phi = y[0], y[1]
-        g = float(p.gamma(t))
-        dg = float(p.dgamma(t))
-        sp, cp = np.sin(phi), np.cos(phi)
+        g, dg, _ = map(float, p.jet(y[0], 1))
+        sp, cp = np.sin(y[1]), np.cos(y[1])
         return (m * cp, 1.0 - m * dg * sp / g, m * sp / g)
     return rhs
 
@@ -99,14 +98,9 @@ def integrate(p: ProfileFunction, m: float, state0, s_max: float,
     if not sol.success and sol.status != 1:
         raise RuntimeError(f"integration failed: {sol.message}")
     t, phi, theta = sol.y
-    s = sol.t
-    I = m * np.asarray(p.gamma(t)) * np.sin(phi) - np.asarray(p.Gamma(t))
-    return Trajectory(m=m, s=s, t=t, phi=phi, theta=theta, I_hat=I,
+    return Trajectory(m=m, s=sol.t, t=t, phi=phi, theta=theta,
+                      I_hat=I_hat(p, m, t, phi),
                       pole_terminated=(sol.status == 1), nfev=sol.nfev)
-
-
-def invariant_drift(p: ProfileFunction, m: float, traj: Trajectory) -> float:
-    return traj.I_drift
 
 
 # -- states on a level ----------------------------------------------------------
@@ -117,7 +111,8 @@ def band_state(p: ProfileFunction, m: float, I: float,
     """State at the band midpoint of level I with t increasing (or not)."""
     tp = turning_points(p, m, I)
     t_mid = 0.5 * (tp.t_minus + tp.t_plus)
-    sp = (I + float(p.Gamma(t_mid))) / (m * float(p.gamma(t_mid)))
+    g, G = map(float, p.jet(t_mid, 0))
+    sp = (I + G) / (m * g)
     if not (-1.0 < sp < 1.0):
         raise ValueError(f"level I = {I} has no interior point at t = {t_mid}")
     phi = np.arcsin(sp) if ascending else np.pi - np.arcsin(sp)
@@ -126,14 +121,11 @@ def band_state(p: ProfileFunction, m: float, I: float,
 
 def _augmented_rhs(p: ProfileFunction, m: float):
     """Flow rhs with a running integral of h appended."""
-    base = flow_rhs(p, m)
-
     def rhs(s, y):
-        t, phi = y[0], y[1]
-        g = float(p.gamma(t))
-        bt = float(p.Gamma(t)) + float(p.dgamma(t))
-        h = m * m + 1.0 - m * bt * np.sin(phi) / g
-        return base(s, y[:3]) + (h,)
+        g, dg, G = map(float, p.jet(y[0], 1))
+        sp, cp = np.sin(y[1]), np.cos(y[1])
+        return (m * cp, 1.0 - m * dg * sp / g, m * sp / g,
+                reeb_factor(m, G + dg, sp, g))
     return rhs
 
 
@@ -163,7 +155,6 @@ def level_average_ode(p: ProfileFunction, m: float, I: float,
     t_mid = y0[0]
     rhs = _augmented_rhs(p, m)
     try:
-        from .reduced import birkhoff_action
         span = 2.5 * birkhoff_action(p, m, I).period
     except Exception:
         span = 200.0 * max(p.ell, 1.0)
@@ -193,7 +184,7 @@ def level_average_ode(p: ProfileFunction, m: float, I: float,
 
 def compare_level(p: ProfileFunction, m: float, I: float) -> dict:
     """Quadrature level against its ODE measurement (relative errors)."""
-    quad = birkhoff_action_quad(p, m, I)
+    quad = birkhoff_action(p, m, I)
     ode = level_average_ode(p, m, I)
     return {"period_rel": abs(ode.period - quad.period) / quad.period,
             "action_rel": abs(ode.action - quad.action)
@@ -201,11 +192,6 @@ def compare_level(p: ProfileFunction, m: float, I: float) -> dict:
             "theta_rel": abs(ode.theta_advance - 2.0 * quad.theta_half)
             / max(abs(2.0 * quad.theta_half), 2.0 * np.pi),
             "quad": quad, "ode": ode}
-
-
-def birkhoff_action_quad(p: ProfileFunction, m: float, I: float) -> ReducedLevel:
-    from .reduced import birkhoff_action
-    return birkhoff_action(p, m, I)
 
 
 def birkhoff_action_ode(p: ProfileFunction, m: float, state0,
@@ -240,11 +226,11 @@ def liouville_action(p: ProfileFunction, m: float, n_t: int = 256,
     u, w = gauss_nodes(n_t)
     t = u * p.ell
     wt = w * p.ell
-    g = np.asarray(p.gamma(t))
-    bt = np.asarray(p.Gamma(t)) + np.asarray(p.dgamma(t))
+    g, dg, G = p.jet(t, 1)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     # h integrand over the (t, phi) torus, weighted by gamma
-    H = (m * m + 1.0) * g[:, None] - m * bt[:, None] * np.sin(phi)[None, :]
+    H = g[:, None] * reeb_factor(m, (G + dg)[:, None], np.sin(phi)[None, :],
+                                 g[:, None])
     num = float(np.sum(wt[:, None] * H) * (2.0 * np.pi / n_phi))
     den = float(np.sum(wt * g) * 2.0 * np.pi)
     return num / den

@@ -14,11 +14,12 @@ equals 2. Gamma denotes the antiderivative of gamma with Gamma(0) = -1, so
 Gamma(ell) = +1 for a normalized profile. Gauss curvature is
 K = -gamma''/gamma, extended to the poles by the limit -gamma'''/gamma'.
 
-Profiles are exposed through a small evaluation API (gamma, dgamma, ddgamma,
-dddgamma, Gamma, curvature), vectorized over numpy arrays. Evaluation does
-not clamp or raise outside [0, ell]; callers that integrate ODEs may probe a
-few ulps past the ends and receive the natural smooth extension of the
-representation.
+Profiles are evaluated through one method, jet(t, order), which returns
+(gamma, gamma', ..., gamma^(order), Gamma) from a single evaluation and is
+vectorized over numpy arrays; gamma, dgamma, ddgamma, dddgamma, Gamma and
+curvature are views of it. Evaluation does not clamp or raise outside
+[0, ell]; callers that integrate ODEs may probe a few ulps past the ends and
+receive the natural smooth extension of the representation.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import make_interp_spline
 
 from .numerics import gauss_nodes
@@ -37,77 +37,52 @@ from .numerics import gauss_nodes
 _POLE_BAND = 1e-3
 
 
-@dataclass(frozen=True)
-class ProfileJet:
-    """Pointwise jet of a profile: value, first two derivatives, Gamma, K."""
-    t: float
-    gamma: float
-    dgamma: float
-    ddgamma: float
-    Gamma: float
-    curvature: float
-
-
 class ProfileFunction:
-    """Base class; subclasses provide _gamma, _dgamma, _ddgamma, _dddgamma, _Gamma."""
+    """Base class; subclasses provide jet, gamma_integral and to_dict."""
 
     kind = "abstract"
     ell: float
 
     # -- evaluation ---------------------------------------------------------
 
+    def jet(self, t, order: int = 1):
+        """(gamma, gamma', ..., d^order gamma / dt^order, Gamma) at t.
+
+        order runs from 0 to 3. Every entry has the shape of t, and all of
+        them come from one evaluation at t.
+        """
+        raise NotImplementedError
+
     def gamma(self, t):
-        return self._gamma(np.asarray(t, dtype=float))
+        return self.jet(t, 0)[0]
 
     def dgamma(self, t):
-        return self._dgamma(np.asarray(t, dtype=float))
+        return self.jet(t, 1)[1]
 
     def ddgamma(self, t):
-        return self._ddgamma(np.asarray(t, dtype=float))
+        return self.jet(t, 2)[2]
 
     def dddgamma(self, t):
-        return self._dddgamma(np.asarray(t, dtype=float))
+        return self.jet(t, 3)[3]
 
     def Gamma(self, t):
-        return self._Gamma(np.asarray(t, dtype=float))
+        return self.jet(t, 0)[-1]
 
     def curvature(self, t):
         """Gauss curvature K = -gamma''/gamma, pole limit -gamma'''/gamma'."""
-        t_in = np.asarray(t, dtype=float)
-        t1 = np.atleast_1d(t_in)
-        g = np.atleast_1d(np.asarray(self._gamma(t1), dtype=float))
-        near = np.abs(g) < _POLE_BAND
-        out = np.empty_like(g)
-        if np.any(~near):
-            out[~near] = -np.asarray(self._ddgamma(t1[~near])) / g[~near]
-        if np.any(near):
-            out[near] = (-np.asarray(self._dddgamma(t1[near]), dtype=float)
-                         / np.asarray(self._dgamma(t1[near]), dtype=float))
-        return out.reshape(t_in.shape) if t_in.ndim else float(out[0])
-
-    def eval(self, t: float) -> ProfileJet:
-        t = float(t)
-        if not (0.0 <= t <= self.ell):
-            raise ValueError(f"t = {t} outside the profile domain "
-                             f"[0, {self.ell}]")
-        return ProfileJet(t, float(self.gamma(t)), float(self.dgamma(t)),
-                          float(self.ddgamma(t)), float(self.Gamma(t)),
-                          float(self.curvature(t)))
+        g, dg, ddg, dddg, _ = self.jet(t, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = np.where(np.abs(g) < _POLE_BAND, -dddg / dg, -ddg / g)
+        return K if K.ndim else float(K)
 
     # -- integrals ----------------------------------------------------------
 
     def gamma_integral(self) -> float:
         """Integral of gamma over [0, ell] (equals 2 when normalized)."""
-        val, _ = quad(lambda s: float(self.gamma(s)), 0.0, self.ell,
-                      points=self._breakpoints(), limit=400)
-        return val
+        raise NotImplementedError
 
     def area(self) -> float:
         return 2.0 * np.pi * self.gamma_integral()
-
-    def _breakpoints(self):
-        """Interior points where the representation loses smoothness."""
-        return None
 
     # -- serialization ------------------------------------------------------
 
@@ -133,21 +108,13 @@ class SphereProfile(ProfileFunction):
         self.radius = float(radius)
         self.ell = np.pi * self.radius
 
-    def _gamma(self, t):
-        return self.radius * np.sin(t / self.radius)
-
-    def _dgamma(self, t):
-        return np.cos(t / self.radius)
-
-    def _ddgamma(self, t):
-        return -np.sin(t / self.radius) / self.radius
-
-    def _dddgamma(self, t):
-        return -np.cos(t / self.radius) / self.radius**2
-
-    def _Gamma(self, t):
+    def jet(self, t, order: int = 1):
+        a = self.radius
+        u = np.asarray(t, dtype=float) / a
+        sin, cos = np.sin(u), np.cos(u)
+        derivs = (a * sin, cos, -sin / a, -cos / a**2)[:order + 1]
         # antiderivative with Gamma(0) = -1
-        return -1.0 + self.radius**2 * (1.0 - np.cos(t / self.radius))
+        return (*derivs, -1.0 + a**2 * (1.0 - cos))
 
     def gamma_integral(self) -> float:
         return 2.0 * self.radius**2
@@ -156,33 +123,7 @@ class SphereProfile(ProfileFunction):
         return {"kind": "sphere", "radius": self.radius}
 
 
-class _SplineFields:
-    """Shared quintic-spline evaluation over sampled (t, gamma, ...) data."""
-
-    def _attach_splines(self, t, g, dg, ddg, Gam):
-        self._sp_g = make_interp_spline(t, g, k=5)
-        self._sp_dg = make_interp_spline(t, dg, k=5)
-        self._sp_ddg = make_interp_spline(t, ddg, k=5)
-        self._sp_dddg = self._sp_ddg.derivative()
-        self._sp_Gam = make_interp_spline(t, Gam, k=5)
-
-    def _gamma(self, t):
-        return self._sp_g(t)
-
-    def _dgamma(self, t):
-        return self._sp_dg(t)
-
-    def _ddgamma(self, t):
-        return self._sp_ddg(t)
-
-    def _dddgamma(self, t):
-        return self._sp_dddg(t)
-
-    def _Gamma(self, t):
-        return self._sp_Gam(t)
-
-
-class EllipsoidProfile(_SplineFields, ProfileFunction):
+class EllipsoidProfile(ProfileFunction):
     """Ellipsoid of revolution x^2 + y^2 + (z/rho)^2 = 1, rescaled to area 4 pi.
 
     rho < 1 is oblate, rho > 1 prolate. The profile is built by integrating
@@ -190,7 +131,8 @@ class EllipsoidProfile(_SplineFields, ProfileFunction):
     polar angle u in [0, pi] with per-interval Gauss quadrature, then
     rescaling lengths so the area normalization holds. Derivatives in u are
     closed form, so every sampled jet is exact up to the quadrature of t(u);
-    quintic splines interpolate between samples.
+    one vector-valued quintic spline interpolates the columns (gamma,
+    gamma', gamma'', Gamma) between samples.
     """
 
     kind = "ellipsoid"
@@ -222,20 +164,24 @@ class EllipsoidProfile(_SplineFields, ProfileFunction):
         g_raw[-1], dg[-1], ddg_raw[-1] = 0.0, -1.0, 0.0
         self.ell = float(t[-1])
         Gam = -1.0 + s * s * I_raw
-        self._attach_splines(t, s * g_raw, dg, ddg_raw / s, Gam)
+        self._sp = make_interp_spline(
+            t, np.column_stack([s * g_raw, dg, ddg_raw / s, Gam]), k=5)
+        self._sp_d1 = self._sp.derivative()
         # exact pole curvature of the rescaled profile
         self.pole_curvature = rho**2 / s**2
         self.equator_curvature = 1.0 / (rho**2 * s**2)
 
-    def _dddgamma(self, t):
+    def jet(self, t, order: int = 1):
         t = np.asarray(t, dtype=float)
-        v = np.asarray(self._sp_dddg(t), dtype=float)
-        # spline third derivatives drift near the ends; pin the exact limit
-        near0 = t < _POLE_BAND
-        near1 = t > self.ell - _POLE_BAND
-        v = np.where(near0, -self.pole_curvature, v)
-        v = np.where(near1, self.pole_curvature, v)
-        return v if t.ndim else float(v)
+        v = self._sp(t)
+        derivs = [v[..., k] for k in range(min(order, 2) + 1)]
+        if order == 3:
+            # spline third derivatives drift near the ends; pin the exact limit
+            d3 = np.where(t < _POLE_BAND, -self.pole_curvature,
+                          self._sp_d1(t)[..., 2])
+            derivs.append(np.where(t > self.ell - _POLE_BAND,
+                                   self.pole_curvature, d3))
+        return (*derivs, v[..., 3])
 
     def gamma_integral(self) -> float:
         return 2.0
@@ -244,7 +190,7 @@ class EllipsoidProfile(_SplineFields, ProfileFunction):
         return {"kind": "ellipsoid", "ratio": self.ratio}
 
 
-class SplineProfile(_SplineFields, ProfileFunction):
+class SplineProfile(ProfileFunction):
     """Profile from samples (t_i, gamma_i) on [0, ell], quintic interpolation.
 
     End conditions gamma' = +1 / -1 and gamma'' = 0 are imposed on the
@@ -271,16 +217,14 @@ class SplineProfile(_SplineFields, ProfileFunction):
             end_conditions = ([(1, 1.0), (2, 0.0)], [(1, -1.0), (2, 0.0)])
         self._end_conditions = end_conditions
         sp = make_interp_spline(t, g, k=5, bc_type=end_conditions)
-        self._sp_g = sp
-        self._sp_dg = sp.derivative()
-        self._sp_ddg = sp.derivative(2)
-        self._sp_dddg = sp.derivative(3)
-        anti = sp.antiderivative()
-        self._sp_Gam = anti
-        self._Gam0 = float(anti(0.0))
+        self._sp_derivs = [sp] + [sp.derivative(k) for k in (1, 2, 3)]
+        self._sp_Gam = sp.antiderivative()
+        self._Gam0 = float(self._sp_Gam(0.0))
 
-    def _Gamma(self, t):
-        return -1.0 + (self._sp_Gam(t) - self._Gam0)
+    def jet(self, t, order: int = 1):
+        t = np.asarray(t, dtype=float)
+        derivs = [sp(t) for sp in self._sp_derivs[:order + 1]]
+        return (*derivs, -1.0 + (self._sp_Gam(t) - self._Gam0))
 
     def gamma_integral(self) -> float:
         return float(self._sp_Gam(self.ell) - self._Gam0)
@@ -401,57 +345,38 @@ class StretchedProfile(ProfileFunction):
             t[mid] = tm
         return t.reshape(s_in.shape) if s_in.ndim else float(t[0])
 
-    def _chain(self, s):
-        """G, G', G'', G''' at s."""
-        t = self._G(s)
-        x = t - self.center
-        rho = self.bump.density(x)
-        drho = self.bump.ddensity(x)
-        ddrho = self.bump.dddensity(x)
-        Fp = 1.0 + 2 * self.C * rho
-        Fpp = 2 * self.C * drho
-        Fppp = 2 * self.C * ddrho
-        G1 = 1.0 / Fp
-        G2 = -Fpp * G1**3
-        G3 = (3.0 * Fpp**2 / Fp - Fppp) * G1**4
-        return t, G1, G2, G3
-
     # -- fields --------------------------------------------------------------
 
-    def _gamma(self, s):
-        return self.base.gamma(self._G(s))
-
-    def _dgamma(self, s):
-        t, G1, _, _ = self._chain(s)
-        return self.base.dgamma(t) * G1
-
-    def _ddgamma(self, s):
-        t, G1, G2, _ = self._chain(s)
-        return self.base.ddgamma(t) * G1**2 + self.base.dgamma(t) * G2
-
-    def _dddgamma(self, s):
-        t, G1, G2, G3 = self._chain(s)
-        return (self.base.dddgamma(t) * G1**3
-                + 3.0 * self.base.ddgamma(t) * G1 * G2
-                + self.base.dgamma(t) * G3)
-
-    def _Gamma(self, s):
+    def jet(self, s, order: int = 1):
+        """Chain rule through G, which is evaluated once."""
         s = np.asarray(s, dtype=float)
         t = self._G(s)
-        base = np.asarray(self.base.Gamma(t), dtype=float)
-        lo, hi = self._s_lo, self._s_hi
-        extra = np.where(s <= lo, 0.0,
-                         np.where(s >= hi, 2 * self.C * self.weighted_area,
-                                  2 * self.C * self._P(np.clip(t, lo,
-                                                               self.center + self.bump.half_width))))
-        out = base + extra
-        return out if s.ndim else float(out)
+        base = self.base.jet(t, order)
+        # Gamma gains 2C times the weighted area the collar has swept by s
+        P = self._P(np.clip(t, self._s_lo, self.center + self.bump.half_width))
+        swept = np.where(s <= self._s_lo, 0.0,
+                         np.where(s >= self._s_hi, self.weighted_area, P))
+        Gam = base[-1] + 2 * self.C * swept
+        if order == 0:
+            return base[0], Gam
+        # derivatives of G from those of F(t) = t + 2C (R(t - c) + 1/2)
+        x = t - self.center
+        Fp = 1.0 + 2 * self.C * self.bump.density(x)
+        G1 = 1.0 / Fp
+        derivs = [base[0], base[1] * G1]
+        if order >= 2:
+            Fpp = 2 * self.C * self.bump.ddensity(x)
+            G2 = -Fpp * G1**3
+            derivs.append(base[2] * G1**2 + base[1] * G2)
+        if order == 3:
+            Fppp = 2 * self.C * self.bump.dddensity(x)
+            G3 = (3.0 * Fpp**2 / Fp - Fppp) * G1**4
+            derivs.append(base[3] * G1**3 + 3.0 * base[2] * G1 * G2
+                          + base[1] * G3)
+        return (*derivs, Gam)
 
     def gamma_integral(self) -> float:
         return self.base.gamma_integral() + 2.0 * self.C * self.weighted_area
-
-    def _breakpoints(self):
-        return [self._s_lo, self._s_hi]
 
     def to_dict(self):
         return {"kind": "stretched", "C": self.C, "center": self.center,
@@ -602,24 +527,23 @@ def validate(p: ProfileFunction, n: int = 2048, tol: float = 1e-8) -> Validation
     """Check closure, slope, flat-pole, and area conditions on a dense grid."""
     rep = ValidationReport(kind=p.kind)
     L = p.ell
-    g0, g1 = float(p.gamma(0.0)), float(p.gamma(L))
+    (g0, g1), (d0, d1), (dd0, dd1), _ = (
+        v.tolist() for v in p.jet(np.array([0.0, L]), 2))
     rep.conditions.append(Condition(
         "endpoint values gamma=0", max(abs(g0), abs(g1)) <= tol,
         max(abs(g0), abs(g1))))
     t = np.linspace(0.0, L, n + 1)[1:-1]
-    g = np.asarray(p.gamma(t))
+    g, dg, _ = p.jet(t, 1)
     gmin = float(g.min())
     rep.conditions.append(Condition(
         "interior positivity", gmin > 0.0, gmin,
         f"min at t={t[np.argmin(g)]:.4g}"))
-    d0, d1 = float(p.dgamma(0.0)), float(p.dgamma(L))
     rep.conditions.append(Condition(
         "endpoint slopes +1/-1", max(abs(d0 - 1), abs(d1 + 1)) <= tol,
         max(abs(d0 - 1), abs(d1 + 1))))
-    dmax = float(np.abs(np.asarray(p.dgamma(t))).max())
+    dmax = float(np.abs(dg).max())
     rep.conditions.append(Condition(
         "interior slope bound |gamma'|<1", dmax < 1.0, 1.0 - dmax))
-    dd0, dd1 = float(p.ddgamma(0.0)), float(p.ddgamma(L))
     rep.conditions.append(Condition(
         "flat poles gamma''=0", max(abs(dd0), abs(dd1)) <= tol,
         max(abs(dd0), abs(dd1))))

@@ -58,22 +58,18 @@ class KmNotPositiveError(ValueError):
 
 
 def I_hat(p: ProfileFunction, m: float, t, phi):
-    return m * np.asarray(p.gamma(t)) * np.sin(phi) - np.asarray(p.Gamma(t))
+    g, G = p.jet(t, 0)
+    return m * g * np.sin(phi) - G
 
 
 def I_hat_plus(p: ProfileFunction, m: float, t):
-    return m * np.asarray(p.gamma(t)) - np.asarray(p.Gamma(t))
+    g, G = p.jet(t, 0)
+    return m * g - G
 
 
 def I_hat_minus(p: ProfileFunction, m: float, t):
-    return -m * np.asarray(p.gamma(t)) - np.asarray(p.Gamma(t))
-
-
-def I_hat_pm(p: ProfileFunction, m: float, t):
-    """Envelope pair (upper, lower); both are +1 at t=0 and -1 at t=ell."""
-    g = m * np.asarray(p.gamma(t))
-    G = np.asarray(p.Gamma(t))
-    return g - G, -g - G
+    g, G = p.jet(t, 0)
+    return -m * g - G
 
 
 @dataclass(frozen=True)
@@ -123,9 +119,9 @@ class TurningPoints:
 
 
 def _W(p: ProfileFunction, m: float, I: float, t):
-    g = m * np.asarray(p.gamma(t))
-    u = np.asarray(p.Gamma(t)) + I
-    return g * g - u * u
+    g, G = p.jet(t, 0)
+    mg, u = m * g, G + I
+    return mg * mg - u * u
 
 
 def turning_points(p: ProfileFunction, m: float, I: float,
@@ -196,8 +192,7 @@ def _band_integrals(p: ProfileFunction, m: float, I: float,
     k = np.arange(1, n_nodes + 1)
     t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
                                                / (2 * n_nodes))
-    g = np.asarray(p.gamma(t))
-    G = np.asarray(p.Gamma(t))
+    g, dg, G = p.jet(t, 1)
     W = (m * g) ** 2 - (I + G) ** 2
     V = W / ((t - a) * (b - t))
     if np.any(V <= 0.0):
@@ -205,9 +200,8 @@ def _band_integrals(p: ProfileFunction, m: float, I: float,
     common = (np.pi / n_nodes) / np.sqrt(V)
     s_half = float(np.sum(common * g))
     theta_half = float(np.sum(common * (I + G) / g))
-    bt = G + np.asarray(p.dgamma(t))
-    # on the level, m sin(phi) / gamma = (I + Gamma) / gamma^2
-    h = m * m + 1.0 - bt * (I + G) / (g * g)
+    # on the level, m sin(phi) = (I + Gamma) / gamma
+    h = contact.reeb_factor(m, G + dg, (I + G) / (m * g), g)
     h_ds = float(np.sum(common * g * h))
     return s_half, theta_half, h_ds
 
@@ -316,9 +310,7 @@ def latitude_action(p: ProfileFunction, t0: float) -> LatitudeOrbit:
     sign(gamma'), and its normalized action is (gamma^2 - gamma' Gamma) /
     gamma'^2, negative exactly when gamma' Gamma > gamma^2.
     """
-    g = float(p.gamma(t0))
-    dg = float(p.dgamma(t0))
-    G = float(p.Gamma(t0))
+    g, dg, G = map(float, p.jet(t0, 1))
     if abs(dg) < 1e-8:
         raise ValueError(f"equator-degenerate latitude at t0 = {t0}: "
                          f"gamma'({t0}) = {dg:.3g}")
@@ -341,7 +333,9 @@ def latitudes(p: ProfileFunction, m: float, n: int = 4096) -> list:
     L = p.ell
     out = []
     for sgn in (+1, -1):
-        f = lambda t: m * np.asarray(p.dgamma(t)) - sgn * np.asarray(p.gamma(t))
+        def f(t):
+            g, dg, _ = p.jet(t, 1)
+            return m * dg - sgn * g
         for r in grid_roots(f, 0.0, L, n=n):
             if 1e-9 * L < r < L * (1.0 - 1e-9):
                 out.append(latitude_action(p, r))
@@ -363,11 +357,6 @@ def find_latitude(p: ProfileFunction, m: float, side: str) -> LatitudeOrbit:
         raise LevelRangeError(f"latitude solve inconsistent: m_t0 = "
                               f"{lat.m_t0} against m = {m}")
     return lat
-
-
-def latitude_strength(p: ProfileFunction, t0: float) -> float:
-    """Strength m that makes t = t0 a latitude orbit."""
-    return latitude_action(p, t0).m_t0
 
 
 # -- level scans ----------------------------------------------------------------
@@ -477,8 +466,9 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                       q_max: int = 8, tol: float = 1e-9) -> list:
     """Levels whose winding is a low rational p/q, by scan plus bisection.
 
-    Returns (level, ClosureInfo) pairs with the level re-solved so the
-    winding hits p/q to tol; consumed by period scans.
+    Returns (level, ClosureInfo) pairs with the level re-solved by
+    bisection to tol in I and kept only when q * winding lies within
+    1e-6 q of p, the tolerance of orbit_closure; consumed by period scans.
     """
     levels = regular_levels(p, m, n_levels)
     data = [birkhoff_action(p, m, float(I)) for I in levels]
@@ -513,9 +503,13 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                 try:
                     I_star = bisect_root(f, float(levels[k]),
                                          float(levels[k + 1]), tol=tol)
-                    register(birkhoff_action(p, m, I_star), q, pi)
+                    lv = birkhoff_action(p, m, I_star)
                 except (ValueError, LevelRangeError):
                     continue
+                # the bracket may straddle the winding jump at I = +-1, onto
+                # which bisection converges without closing the orbit
+                if abs(q * lv.winding - pi) <= 1e-6 * q:
+                    register(lv, q, pi)
     return list(found.values())
 
 
@@ -552,7 +546,7 @@ def contact_verdict(p: ProfileFunction, m: float) -> ContactVerdict:
     is not positive. With neither, the verdict is numerically_contact.
     """
     mg = contact.m_gamma(p)
-    floor = m * m + 1.0 - m * mg
+    floor = contact.reeb_factor(m, mg, 1.0, 1.0)
     if floor > 0.0:
         return ContactVerdict("certified", mg, floor, None)
     witness = None
@@ -566,9 +560,9 @@ def contact_verdict(p: ProfileFunction, m: float) -> ContactVerdict:
     if witness is None:
         eps = 1e-4 * p.ell
         for t0 in np.linspace(eps, p.ell - eps, 2048):
-            g = float(p.gamma(t0))
-            bt = float(p.Gamma(t0) + p.dgamma(t0))
-            h_lo = m * m + 1.0 - abs(m * bt / g)
+            g, dg, G = map(float, p.jet(t0, 1))
+            # fiberwise minimum of h, at sin(phi) = +-1 against sign(m beta)
+            h_lo = contact.reeb_factor(abs(m), abs(G + dg), 1.0, g)
             if h_lo <= 0.0:
                 witness = {"t0": float(t0), "h_min_at_t0": h_lo}
                 break

@@ -43,6 +43,45 @@ def fd_check(p, t, tol):
     assert np.max(np.abs(fdG - p.gamma(t))) < tol
 
 
+_SAMPLES = np.linspace(0, np.pi, 201)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SphereProfile(1.0),
+    lambda: make_ellipsoid(2.0),
+    lambda: SplineProfile(_SAMPLES, np.sin(_SAMPLES)),
+    lambda: make_spindle(0.07, 0.2),
+], ids=["sphere", "ellipsoid", "samples", "spindle"])
+def test_scalar_and_array_agree(build):
+    p = build()
+    # pole-band points exercise the pole limits of the curvature
+    t = np.concatenate([[0.0, 1e-4], np.linspace(0.1, p.ell - 0.1, 7),
+                        [p.ell - 1e-4, p.ell]])
+    views = (p.gamma, p.dgamma, p.ddgamma, p.dddgamma, p.Gamma, p.curvature)
+    for f in views:
+        arr = np.asarray(f(t))
+        scal = np.array([float(f(float(ti))) for ti in t])
+        assert np.allclose(arr, scal, atol=1e-14)
+    # the jet carries every view, and lower orders are its prefixes
+    jet = p.jet(t, 3)
+    assert len(jet) == 5
+    for got, f in zip(jet, views[:5]):
+        assert np.array_equal(got, f(t))
+    for order in range(3):
+        low = p.jet(t, order)
+        assert len(low) == order + 2
+        for a, b in zip(low, jet[:order + 1] + jet[-1:]):
+            assert np.array_equal(a, b)
+    for k in (0, 4, len(t) - 1):
+        for a, b in zip(p.jet(float(t[k]), 3), jet):
+            assert np.ndim(a) == 0
+            assert float(a) == pytest.approx(b[k], rel=1e-14, abs=1e-14)
+    if isinstance(p, EllipsoidProfile):
+        # the third derivative is pinned to its exact pole limit
+        assert jet[3][0] == jet[3][1] == -p.pole_curvature
+        assert jet[3][-1] == jet[3][-2] == p.pole_curvature
+
+
 class TestSphere:
     def test_closed_form(self):
         p = SphereProfile(1.0)
@@ -70,13 +109,6 @@ class TestSphere:
         failed = [c.name for c in rep.conditions if not c.passed]
         assert failed == ["normalization area=4pi"]
 
-    def test_scalar_and_array_agree(self):
-        p = SphereProfile(1.0)
-        t = np.linspace(0.1, 3.0, 7)
-        for f in (p.gamma, p.dgamma, p.ddgamma, p.Gamma, p.curvature):
-            arr = np.asarray(f(t))
-            scal = np.array([float(f(float(ti))) for ti in t])
-            assert np.allclose(arr, scal, atol=1e-14)
 
 
 class TestEllipsoid:

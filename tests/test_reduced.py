@@ -274,6 +274,16 @@ class TestClosures:
             assert c.contractible   # q + p = 3 + 1 even on the mixed band
             assert lev.winding == pytest.approx(c.p / c.q, abs=1e-8)
 
+    def test_bisection_onto_winding_jump_is_not_a_closure(self):
+        # the winding jumps at I = +-1; a bracket straddling the jump
+        # bisects onto I ~ +-0.999994, where q * w misses p by 1.4e-5
+        p = make_ellipsoid(2.0)
+        found = rational_closures(p, 1.0021, n_levels=11, q_max=5)
+        assert found
+        for lev, c in found:
+            assert abs(c.q * lev.winding - c.p) <= 1e-6 * c.q
+            assert abs(abs(lev.I) - 1.0) > 1e-5
+
 
 class TestVerdict:
     def test_sphere_certified(self, sphere):
