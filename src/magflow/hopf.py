@@ -96,34 +96,21 @@ def rotation_matrix(U) -> np.ndarray:
 def quat_from_rotation(B) -> np.ndarray:
     """One of the two unit quaternions U with rotation_matrix(U) = B.
 
-    Largest-pivot branch selection keeps the reconstruction stable for
-    every rotation; the overall sign is arbitrary and handled by callers.
+    Accepts (..., 3, 3). K = 4 U U^T is linear in B (K00 = 1 + tr B, K0v =
+    axial(B - B^T), Kvv = B + B^T + (1 - tr B) I), and its row with the
+    largest diagonal entry, normalized, is a stable U for every rotation.
+    The overall sign is arbitrary and handled by callers.
     """
     B = np.asarray(B, dtype=float)
-    tr = B[0, 0] + B[1, 1] + B[2, 2]
-    choices = [tr, B[0, 0], B[1, 1], B[2, 2]]
-    c = int(np.argmax(choices))
-    if c == 0:
-        r = np.sqrt(1.0 + tr)
-        s = 0.5 / r
-        q = np.array([0.5 * r, (B[2, 1] - B[1, 2]) * s,
-                      (B[0, 2] - B[2, 0]) * s, (B[1, 0] - B[0, 1]) * s])
-    elif c == 1:
-        r = np.sqrt(1.0 + B[0, 0] - B[1, 1] - B[2, 2])
-        s = 0.5 / r
-        q = np.array([(B[2, 1] - B[1, 2]) * s, 0.5 * r,
-                      (B[0, 1] + B[1, 0]) * s, (B[0, 2] + B[2, 0]) * s])
-    elif c == 2:
-        r = np.sqrt(1.0 - B[0, 0] + B[1, 1] - B[2, 2])
-        s = 0.5 / r
-        q = np.array([(B[0, 2] - B[2, 0]) * s, (B[0, 1] + B[1, 0]) * s,
-                      0.5 * r, (B[1, 2] + B[2, 1]) * s])
-    else:
-        r = np.sqrt(1.0 - B[0, 0] - B[1, 1] + B[2, 2])
-        s = 0.5 / r
-        q = np.array([(B[1, 0] - B[0, 1]) * s, (B[0, 2] + B[2, 0]) * s,
-                      (B[1, 2] + B[2, 1]) * s, 0.5 * r])
-    return q / np.linalg.norm(q)
+    tr = np.trace(B, axis1=-2, axis2=-1)[..., None, None]
+    K = np.empty(B.shape[:-2] + (4, 4))
+    K[..., :1, :1] = 1.0 + tr
+    K[..., 1:, 1:] = B + np.swapaxes(B, -2, -1) + (1.0 - tr) * np.eye(3)
+    K[..., 0, 1:] = K[..., 1:, 0] = (B[..., [2, 0, 1], [1, 2, 0]]
+                                     - B[..., [1, 2, 0], [2, 0, 1]])
+    row = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(K, row[..., None, None], axis=-2)[..., 0, :]
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 # -- the double cover ------------------------------------------------------------
@@ -281,22 +268,9 @@ class KnotPolyline:
     def antipode(self) -> "KnotPolyline":
         return KnotPolyline(-self.points)
 
-    def doubled(self) -> "KnotPolyline":
-        """Refined polyline with midpoints reprojected to the sphere."""
-        pts = self.points
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        mids /= np.linalg.norm(mids, axis=1)[:, None]
-        out = np.empty((2 * (len(pts) - 1) + 1, 4))
-        out[0:-1:2] = pts[:-1]
-        out[1::2] = mids
-        out[-1] = pts[-1]
-        return KnotPolyline(out)
-
     def min_distance(self, other: "KnotPolyline") -> float:
-        a = self.points[:-1]
-        b = other.points[:-1]
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(np.min(d2)))
+        return float(np.sqrt(np.min(_nearest_sq(self.points[:-1],
+                                                other.points[:-1]))))
 
     def to_json_list(self):
         return [[float(c) for c in row] for row in self.points]
@@ -331,6 +305,18 @@ def knot_from_samples(samples, n: int | None = None) -> KnotPolyline:
 # -- Gauss linking ---------------------------------------------------------------
 
 _POLE_SEED = 1905
+_CHUNK = 64          # rows per block, so pair arrays stay O(64 m)
+
+
+def _dot(p, q):
+    return np.einsum("...k,...k->...", p, q)
+
+
+def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of a to its nearest row of b."""
+    blocks = (a[i:i + _CHUNK, None, :] - b[None, :, :]
+              for i in range(0, len(a), _CHUNK))
+    return np.concatenate([np.min(_dot(d, d), axis=1) for d in blocks])
 
 
 def _choose_pole(points: np.ndarray) -> np.ndarray:
@@ -338,8 +324,7 @@ def _choose_pole(points: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(_POLE_SEED)
     cands = rng.normal(size=(512, 4))
     cands /= np.linalg.norm(cands, axis=1)[:, None]
-    d2 = np.sum((cands[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    return cands[int(np.argmax(np.min(d2, axis=1)))]
+    return cands[int(np.argmax(_nearest_sq(cands, points)))]
 
 
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
@@ -361,40 +346,52 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
 
 
 def _gauss_double_sum(X: np.ndarray, Y: np.ndarray) -> float:
-    """Midpoint-rule Gauss integral for two closed polylines in R^3."""
-    dX = np.diff(X, axis=0)
-    dY = np.diff(Y, axis=0)
-    MX = X[:-1] + 0.5 * dX
-    MY = Y[:-1] + 0.5 * dY
-    r = MX[:, None, :] - MY[None, :, :]
-    cr = np.cross(dX[:, None, :], dY[None, :, :])
-    num = np.sum(r * cr, axis=2)
-    den = np.sum(r * r, axis=2) ** 1.5
-    return float(np.sum(num / den) / (4.0 * np.pi))
+    """Exact Gauss integral of two disjoint closed polygons in R^3.
+
+    The Gauss map (x - y)/|x - y| sends each pair of segments onto a
+    geodesic quadrilateral U00 U10 U11 U01 of S^2, and the integral is
+    minus the sum of their signed areas over 4 pi (Banchoff 1976). Each
+    quadrilateral is cut along U00 U11 into two triangles with solid angle
+    2 atan2(det[a, b, c], 1 + a.b + b.c + c.a) (Van Oosterom and Strackee
+    1983). Rows of X go in blocks of _CHUNK, so memory is O(len(Y)).
+    """
+    total = 0.0
+    for i in range(0, len(X) - 1, _CHUNK):
+        U = X[i:i + _CHUNK + 1, None, :] - Y[None, :, :]
+        U /= np.linalg.norm(U, axis=2)[..., None]
+        a, b, c, d = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
+        ac = _dot(a, c)
+        axc = np.cross(a, c)
+        total += np.sum(
+            np.arctan2(-_dot(b, axc), 1.0 + _dot(a, b) + _dot(b, c) + ac)
+            + np.arctan2(_dot(d, axc), 1.0 + ac + _dot(c, d) + _dot(d, a)))
+    return float(-total / (2.0 * np.pi))
 
 
-def gauss_linking(k1: KnotPolyline, k2: KnotPolyline,
-                  max_doublings: int = 5) -> int:
+def _linking_number(k1: KnotPolyline, k2: KnotPolyline) -> int:
+    """Rounded Gauss integral of two knots already known to be apart."""
+    pole = _choose_pole(np.vstack([k1.points[:-1], k2.points[:-1]]))
+    raw = _gauss_double_sum(_stereographic(k1.points, pole),
+                            _stereographic(k2.points, pole))
+    lk = round(raw)
+    if abs(raw - lk) > 1e-8:
+        raise RuntimeError(f"exact Gauss sum {raw:.12g} is more than 1e-8 "
+                           f"from an integer")
+    return lk
+
+
+def gauss_linking(k1: KnotPolyline, k2: KnotPolyline) -> int:
     """Linking number by the Gauss integral after stereographic projection.
 
-    The projection pole maximizes the distance to both curves. Resolution
-    is doubled until the raw value sits within 0.05 of an integer, which
-    certifies the rounding.
+    The projection pole maximizes the distance to both curves. The polygon
+    sum is exact, so it sits within roundoff of an integer; a raw value
+    more than 1e-8 away raises RuntimeError instead of being rounded.
     """
     gap = k1.min_distance(k2)
     if gap <= 1e-3:
         raise ValueError(f"knots too close for linking: min distance "
                          f"{gap:.3g} <= 1e-3")
-    pole = _choose_pole(np.vstack([k1.points[:-1], k2.points[:-1]]))
-    a, b = k1, k2
-    for _ in range(max_doublings + 1):
-        raw = _gauss_double_sum(_stereographic(a.points, pole),
-                                _stereographic(b.points, pole))
-        if abs(raw - round(raw)) < 0.05:
-            return int(round(raw))
-        a, b = a.doubled(), b.doubled()
-    raise RuntimeError(f"Gauss integral failed to settle near an integer "
-                       f"(last raw value {raw:.4f})")
+    return _linking_number(k1, k2)
 
 
 @dataclass(frozen=True)
@@ -416,7 +413,7 @@ def antipodal_link_parity(k: KnotPolyline) -> AntipodalLinkReport:
     a = k.antipode()
     if k.min_distance(a) <= 1e-3:
         return AntipodalLinkReport(disjoint=False, lk=None, even=None)
-    lk = gauss_linking(k, a)
+    lk = _linking_number(k, a)
     return AntipodalLinkReport(disjoint=True, lk=lk, even=(lk % 2 == 0))
 
 
@@ -456,29 +453,19 @@ def lift_path(x: np.ndarray, v: np.ndarray, tol: float = 1e-6) -> LiftResult:
                   + np.linalg.norm(np.diff(v, axis=0), axis=1))
     if step >= 0.1:
         raise ValueError(f"frame path too coarse: max step {step:.3g}")
-    n = x.shape[0]
-    w = np.cross(x, v)
-    U = np.empty((n, 4))
-    min_align = 1.0
-    for k in range(n):
-        B = np.column_stack([x[k], v[k], w[k]])
-        q = quat_conj(quat_from_rotation(B))
-        if k > 0:
-            align = float(np.dot(q, U[k - 1]))
-            if align < 0.0:
-                q = -q
-                align = -align
-            if align < 0.7:
-                raise RuntimeError(f"lift continuation ambiguous at sample "
-                                   f"{k}: alignment {align:.3f}")
-            min_align = min(min_align, align)
-        U[k] = q / np.linalg.norm(q)
-    res = 0.0
-    for k in (0, n // 3, 2 * n // 3, n - 1):
-        a, b = p0(U[k])
-        res = max(res,
-                  float(np.max(np.abs(imag_part(a) - x[k]))),
-                  float(np.max(np.abs(imag_part(b) - v[k]))))
+    B = np.stack([x, v, np.cross(x, v)], axis=-1)
+    U = quat_conj(quat_from_rotation(B))
+    align = _dot(U[1:], U[:-1])
+    bad = np.flatnonzero(np.abs(align) < 0.7)
+    if bad.size:
+        raise RuntimeError(f"lift continuation ambiguous at sample "
+                           f"{bad[0] + 1}: alignment {abs(align[bad[0]]):.3f}")
+    U[1:] *= np.cumprod(np.sign(align))[:, None]
+    min_align = float(np.min(np.abs(align), initial=1.0))
+    idx = [0, len(U) // 3, 2 * len(U) // 3, len(U) - 1]
+    a, b = p0(U[idx])
+    res = max(float(np.max(np.abs(imag_part(a) - x[idx]))),
+              float(np.max(np.abs(imag_part(b) - v[idx]))))
     closed = None
     if (np.linalg.norm(x[0] - x[-1]) < 1e-9
             and np.linalg.norm(v[0] - v[-1]) < 1e-9):

@@ -232,7 +232,9 @@ class SplineProfile(ProfileFunction):
     def to_dict(self):
         return {"kind": "samples", "ell": self.ell,
                 "t": self._t_samples.tolist(),
-                "gamma": self._g_samples.tolist()}
+                "gamma": self._g_samples.tolist(),
+                "end_conditions": [[[int(k), float(val)] for k, val in side]
+                                   for side in self._end_conditions]}
 
 
 class StretchBump:
@@ -564,7 +566,7 @@ def from_dict(d: dict) -> ProfileFunction:
     if kind == "ellipsoid":
         return EllipsoidProfile(d["ratio"])
     if kind == "samples":
-        return SplineProfile(d["t"], d["gamma"])
+        return SplineProfile(d["t"], d["gamma"], d.get("end_conditions"))
     if kind == "stretched":
         b = d["bump"]
         return StretchedProfile(from_dict(d["base"]), d["C"],

@@ -11,9 +11,12 @@ one-versus-two traversal behavior is forced by the topology.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from magflow import hopf
 from magflow.hopf import (
     KnotPolyline,
     QI,
@@ -62,6 +65,12 @@ def _fiber_knot(U0, n=512):
     return KnotPolyline(quat_mul(circ, U0))
 
 
+def _two_twist(n):
+    s = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    return KnotPolyline(np.stack([0.6 * np.cos(2 * s), 0.6 * np.sin(2 * s),
+                                  0.8 * np.cos(s), 0.8 * np.sin(s)], axis=1))
+
+
 def _small_circle(P, e1, e2, rad, n=512):
     s = np.linspace(0.0, 2.0 * np.pi, n + 1)
     pts = (np.cos(rad) * P[None, :]
@@ -103,11 +112,16 @@ class TestQuaternionAlgebra:
 
     def test_rotation_round_trip(self):
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            U = _rand_unit(rng)
-            V = quat_from_rotation(rotation_matrix(U))
+        Us = [_rand_unit(rng) for _ in range(10)]
+        Bs = np.array([rotation_matrix(U) for U in Us])
+        for U, B in zip(Us, Bs):
+            V = quat_from_rotation(B)
             assert min(np.max(np.abs(V - U)),
                        np.max(np.abs(V + U))) < 1e-12
+        stacked = quat_from_rotation(Bs)
+        assert stacked.shape == (10, 4)
+        assert np.array_equal(stacked,
+                              np.array([quat_from_rotation(B) for B in Bs]))
 
     def test_conj_rot_matches_matrix(self):
         th = np.pi / 4
@@ -206,13 +220,10 @@ class TestKnotPolyline:
         with pytest.raises(ValueError):
             KnotPolyline(self._circle(16))     # chords about 0.39
 
-    def test_antipode_and_double(self):
+    def test_antipode(self):
         k = KnotPolyline(self._circle())
         a = k.antipode()
         assert np.allclose(a.points, -k.points)
-        d = k.doubled()
-        assert len(d) == 2 * len(k)
-        assert np.allclose(np.linalg.norm(d.points, axis=1), 1.0)
 
     def test_min_distance_symmetric(self):
         P = np.array([1.0, 0, 0, 0])
@@ -241,13 +252,19 @@ class TestKnotPolyline:
 
 
 class TestLinking:
-    def test_fiber_pair_links_once(self):
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_fiber_pair_links_once(self, n):
         rng = np.random.default_rng(14)
-        k0 = _fiber_knot(np.array([1.0, 0, 0, 0]))
-        k1 = _fiber_knot(_rand_unit(rng))
+        k0 = _fiber_knot(np.array([1.0, 0, 0, 0]), n)
+        k1 = _fiber_knot(_rand_unit(rng), n)
         lk = gauss_linking(k0, k1)
         assert abs(lk) == 1
         assert gauss_linking(k1, k0) == lk
+        # the polygon sum is exact: no quadrature error even at 64 segments
+        pole = hopf._choose_pole(np.vstack([k0.points[:-1], k1.points[:-1]]))
+        raw = hopf._gauss_double_sum(hopf._stereographic(k0.points, pole),
+                                     hopf._stereographic(k1.points, pole))
+        assert abs(raw - lk) < 1e-9
 
     def test_separated_circles_unlinked(self):
         P = np.array([1.0, 0, 0, 0])
@@ -256,19 +273,36 @@ class TestLinking:
         assert gauss_linking(_small_circle(P, e1, e2, 0.4),
                              _small_circle(-P, e1, e2, 0.4)) == 0
 
+    def test_sum_off_integer_raises(self, monkeypatch):
+        # the exact sum misses an integer only by roundoff; never round 1.5
+        monkeypatch.setattr(hopf, "_gauss_double_sum", lambda X, Y: 1.5)
+        with pytest.raises(RuntimeError):
+            gauss_linking(_fiber_knot(np.array([1.0, 0, 0, 0])),
+                          _fiber_knot(np.array([0.0, 0, 1, 0])))
+
     def test_too_close_rejected(self):
         k = _fiber_knot(np.array([1.0, 0, 0, 0]))
         with pytest.raises(ValueError):
             gauss_linking(k, k)
 
     def test_two_twist_antipodal_even(self):
-        s = np.linspace(0.0, 2.0 * np.pi, 1025)
-        tor = np.stack([0.6 * np.cos(2 * s), 0.6 * np.sin(2 * s),
-                        0.8 * np.cos(s), 0.8 * np.sin(s)], axis=1)
-        rep = antipodal_link_parity(KnotPolyline(tor))
+        rep = antipodal_link_parity(_two_twist(1024))
         assert rep.disjoint
         assert rep.lk == 2
         assert rep.even
+
+    def test_antipodal_memory_bounded(self):
+        # 3072 segments: criterion 9's finest knot; all n x n pair data
+        # would be hundreds of MB
+        knot = _two_twist(3072)
+        tracemalloc.start()
+        try:
+            rep = antipodal_link_parity(knot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.lk == 2
+        assert peak <= 64 * 2**20
 
     def test_fiber_self_antipodal(self):
         # e^{i pi} U = -U lies on the fiber, so the antipode is not disjoint

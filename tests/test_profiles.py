@@ -288,6 +288,18 @@ class TestSerialization:
         r = load_profile(path)
         assert np.max(np.abs(r.gamma(t) - p.gamma(t))) < 1e-12
 
+    def test_round_trip_keeps_end_conditions(self, tmp_path):
+        t = np.linspace(0, np.pi, 101)
+        p = SplineProfile(t, np.sin(t),
+                          end_conditions=([(1, 2.0), (2, 0.0)],
+                                          [(1, -1.0), (2, 0.0)]))
+        path = tmp_path / "prof.json"
+        save_profile(p, path)
+        for q in (from_dict(p.to_dict()), load_profile(path)):
+            assert not validate(q).passed
+            for a, b in zip(q.jet(t, 3), p.jet(t, 3)):
+                assert np.array_equal(a, b)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_dict({"kind": "torus"})
