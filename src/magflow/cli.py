@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,32 +22,6 @@ from . import contact, cz, flow, hopf, profiles, reduced
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERDICT_FAIL = 2
-
-
-@dataclass
-class RunConfig:
-    """Bundle of knobs shared by the scanning subcommands."""
-    profile_spec: str = "sphere"
-    m_values: tuple = (1.0,)
-    n_levels: int = 33
-    band: float = 1e-6
-    rtol: float = 1e-12
-    atol: float = 1e-14
-    out: str | None = None
-    json_out: str | None = None
-    jobs: int = 1
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls()
-        for f in cfg.__dataclass_fields__:
-            if hasattr(args, f) and getattr(args, f) is not None:
-                setattr(cfg, f, getattr(args, f))
-        # environment override wins over the flag
-        env = os.environ.get("MAGFLOW_JOBS")
-        if env:
-            cfg.jobs = int(env)
-        return cfg
 
 
 def _floats(text: str) -> tuple:
@@ -115,14 +87,13 @@ def cmd_contact_bounds(args) -> int:
 
 
 def cmd_action_scan(args) -> int:
-    cfg = RunConfig.from_args(args)
     p = profiles.parse_profile_spec(args.spec)
-    rows = reduced.action_scan(p, args.m, n_levels=cfg.n_levels,
-                               band=cfg.band, jobs=cfg.jobs)
+    rows = reduced.action_scan(p, args.m, n_levels=args.n_levels,
+                               band=args.band)
     lines = reduced.scan_csv_lines(rows)
-    if cfg.out:
-        _write_text(cfg.out, lines)
-        print(f"scan written to {cfg.out}")
+    if args.out:
+        _write_text(args.out, lines)
+        print(f"scan written to {args.out}")
     else:
         for line in lines:
             print(line)
@@ -137,17 +108,16 @@ def cmd_action_scan(args) -> int:
 
 
 def cmd_flow_trace(args) -> int:
-    cfg = RunConfig.from_args(args)
     p = profiles.parse_profile_spec(args.spec)
     state0 = _floats(args.state)
     if len(state0) != 3:
         raise ValueError("--state needs t0,phi0,theta0")
     traj = flow.integrate(p, args.m, state0, args.horizon,
-                          n_out=args.n_out, rtol=cfg.rtol, atol=cfg.atol)
+                          n_out=args.n_out, rtol=args.rtol, atol=args.atol)
     lines = traj.csv_lines()
-    if cfg.out:
-        _write_text(cfg.out, lines)
-        print(f"trace written to {cfg.out}")
+    if args.out:
+        _write_text(args.out, lines)
+        print(f"trace written to {args.out}")
     else:
         for line in lines[:12]:
             print(line)
@@ -176,18 +146,17 @@ def cmd_cz_latitude(args) -> int:
 
 
 def cmd_cz_report(args) -> int:
-    cfg = RunConfig.from_args(args)
     p = profiles.parse_profile_spec(args.spec)
-    rep = cz.dynamical_convexity_report(p, args.m, n_levels=cfg.n_levels,
+    rep = cz.dynamical_convexity_report(p, args.m, n_levels=args.n_levels,
                                         rho_orbits=args.rho_orbits)
     for line in rep.lines():
         print(line)
-    if cfg.json_out:
-        _write_json(cfg.json_out, {
+    if args.json_out:
+        _write_json(args.json_out, {
             "m": rep.m, "T0": rep.T0_estimate,
             "rho_sup_empirical": rep.rho_sup_empirical,
             "lhs": rep.lhs, "rhs": rep.rhs, "verdict": rep.verdict})
-        print(f"report written to {cfg.json_out}")
+        print(f"report written to {args.json_out}")
     return EXIT_OK if rep.verdict else EXIT_VERDICT_FAIL
 
 
@@ -279,7 +248,6 @@ def cmd_hopf_lift(args) -> int:
 
 
 def cmd_repro_ellipsoids(args) -> int:
-    cfg = RunConfig.from_args(args)
     ratios = _floats(args.ratios)
     ms = _floats(args.m)
     rows = ["ratio,m,n_levels,min_action,argmin_I,all_positive"]
@@ -290,8 +258,7 @@ def cmd_repro_ellipsoids(args) -> int:
         for m in ms:
             if not contact.km_positive(p, m):
                 continue   # restriction stated with the claim
-            scan = reduced.action_scan(p, m, n_levels=cfg.n_levels,
-                                       jobs=cfg.jobs)
+            scan = reduced.action_scan(p, m, n_levels=args.n_levels)
             acts = np.array([r.action for r in scan])
             k = int(np.argmin(acts))
             pos = bool(acts[k] > 0.0)
@@ -299,9 +266,9 @@ def cmd_repro_ellipsoids(args) -> int:
             tested += 1
             rows.append("%g,%g,%d,%.12g,%.12g,%s"
                         % (ratio, m, len(scan), acts[k], scan[k].I, pos))
-    if cfg.out:
-        _write_text(cfg.out, rows)
-        print(f"table written to {cfg.out}")
+    if args.out:
+        _write_text(args.out, rows)
+        print(f"table written to {args.out}")
     else:
         for r in rows:
             print(r)
@@ -399,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_arg(s)
     s.add_argument("--m", type=float, required=True)
     s.add_argument("--levels", type=int, dest="n_levels", default=33)
-    s.add_argument("--band", type=float, default=None)
-    s.add_argument("--jobs", type=int, default=None)
+    s.add_argument("--band", type=float, default=reduced.LEVEL_BAND,
+                   help="share of the invariant range padded at each end")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_action_scan)
 
@@ -413,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, required=True,
                    help="arclength time to integrate")
     s.add_argument("--n-out", type=int, dest="n_out", default=2001)
-    s.add_argument("--rtol", type=float, default=None)
-    s.add_argument("--atol", type=float, default=None)
+    s.add_argument("--rtol", type=float, default=1e-12)
+    s.add_argument("--atol", type=float, default=1e-14)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_flow_trace)
 
@@ -429,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = gs.add_parser("report", help="dynamical convexity evidence")
     _add_profile_arg(s)
     s.add_argument("--m", type=float, required=True)
-    s.add_argument("--levels", type=int, dest="n_levels", default=None)
+    s.add_argument("--levels", type=int, dest="n_levels", default=33)
     s.add_argument("--rho-orbits", type=int, dest="rho_orbits", default=5)
     s.add_argument("--json-out", dest="json_out")
     s.set_defaults(fn=cmd_cz_report)
@@ -458,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ratios", default="0.5,1,2,4")
     s.add_argument("--m", default="0.25,0.5,1,2")
     s.add_argument("--levels", type=int, dest="n_levels", default=100)
-    s.add_argument("--jobs", type=int, default=None)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_repro_ellipsoids)
     s = gs.add_parser("noncon", help="negative-action latitude witness")

@@ -147,17 +147,15 @@ def level_average_ode(p: ProfileFunction, m: float, I: float,
                       rtol: float = 1e-12, atol: float = 1e-12) -> OdeLevel:
     """Measure one reduced period by a section event on t = t_mid.
 
-    Independent of the band quadrature except for the span estimate. The
-    returned action is the h average over exactly one period, which by
-    periodicity equals the infinite time average.
+    Independent of the band quadrature except for the span estimate, which
+    is 2.5 quadrature periods; a level that birkhoff_action rejects raises
+    here too. The returned action is the h average over exactly one period,
+    which by periodicity equals the infinite time average.
     """
     y0 = np.concatenate([band_state(p, m, I, ascending=True), [0.0]])
     t_mid = y0[0]
     rhs = _augmented_rhs(p, m)
-    try:
-        span = 2.5 * birkhoff_action(p, m, I).period
-    except Exception:
-        span = 200.0 * max(p.ell, 1.0)
+    span = 2.5 * birkhoff_action(p, m, I).period
 
     # move off the section first so the terminal event cannot fire at s = 0
     s_leg = 1e-2 * span

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+BISECT_MAX_ITER = 200
 
 
 @lru_cache(maxsize=32)
@@ -85,8 +86,13 @@ def grid_roots(f, a: float, b: float, n: int = 4096, xtol: float = 1e-12):
     return roots
 
 
-def bisect_root(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
-    """Plain bisection; f(a) and f(b) must have opposite signs."""
+def bisect_root(f, a: float, b: float, tol: float = 1e-10):
+    """Plain bisection; f(a) and f(b) must have opposite signs.
+
+    Raises RuntimeError when the bracket is still wider than tol after
+    BISECT_MAX_ITER halvings (only possible for tol below the spacing of
+    floats near the root).
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -94,7 +100,7 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
         return b
     if fa * fb > 0:
         raise ValueError("bisect_root: no sign change on bracket")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0 or (b - a) < tol:
@@ -103,4 +109,5 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
             b, fb = m, fm
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
+    raise RuntimeError(f"bisect_root: bracket [{a!r}, {b!r}] still wider "
+                       f"than tol = {tol} after {BISECT_MAX_ITER} halvings")

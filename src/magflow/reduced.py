@@ -44,6 +44,7 @@ from .profiles import ProfileFunction
 from . import contact
 
 LATITUDE_BAND = 1e-6          # exclusion band around the pole values +-1
+LEVEL_BAND = 1e-3             # share of the invariant range padded at each end
 
 
 class LevelRangeError(ValueError):
@@ -89,8 +90,12 @@ def I_range(p: ProfileFunction, m: float) -> IRange:
 
     The maximum of the upper envelope exceeds +1 and the minimum of the
     lower envelope is below -1 because both envelopes attain +-1 at the
-    poles with nonzero slope there.
+    poles with nonzero slope there. The last (m, range) pair is cached on
+    the profile (immutable after build), so scans at one m compute it once.
     """
+    cached = getattr(p, "_I_range_at", None)
+    if cached is not None and cached[0] == m:
+        return cached[1]
     t_hi, I_max = grid_sup(lambda t: I_hat_plus(p, m, t), 0.0, p.ell,
                            endpoint_values=(1.0, -1.0))
     t_lo, neg = grid_sup(lambda t: -I_hat_minus(p, m, t), 0.0, p.ell,
@@ -99,8 +104,10 @@ def I_range(p: ProfileFunction, m: float) -> IRange:
     if not (I_max > 1.0 and I_min < -1.0):
         raise LevelRangeError(
             f"degenerate invariant range [{I_min}, {I_max}] at m = {m}")
-    return IRange(I_min=float(I_min), I_max=float(I_max),
-                  argmin_t=float(t_lo), argmax_t=float(t_hi))
+    rng = IRange(I_min=float(I_min), I_max=float(I_max),
+                 argmin_t=float(t_lo), argmax_t=float(t_hi))
+    p._I_range_at = (m, rng)
+    return rng
 
 
 # -- turning latitudes ----------------------------------------------------------
@@ -363,7 +370,7 @@ def find_latitude(p: ProfileFunction, m: float, side: str) -> LatitudeOrbit:
 
 
 def regular_levels(p: ProfileFunction, m: float, n_levels: int,
-                   band: float = 1e-3) -> np.ndarray:
+                   band: float = LEVEL_BAND) -> np.ndarray:
     """Uniform interior grid of levels avoiding +-1 and the range ends."""
     rng = I_range(p, m)
     pad = band * (rng.I_max - rng.I_min)
@@ -378,13 +385,8 @@ def regular_levels(p: ProfileFunction, m: float, n_levels: int,
 SCAN_HEADER = "I,t_minus,t_plus,s_half,action"
 
 
-def _scan_one(args):
-    p, m, I = args
-    return birkhoff_action(p, m, I)
-
-
 def action_scan(p: ProfileFunction, m: float, n_levels: int,
-                band: float = 1e-3, jobs: int = 1) -> list:
+                band: float = LEVEL_BAND) -> list:
     """Levels sorted by I, bracketed by the two latitude limit rows.
 
     Latitude rows carry t_minus == t_plus == t0, the limiting half period
@@ -401,13 +403,7 @@ def action_scan(p: ProfileFunction, m: float, n_levels: int,
                                  action=lat.action))
     if n_levels > 0:
         levels = regular_levels(p, m, n_levels, band=band)
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                rows.extend(ex.map(_scan_one,
-                                   [(p, m, float(I)) for I in levels]))
-        else:
-            rows.extend(birkhoff_action(p, m, float(I)) for I in levels)
+        rows.extend(birkhoff_action(p, m, float(I)) for I in levels)
     rows.sort(key=lambda r: r.I)
     return rows
 

@@ -8,13 +8,12 @@ check both content and byte-level determinism.
 """
 from __future__ import annotations
 
-import argparse
 import json
 
 import numpy as np
 import pytest
 
-from magflow.cli import RunConfig, main
+from magflow.cli import build_parser, main
 from magflow.profiles import load_profile, validate
 
 
@@ -121,6 +120,13 @@ class TestActionScan:
                          "--levels", "7", "--out", str(path)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_spindle_default_band(self, capsys):
+        # the outermost level sits LEVEL_BAND of the range inside I_min
+        rc = main(["action", "scan", "spindle:0.07:0.2", "--m", "0.25",
+                   "--levels", "3"])
+        assert rc == 0
+        assert "min action" in capsys.readouterr().out
 
 
 class TestFlowTrace:
@@ -248,16 +254,15 @@ class TestReproCommands:
         capsys.readouterr()
 
 
-class TestRunConfig:
-    def test_env_overrides_jobs_flag(self, monkeypatch):
-        ns = argparse.Namespace(jobs=4)
-        monkeypatch.setenv("MAGFLOW_JOBS", "2")
-        assert RunConfig.from_args(ns).jobs == 2
-        monkeypatch.delenv("MAGFLOW_JOBS")
-        assert RunConfig.from_args(ns).jobs == 4
-
-    def test_none_flags_keep_defaults(self):
-        ns = argparse.Namespace(n_levels=None, band=None, out=None)
-        cfg = RunConfig.from_args(ns)
-        assert cfg.n_levels == 33
-        assert cfg.band == 1e-6
+class TestParserDefaults:
+    def test_unset_flags_keep_defaults(self):
+        parse = build_parser().parse_args
+        scan = parse(["action", "scan", "sphere", "--m", "1"])
+        assert (scan.n_levels, scan.band, scan.out) == (33, 1e-3, None)
+        trace = parse(["flow", "trace", "sphere", "--m", "1",
+                       "--state", "1,0,0", "--horizon", "1"])
+        assert (trace.rtol, trace.atol) == (1e-12, 1e-14)
+        report = parse(["cz", "report", "sphere", "--m", "0.05"])
+        assert (report.n_levels, report.json_out) == (33, None)
+        ellipsoids = parse(["repro", "ellipsoids"])
+        assert (ellipsoids.n_levels, ellipsoids.out) == (100, None)

@@ -22,7 +22,7 @@ from magflow.flow import (
     vector_field,
 )
 from magflow.profiles import make_ellipsoid, make_sphere
-from magflow.reduced import birkhoff_action, find_latitude
+from magflow.reduced import LevelRangeError, birkhoff_action, find_latitude
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,14 @@ class TestSectionMeasurement:
         assert rep["period_rel"] < 1e-8
         assert rep["action_rel"] < 1e-8
         assert rep["theta_rel"] < 1e-8
+
+    def test_rejected_level_raises(self, sphere, monkeypatch):
+        # the integration span comes from the quadrature or not at all
+        def reject(p, m, I):
+            raise LevelRangeError(f"I = {I} rejected")
+        monkeypatch.setattr("magflow.flow.birkhoff_action", reject)
+        with pytest.raises(LevelRangeError):
+            level_average_ode(sphere, 1.0, 0.3)
 
 
 class TestBirkhoffAverage:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from magflow.profiles import make_ellipsoid, make_negative_action, make_sphere
@@ -64,6 +65,17 @@ class TestInvariantRange:
             r = I_range(ellipsoid, m)
             assert lat.I_value == pytest.approx(r.I_max, rel=1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.25, 0.8, 2.0]),
+                              st.floats(0.2, 3.0)), min_size=1, max_size=6))
+    def test_cached_range_matches_fresh_profile(self, ellipsoid, ms):
+        # the one-entry cache on the profile never changes a value
+        for m in ms:
+            got = I_range(ellipsoid, m).to_dict()
+            want = I_range(make_ellipsoid(1.3), m).to_dict()
+            assert {k: float.hex(v) for k, v in got.items()} == \
+                {k: float.hex(v) for k, v in want.items()}
+
     def test_invariant_formula(self, sphere):
         assert I_hat(sphere, 2.0, 1.0, np.pi / 2) == pytest.approx(
             2.0 * np.sin(1.0) + np.cos(1.0))
@@ -94,11 +106,24 @@ class TestTurningPoints:
         G = ellipsoid.Gamma(t)
         assert np.all((m * g) ** 2 - (I + G) ** 2 > 0)
 
-    def test_latitude_levels_rejected(self, sphere):
+    def test_latitude_levels_rejected(self, sphere, ellipsoid):
+        bad = [(sphere, np.sqrt(2.0)), (sphere, 1.0), (sphere, np.nan)]
+        for p in (sphere, ellipsoid):
+            r = I_range(p, 1.0)
+            bad += [(p, r.I_min), (p, r.I_max)]
+        for p, I in bad:
+            with pytest.raises(LevelRangeError):
+                turning_points(p, 1.0, I)
+
+    def test_range_follows_m(self):
+        # I = 1.5 lies inside the range at m = 2 (|I| < sqrt 5) only
+        p = make_sphere()
         with pytest.raises(LevelRangeError):
-            turning_points(sphere, 1.0, np.sqrt(2.0))
+            turning_points(p, 0.5, 1.5)
+        tp = turning_points(p, 2.0, 1.5)
+        assert 0.0 < tp.t_minus < tp.t_plus < np.pi
         with pytest.raises(LevelRangeError):
-            turning_points(sphere, 1.0, 1.0)
+            turning_points(p, 0.5, 1.5)
 
     def test_km_gate(self):
         p = make_negative_action(0.1, 0.9)[0]
@@ -238,11 +263,6 @@ class TestScan:
         b = scan_csv_lines(action_scan(sphere, 0.7, n_levels=7))
         assert a == b
         assert a[0] == SCAN_HEADER
-
-    def test_jobs_consistency(self, sphere):
-        serial = scan_csv_lines(action_scan(sphere, 1.0, n_levels=7, jobs=1))
-        pooled = scan_csv_lines(action_scan(sphere, 1.0, n_levels=7, jobs=2))
-        assert serial == pooled
 
 
 class TestClosures:
