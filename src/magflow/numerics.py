@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 BISECT_MAX_ITER = 200
+NEWTON_MAX_ITER = 100
 
 
 @lru_cache(maxsize=32)
@@ -23,7 +24,11 @@ def gauss_nodes(n: int):
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-9, max_iter: int = 200):
-    """Golden-section maximization of a unimodal f on [a, b]."""
+    """Golden-section maximization of a unimodal f on [a, b].
+
+    Raises RuntimeError when the bracket is still wider than tol after
+    max_iter reductions.
+    """
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -38,6 +43,9 @@ def golden_max(f, a: float, b: float, tol: float = 1e-9, max_iter: int = 200):
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
             f1 = f(x1)
+    if not b - a < tol:
+        raise RuntimeError(f"golden_max: bracket [{a!r}, {b!r}] still wider "
+                           f"than tol = {tol} after {max_iter} reductions")
     xm = 0.5 * (a + b)
     return xm, f(xm)
 
@@ -48,11 +56,20 @@ def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
 
     f must accept numpy arrays. The grid is uniform over the open interval;
     endpoint_values, when given, stand in for f at a and b (useful when f is
-    defined there only as a limit). The top_k interior local maxima are each
-    refined to xtol in the abscissa. Returns (argmax, sup).
+    defined there only as a limit). Returns (argmax, sup).
     """
     t = np.linspace(a, b, n + 2)[1:-1]
-    v = np.asarray(f(t), dtype=float)
+    return refine_sup(f, t, np.asarray(f(t), dtype=float), a, b, top_k=top_k,
+                      xtol=xtol, endpoint_values=endpoint_values)
+
+
+def refine_sup(f, t, v, a: float, b: float, top_k: int = 5,
+               xtol: float = 1e-9, endpoint_values=(None, None)):
+    """grid_sup from values v of f already taken on the interior grid t.
+
+    The top_k interior local maxima of v are each refined to xtol in the
+    abscissa with scalar calls of f. Returns (argmax, sup).
+    """
     interior = v[1:-1]
     is_max = (interior >= v[:-2]) & (interior >= v[2:])
     idx = np.nonzero(is_max)[0] + 1
@@ -111,3 +128,42 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-10):
             a, fa = m, fm
     raise RuntimeError(f"bisect_root: bracket [{a!r}, {b!r}] still wider "
                        f"than tol = {tol} after {BISECT_MAX_ITER} halvings")
+
+
+def newton_root(fdf, a: float, b: float, fa: float, fb: float,
+                ftol: float = 0.0):
+    """Root of f in the bracket [a, b] by Newton's method with bisection.
+
+    fdf(x) returns (f(x), f'(x)) from one evaluation; a < b, and fa and fb
+    are f(a) and f(b), of opposite signs. The first iterate interpolates the
+    bracket linearly. A Newton step that leaves the bracket or does not
+    halve the previous step is replaced by bisection. Returns after the
+    Newton step from an iterate where |f| <= ftol (the rounding error of f)
+    or where the step is below 4 ulp; raises RuntimeError after
+    NEWTON_MAX_ITER steps.
+    """
+    if fa * fb > 0:
+        raise ValueError("newton_root: no sign change on bracket")
+    x = a + (b - a) * fa / (fa - fb)
+    step_old = b - a
+    for _ in range(NEWTON_MAX_ITER):
+        fx, dfx = fdf(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+        else:
+            b = x
+        step = fx / dfx if dfx != 0.0 else np.inf
+        tol = 4.0 * np.spacing(abs(x))
+        x_new = x - step
+        if abs(step) <= tol or abs(fx) <= ftol:
+            return x_new if a <= x_new <= b else x
+        if not a < x_new < b or abs(step) > 0.5 * step_old:
+            x_new = 0.5 * (a + b)
+        step_old = abs(x_new - x)
+        if step_old <= tol:
+            return x_new
+        x = x_new
+    raise RuntimeError(f"newton_root: no convergence in [{a!r}, {b!r}] "
+                       f"after {NEWTON_MAX_ITER} steps")

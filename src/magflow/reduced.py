@@ -19,12 +19,19 @@ d theta = (I + Gamma) dt / (gamma sqrt(W)). When the magnetic curvature
 K_m = m^2 K + 1 is positive the band of every regular level is a single
 interval; this module refuses to classify levels otherwise.
 
-All band integrals are computed after the substitution
-t = t_minus + (t_plus - t_minus) sin^2(u), which absorbs both inverse
+Under K_m > 0 each envelope is unimodal, so every turning point is the one
+crossing of I with a monotone envelope piece. Both envelopes are tabulated
+once per (profile, m), from the same jet evaluation that locates the
+invariant range, and cached on the profile with it. A level brackets each
+crossing between two table entries and polishes it by Newton's method on
+the envelope, whose slope +-m gamma' - gamma comes from the same jet.
+
+All band integrals use Gauss-Chebyshev nodes on [t_minus, t_plus], whose
+weight 1 / sqrt((t - t_minus)(t_plus - t)) absorbs both inverse
 square-root endpoint singularities: the ratio V = W / ((t - t_minus)
-(t_plus - t)) extends smoothly and positively to the closed band, so
-Gauss-Legendre quadrature in u converges spectrally. The Birkhoff action
-of a level is the time average over one reduced period of
+(t_plus - t)) extends smoothly and positively to the closed band, so the
+rule converges spectrally. The Birkhoff action of a level is the time
+average over one reduced period of
 
     h(t) = m^2 + 1 - beta_theta (I + Gamma) / gamma^2,
 
@@ -39,7 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import gauss_nodes, grid_sup, grid_roots, bisect_root
+from .numerics import (gauss_nodes, refine_sup, grid_roots, bisect_root,
+                       newton_root)
 from .profiles import ProfileFunction
 from . import contact
 
@@ -85,29 +93,68 @@ class IRange:
                 "argmin_t": self.argmin_t, "argmax_t": self.argmax_t}
 
 
-def I_range(p: ProfileFunction, m: float) -> IRange:
-    """Range of the invariant over the unit bundle.
+ENVELOPE_GRID = 4096          # interior points of the envelope table
 
-    The maximum of the upper envelope exceeds +1 and the minimum of the
-    lower envelope is below -1 because both envelopes attain +-1 at the
-    poles with nonzero slope there. The last (m, range) pair is cached on
-    the profile (immutable after build), so scans at one m compute it once.
+
+@dataclass(frozen=True)
+class _Piece:
+    """Monotone piece of an envelope, tabulated with its end values."""
+    sign: int             # +1: I_hat_plus, -1: I_hat_minus
+    t: np.ndarray
+    I: np.ndarray
+
+
+def _envelopes(p: ProfileFunction, m: float):
+    """(IRange, pieces) at (p, m), cached on the profile for the last m.
+
+    Both envelopes are tabulated from one jet on the grid of grid_sup, and
+    the same values seed the range search, so the range is the one grid_sup
+    returns. Under K_m > 0 each envelope is unimodal: pieces holds its
+    monotone halves, keyed by envelope and by side of its extremum.
     """
     cached = getattr(p, "_I_range_at", None)
     if cached is not None and cached[0] == m:
-        return cached[1]
-    t_hi, I_max = grid_sup(lambda t: I_hat_plus(p, m, t), 0.0, p.ell,
-                           endpoint_values=(1.0, -1.0))
-    t_lo, neg = grid_sup(lambda t: -I_hat_minus(p, m, t), 0.0, p.ell,
-                         endpoint_values=(-1.0, 1.0))
+        return cached[1], cached[2]
+    L = p.ell
+    t = np.linspace(0.0, L, ENVELOPE_GRID + 2)
+    g, G = p.jet(t[1:-1], 0)
+    upper, lower = m * g - G, -m * g - G
+    t_hi, I_max = refine_sup(lambda s: I_hat_plus(p, m, s), t[1:-1], upper,
+                             0.0, L, endpoint_values=(1.0, -1.0))
+    t_lo, neg = refine_sup(lambda s: -I_hat_minus(p, m, s), t[1:-1], -lower,
+                           0.0, L, endpoint_values=(-1.0, 1.0))
     I_min = -neg
     if not (I_max > 1.0 and I_min < -1.0):
         raise LevelRangeError(
             f"degenerate invariant range [{I_min}, {I_max}] at m = {m}")
     rng = IRange(I_min=float(I_min), I_max=float(I_max),
                  argmin_t=float(t_lo), argmax_t=float(t_hi))
-    p._I_range_at = (m, rng)
-    return rng
+    # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name, 0]
+    # runs from t = 0 to the extremum, pieces[name, 1] from it to t = ell
+    pieces = {}
+    for name, sign, vals, t_ext, I_ext in (
+            ("upper", 1, upper, rng.argmax_t, rng.I_max),
+            ("lower", -1, lower, rng.argmin_t, rng.I_min)):
+        vals = np.r_[1.0, vals, -1.0]
+        k = int(np.searchsorted(t, t_ext))
+        pieces[name, 0] = _Piece(sign, np.r_[t[:k], t_ext],
+                                 np.r_[vals[:k], I_ext])
+        pieces[name, 1] = _Piece(sign, np.r_[t_ext, t[k:]],
+                                 np.r_[I_ext, vals[k:]])
+    p._I_range_at = (m, rng, pieces)
+    return rng, pieces
+
+
+def I_range(p: ProfileFunction, m: float) -> IRange:
+    """Range of the invariant over the unit bundle.
+
+    The maximum of the upper envelope exceeds +1 and the minimum of the
+    lower envelope is below -1 because both envelopes attain +-1 at the
+    poles with nonzero slope there. The range is cached on the profile
+    (immutable after build) with the envelope table, so scans at one m
+    compute it once.
+    """
+    return _envelopes(p, m)[0]
 
 
 # -- turning latitudes ----------------------------------------------------------
@@ -125,61 +172,58 @@ class TurningPoints:
         return self.t_plus - self.t_minus
 
 
-def _W(p: ProfileFunction, m: float, I: float, t):
-    g, G = p.jet(t, 0)
-    mg, u = m * g, G + I
-    return mg * mg - u * u
+def _crossing(p: ProfileFunction, m: float, I: float, piece: _Piece) -> float:
+    """The one t where the monotone envelope piece equals I.
+
+    The crossing is bracketed between neighbouring table entries and
+    polished by Newton's method on the envelope, whose derivative
+    +-m gamma' - gamma comes from the same jet as its value.
+    """
+    above = piece.I > I
+    k = np.flatnonzero(above[1:] != above[:-1])
+    if k.size != 1:
+        raise LevelRangeError(f"envelope piece crosses I = {I} {k.size} "
+                              f"times on the table; K_m > 0 allows one")
+    k = int(k[0])
+    sg = piece.sign
+
+    def fdf(t):
+        g, dg, G = map(float, p.jet(t, 1))
+        return sg * m * g - G - I, sg * m * dg - g
+
+    # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error of f
+    ftol = 8.0 * np.finfo(float).eps * (1.0 + abs(I))
+    return newton_root(fdf, float(piece.t[k]), float(piece.t[k + 1]),
+                       float(piece.I[k]) - I, float(piece.I[k + 1]) - I,
+                       ftol=ftol)
 
 
-def turning_points(p: ProfileFunction, m: float, I: float,
-                   xtol: float = 1e-12) -> TurningPoints:
+def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
     """Boundary of the positivity band of W for a regular level I.
 
-    Branch labels record which envelope the level touches: I > 1 touches
-    the upper envelope at both ends, I < -1 the lower one, and levels in
-    (-1, 1) touch one of each.
+    W is positive exactly between the envelopes, so each turning point lies
+    on one monotone envelope piece: t_minus on the rising upper piece when
+    I > 1 and on the falling lower piece otherwise, t_plus on the rising
+    lower piece when I < -1 and on the falling upper piece otherwise. The
+    branch labels record which envelope is touched.
     """
     if not contact.km_positive(p, m):
         raise KmNotPositiveError(
             f"K_m changes sign at m = {m}; band structure not certified "
             f"(positive for m < {contact.km_positive_threshold(p):.6g})")
-    rng = I_range(p, m)
+    rng, pieces = _envelopes(p, m)
     if not (rng.I_min < I < rng.I_max):
         raise LevelRangeError(
             f"I = {I} outside open range ({rng.I_min:.12g}, {rng.I_max:.12g})")
     if abs(I - 1.0) < LATITUDE_BAND or abs(I + 1.0) < LATITUDE_BAND:
         raise LevelRangeError(
             f"I = {I} within {LATITUDE_BAND} of a pole value +-1")
-
-    L = p.ell
-    f = lambda t: _W(p, m, I, t)
-    # walk a dense grid out from the interior maximum of W
-    n = 4096
-    ts = np.linspace(0.0, L, n + 1)
-    vals = f(ts)
-    k = int(np.argmax(vals))
-    if vals[k] <= 0.0:
-        raise LevelRangeError(f"W nowhere positive on the grid for I = {I}")
-    lo = k
-    while lo > 0 and vals[lo - 1] > 0.0:
-        lo -= 1
-    hi = k
-    while hi < n and vals[hi + 1] > 0.0:
-        hi += 1
-    # W < 0 at both poles for regular I (it equals -(I -+ 1)^2 there)
-    if lo == 0 or hi == n:
-        raise LevelRangeError(f"band reaches a pole for I = {I}; "
-                              f"grid resolution insufficient")
-    t_minus = bisect_root(f, ts[lo - 1], ts[lo], tol=xtol)
-    t_plus = bisect_root(f, ts[hi], ts[hi + 1], tol=xtol)
-
-    def branch(t):
-        # at a turning point m gamma = |I + Gamma|; the sign picks the envelope
-        return "upper" if (I + float(p.Gamma(t))) > 0.0 else "lower"
-
-    return TurningPoints(t_minus=float(t_minus), t_plus=float(t_plus),
-                         branch_minus=branch(t_minus),
-                         branch_plus=branch(t_plus))
+    branch_minus = "upper" if I > 1.0 else "lower"
+    branch_plus = "lower" if I < -1.0 else "upper"
+    return TurningPoints(
+        t_minus=_crossing(p, m, I, pieces[branch_minus, 0]),
+        t_plus=_crossing(p, m, I, pieces[branch_plus, 1]),
+        branch_minus=branch_minus, branch_plus=branch_plus)
 
 
 # -- band quadrature ------------------------------------------------------------

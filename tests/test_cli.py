@@ -121,12 +121,17 @@ class TestActionScan:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_spindle_default_band(self, capsys):
-        # the outermost level sits LEVEL_BAND of the range inside I_min
-        rc = main(["action", "scan", "spindle:0.07:0.2", "--m", "0.25",
-                   "--levels", "3"])
-        assert rc == 0
-        assert "min action" in capsys.readouterr().out
+    def test_spindle_default_band(self, capsys, tmp_path):
+        # the outermost level sits LEVEL_BAND of the range inside I_min,
+        # or --band of it
+        for extra, rows in ((["--levels", "3"], 5),
+                            (["--levels", "100", "--band", "1e-6"], 102)):
+            out = tmp_path / "scan.csv"
+            rc = main(["action", "scan", "spindle:0.07:0.2", "--m", "0.25",
+                       "--out", str(out)] + extra)
+            assert rc == 0
+            assert "min action" in capsys.readouterr().out
+            assert len(out.read_text().splitlines()) == 1 + rows
 
 
 class TestFlowTrace:

@@ -11,6 +11,7 @@ from magflow.numerics import (
     golden_max,
     grid_roots,
     grid_sup,
+    newton_root,
 )
 
 
@@ -46,6 +47,11 @@ class TestGoldenMax:
     def test_quadratic(self):
         x, v = golden_max(lambda t: -(t - 0.3) ** 2, -1.0, 1.0)
         assert x == pytest.approx(0.3, abs=1e-7)
+
+    def test_unconverged_raises(self):
+        # no bracket is narrower than tol = 0: never return the midpoint
+        with pytest.raises(RuntimeError):
+            golden_max(np.sin, 0.0, np.pi, tol=0.0)
 
 
 class TestGridSup:
@@ -85,3 +91,16 @@ class TestRoots:
     def test_bisect_requires_bracket(self):
         with pytest.raises(ValueError):
             bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    def test_newton_root(self):
+        fdf = lambda t: (t**3 - 2.0, 3.0 * t * t)
+        r = newton_root(fdf, 0.0, 2.0, -2.0, 6.0)
+        assert r == pytest.approx(2.0 ** (1 / 3), abs=4e-16)
+        with pytest.raises(ValueError):
+            newton_root(fdf, 2.0, 3.0, 6.0, 25.0)
+
+    def test_newton_root_falls_back_to_bisection(self):
+        # f' = 0 at the start and steps that overshoot the bracket
+        fdf = lambda t: (np.arctan(t - 0.3) + 0.1 * (t - 0.3), 0.0)
+        r = newton_root(fdf, -5.0, 5.0, fdf(-5.0)[0], fdf(5.0)[0])
+        assert r == pytest.approx(0.3, abs=1e-15)

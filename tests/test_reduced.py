@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from magflow.profiles import make_ellipsoid, make_negative_action, make_sphere
+from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
+                              parse_profile_spec)
 from magflow.reduced import (
     KmNotPositiveError,
+    LATITUDE_BAND,
+    LEVEL_BAND,
     LevelRangeError,
     SCAN_HEADER,
     I_hat,
@@ -130,6 +134,28 @@ class TestTurningPoints:
         with pytest.raises(KmNotPositiveError):
             turning_points(p, 1.0, 0.0)
 
+    @pytest.mark.parametrize("spec,m", [("ellipsoid:1.5", 0.8),
+                                        ("spindle:0.07:0.2", 0.25)])
+    def test_against_brentq(self, spec, m):
+        # each turning point is the one root of its envelope piece:
+        # [0, argmax_t] or [argmax_t, ell] on the upper envelope, the same
+        # around argmin_t on the lower one
+        p = parse_profile_spec(spec)
+        r = I_range(p, m)
+        for I in regular_levels(p, m, 100):
+            tp = turning_points(p, m, float(I))
+            for t, branch, first in ((tp.t_minus, tp.branch_minus, True),
+                                     (tp.t_plus, tp.branch_plus, False)):
+                sg, ext = ((1, r.argmax_t) if branch == "upper"
+                           else (-1, r.argmin_t))
+
+                def f(s):
+                    g, G = p.jet(s, 0)
+                    return sg * m * float(g) - float(G) - I
+
+                a, b = (0.0, ext) if first else (ext, p.ell)
+                assert abs(t - brentq(f, a, b, xtol=1e-15)) <= 1e-13
+
 
 class TestSphereLevelQuadrature:
     def test_isochrony(self, sphere):
@@ -158,6 +184,19 @@ class TestSphereLevelQuadrature:
             0.0, abs=1e-7)
         assert birkhoff_action(sphere, m, -1.5).winding == pytest.approx(
             -1.0, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.0, 1.0))
+    def test_isochrony_property(self, sphere, m, u):
+        # anywhere in the padded range, off the pole values +-1
+        r = I_range(sphere, m)
+        pad = LEVEL_BAND * (r.I_max - r.I_min)
+        I = r.I_min + pad + u * (r.I_max - r.I_min - 2 * pad)
+        assume(min(abs(I - 1.0), abs(I + 1.0)) > 10 * LATITUDE_BAND)
+        lev = birkhoff_action(sphere, m, I)
+        assert lev.s_half == pytest.approx(np.pi / np.sqrt(1 + m * m),
+                                           rel=1e-10)
+        assert lev.action == pytest.approx(m * m + 1, rel=1e-10)
 
     def test_reeb_period(self, sphere):
         lev = birkhoff_action(sphere, 1.0, 0.0)
