@@ -86,6 +86,18 @@ def cmd_contact_bounds(args) -> int:
 # -- action ----------------------------------------------------------------------
 
 
+def _least_action(rows) -> tuple:
+    """(min action, the lowest-I row whose action ties it up to roundoff).
+
+    Actions tie on the sphere and in +-I pairs on symmetric profiles, so
+    the first minimum in list order would follow roundoff across the range.
+    """
+    acts = np.array([r.action for r in rows])
+    least = float(np.min(acts))
+    tied = acts - least <= 1e-9 * max(1.0, abs(least))
+    return least, min((r for r, t in zip(rows, tied) if t), key=lambda r: r.I)
+
+
 def cmd_action_scan(args) -> int:
     p = profiles.parse_profile_spec(args.spec)
     rows = reduced.action_scan(p, args.m, n_levels=args.n_levels,
@@ -97,10 +109,9 @@ def cmd_action_scan(args) -> int:
     else:
         for line in lines:
             print(line)
-    acts = [r.action for r in rows]
-    k = int(np.argmin(acts))
-    print(f"m={args.m:g}: {len(rows)} levels, min action {acts[k]:.6g} "
-          f"at I={rows[k].I:.6g}")
+    least, row = _least_action(rows)
+    print(f"m={args.m:g}: {len(rows)} levels, min action {least:.6g} "
+          f"at I={row.I:.6g}")
     return EXIT_OK
 
 
@@ -259,13 +270,12 @@ def cmd_repro_ellipsoids(args) -> int:
             if not contact.km_positive(p, m):
                 continue   # restriction stated with the claim
             scan = reduced.action_scan(p, m, n_levels=args.n_levels)
-            acts = np.array([r.action for r in scan])
-            k = int(np.argmin(acts))
-            pos = bool(acts[k] > 0.0)
+            least, row = _least_action(scan)
+            pos = bool(least > 0.0)
             all_pos = all_pos and pos
             tested += 1
             rows.append("%g,%g,%d,%.12g,%.12g,%s"
-                        % (ratio, m, len(scan), acts[k], scan[k].I, pos))
+                        % (ratio, m, len(scan), least, row.I, pos))
     if args.out:
         _write_text(args.out, rows)
         print(f"table written to {args.out}")
@@ -448,8 +458,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError,
-            contact.ContactPrimitiveError) as e:
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

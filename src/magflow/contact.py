@@ -18,7 +18,7 @@ single-band level structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,47 +156,3 @@ def contact_interval(p: ProfileFunction, n: int = 4096) -> ContactBoundsReport:
 def h_min(p: ProfileFunction, m: float, n: int = 4096) -> float:
     """Certified lower bound m^2 + 1 - m * m_gamma for h over the unit bundle."""
     return reeb_factor(m, m_gamma(p, n=n), 1.0, 1.0)
-
-
-def require_contact(p: ProfileFunction, m: float, n: int = 4096) -> float:
-    """Return h_min, raising ContactPrimitiveError if it is not positive."""
-    hm = h_min(p, m, n=n)
-    if hm <= 0.0:
-        raise ContactPrimitiveError(
-            f"h has certified minimum {hm:.6g} <= 0 at m = {m}")
-    return hm
-
-
-# -- symmetric increasing-curvature criterion -----------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetryCheck:
-    symmetric: bool
-    increasing: bool
-    hypothesis_holds: bool
-    m_gamma: float
-    conclusion_holds: bool
-    detail: dict = field(default_factory=dict)
-
-
-def symmetric_increasing_check(p: ProfileFunction, n: int = 1024,
-                               tol: float = 1e-7) -> SymmetryCheck:
-    """For profiles symmetric about ell/2 with K nondecreasing on the first
-    half, the contact bound m_gamma is at most 1; this checks both the
-    hypothesis and the conclusion numerically."""
-    L = p.ell
-    t = np.linspace(0.0, 0.5 * L, n)[1:]
-    sym_res = float(np.max(np.abs(np.asarray(p.gamma(t))
-                                  - np.asarray(p.gamma(L - t)))))
-    symmetric = sym_res <= max(tol, 1e-9 * L)
-    K = np.asarray(p.curvature(np.linspace(0.0, 0.5 * L, n)))
-    inc_res = float(np.min(np.diff(K)))
-    increasing = inc_res >= -tol * max(1.0, float(np.max(np.abs(K))))
-    hypothesis = symmetric and increasing
-    mg = m_gamma(p)
-    return SymmetryCheck(symmetric=symmetric, increasing=increasing,
-                         hypothesis_holds=hypothesis, m_gamma=mg,
-                         conclusion_holds=mg <= 1.0 + 1e-6,
-                         detail={"symmetry_residual": sym_res,
-                                 "min_K_increment": inc_res})

@@ -61,28 +61,6 @@ def _fields(p: ProfileFunction, t, phi, m: float):
     return g, dg, ddg, G, bt, sp, cp, h
 
 
-def h_value(p: ProfileFunction, m: float, state) -> float:
-    """Rescaling factor h at state = (t, phi, theta); must be positive."""
-    return _fields(p, float(state[0]), float(state[1]), m)[7]
-
-
-def coframe_eval(p: ProfileFunction, state, W):
-    """Coframe entries (alpha, psi, eta) on the tangent vector W.
-
-    W is in (t, phi, theta) coordinates. alpha pairs with the generator
-    direction, eta with the rotated horizontal, psi with the fiber: any
-    flow generator F satisfies psi(F) = 1 identically.
-    """
-    t, phi = float(state[0]), float(state[1])
-    g, dg, _ = map(float, p.jet(t, 1))
-    sp, cp = np.sin(phi), np.cos(phi)
-    W = np.asarray(W, dtype=float)
-    alpha = W[0] * cp + W[2] * g * sp
-    psi = W[1] + W[2] * dg
-    eta = -W[0] * sp + W[2] * g * cp
-    return float(alpha), float(psi), float(eta)
-
-
 def frame_state(p: ProfileFunction, m: float, t0: float, phi0: float,
                 theta0: float = 0.0) -> np.ndarray:
     """Initial 9-vector (base point, Y1, Y2) with chi(Y_i)(0) = e_i."""
@@ -280,6 +258,14 @@ def cz_index(path: SymplecticPath, tol: float = DEGENERACY_TOL,
 # -- closed-orbit drivers --------------------------------------------------------
 
 
+def _latitude_path(p: ProfileFunction, lat: LatitudeOrbit, T: float,
+                   n_out: int, descriptor: str) -> SymplecticPath:
+    """Linearized run along the latitude circle at its own strength m_t0."""
+    z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0, 0.0)
+    return integrate_linearized(p, lat.m_t0, z0, T, n_out=n_out,
+                                descriptor=descriptor)
+
+
 @dataclass(frozen=True)
 class OrbitIndexReport:
     descriptor: str
@@ -313,10 +299,8 @@ def latitude_cz(p: ProfileFunction, m: float,
     """
     lat = latitude if latitude is not None else find_latitude(p, m, side)
     T = covers * lat.reeb_period
-    z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0, 0.0)
-    path = integrate_linearized(p, lat.m_t0, z0, T, n_out=n_out,
-                                descriptor=f"latitude t0={lat.t0:.6g} "
-                                           f"x{covers}")
+    path = _latitude_path(p, lat, T, n_out,
+                          f"latitude t0={lat.t0:.6g} x{covers}")
     res = cz_index(path)
     turns = covers * np.sqrt(lat.curvature_m) * lat.gamma_t0 / lat.m_t0
     return OrbitIndexReport(descriptor=path.descriptor, covers=covers,
@@ -379,10 +363,8 @@ def latitude_deviation(p: ProfileFunction, m: float, side: str = "upper",
                        n_out: int = 8193) -> float:
     """Deviation sup along one cover of the latitude orbit at strength m."""
     lat = find_latitude(p, m, side)
-    z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0, 0.0)
-    path = integrate_linearized(p, lat.m_t0, z0, lat.reeb_period,
-                                n_out=n_out, descriptor="latitude deviation")
-    return path_deviation(path)
+    return path_deviation(_latitude_path(p, lat, lat.reeb_period, n_out,
+                                         "latitude deviation"))
 
 
 # -- dynamical convexity report --------------------------------------------------
@@ -434,10 +416,8 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
         lat = find_latitude(p, m, side)
         candidates.append({"kind": f"latitude-{side}", "covers": 2,
                            "T": 2.0 * lat.reeb_period})
-        z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0, 0.0)
-        rho_paths.append(integrate_linearized(
-            p, lat.m_t0, z0, lat.reeb_period, n_out=4097,
-            descriptor=f"latitude-{side}"))
+        rho_paths.append(_latitude_path(p, lat, lat.reeb_period, 4097,
+                                        f"latitude-{side}"))
     closures = rational_closures(p, m, n_levels=n_levels)
     closures.sort(key=lambda lc: lc[1].q * lc[0].reeb_period)
     for level, info in closures:

@@ -27,24 +27,12 @@ from .reduced import I_hat, birkhoff_action, turning_points
 POLE_GUARD = 1e-6  # terminate when gamma < POLE_GUARD * ell
 
 
-class PoleApproachError(RuntimeError):
-    """Trajectory entered the guard band around a pole."""
-
-
 def flow_rhs(p: ProfileFunction, m: float):
     def rhs(s, y):
         g, dg, _ = map(float, p.jet(y[0], 1))
         sp, cp = np.sin(y[1]), np.cos(y[1])
         return (m * cp, 1.0 - m * dg * sp / g, m * sp / g)
     return rhs
-
-
-def vector_field(p: ProfileFunction, m: float, state) -> np.ndarray:
-    """Generator evaluated at state = (t, phi, theta)."""
-    t = float(state[0])
-    if not (0.0 <= t <= p.ell) or float(p.gamma(t)) < POLE_GUARD * p.ell:
-        raise PoleApproachError(f"state too close to a pole: t = {t}")
-    return np.asarray(flow_rhs(p, m)(0.0, state), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -190,45 +178,3 @@ def compare_level(p: ProfileFunction, m: float, I: float) -> dict:
             "theta_rel": abs(ode.theta_advance - 2.0 * quad.theta_half)
             / max(abs(2.0 * quad.theta_half), 2.0 * np.pi),
             "quad": quad, "ode": ode}
-
-
-def birkhoff_action_ode(p: ProfileFunction, m: float, state0,
-                        T: float, rtol: float = 1e-12,
-                        atol: float = 1e-14) -> float:
-    """Time average of h over [0, T] with a Richardson tail correction.
-
-    The running average satisfies A(T) = A_inf + c/T + oscillatory terms,
-    so 2 A(T) - A(T/2) cancels the leading tail. For a periodic orbit
-    sampled over whole periods this is exact up to integrator error.
-    """
-    y0 = np.concatenate([np.asarray(state0, dtype=float), [0.0]])
-    sol = solve_ivp(_augmented_rhs(p, m), (0.0, T), y0, method="DOP853",
-                    t_eval=[0.5 * T, T], rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    q_half, q_full = sol.y[3]
-    A_half = q_half / (0.5 * T)
-    A_full = q_full / T
-    return float(2.0 * A_full - A_half)
-
-
-def liouville_action(p: ProfileFunction, m: float, n_t: int = 256,
-                     n_phi: int = 256) -> float:
-    """Average of h over the whole unit bundle with its invariant volume.
-
-    The volume density is gamma dt dphi dtheta; the theta factor cancels.
-    The phi average kills the beta_theta term, so the value is m^2 + 1 for
-    every profile, but the quadrature here does not use that.
-    """
-    from .numerics import gauss_nodes
-    u, w = gauss_nodes(n_t)
-    t = u * p.ell
-    wt = w * p.ell
-    g, dg, G = p.jet(t, 1)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    # h integrand over the (t, phi) torus, weighted by gamma
-    H = g[:, None] * reeb_factor(m, (G + dg)[:, None], np.sin(phi)[None, :],
-                                 g[:, None])
-    num = float(np.sum(wt[:, None] * H) * (2.0 * np.pi / n_phi))
-    den = float(np.sum(wt * g) * 2.0 * np.pi)
-    return num / den

@@ -77,12 +77,6 @@ def _require_unit(U, what: str = "quaternion"):
                          f"{float(np.max(np.abs(n - 1.0))):.3g}")
 
 
-def conj_rot(U, V):
-    """C_U(V) = U^-1 V U; an isometry restricting to the imaginary span."""
-    _require_unit(U, "conjugating quaternion")
-    return quat_mul(quat_conj(U), quat_mul(V, U))
-
-
 def rotation_matrix(U) -> np.ndarray:
     """R with U v U^-1 = R v on imaginary v, for a unit quaternion U."""
     _require_unit(U)

@@ -431,7 +431,7 @@ def normalize_stretch(p: ProfileFunction, bump: StretchBump,
         raise ValueError("base profile already has area >= 4 pi")
     probe = StretchedProfile(p, 1.0, bump, center)
     C = (2.0 - base_int) / (2.0 * probe.weighted_area)
-    out = StretchedProfile(p, C, bump, center)
+    out = stretch(p, C, bump, center)
     residual = out.gamma_integral() - 2.0
     if abs(residual) > 1e-10:
         raise RuntimeError(f"stretch normalization residual {residual:.3e}")

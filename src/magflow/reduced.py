@@ -46,8 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (gauss_nodes, refine_sup, grid_roots, bisect_root,
-                       newton_root)
+from .numerics import refine_sup, grid_roots, bisect_root, newton_root
 from .profiles import ProfileFunction
 from . import contact
 
@@ -544,7 +543,7 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                     I_star = bisect_root(f, float(levels[k]),
                                          float(levels[k + 1]), tol=tol)
                     lv = birkhoff_action(p, m, I_star)
-                except (ValueError, LevelRangeError):
+                except ValueError:
                     continue
                 # the bracket may straddle the winding jump at I = +-1, onto
                 # which bisection converges without closing the orbit
@@ -560,52 +559,3 @@ def minimal_contractible_closure(level: ReducedLevel,
         return info
     return ClosureInfo(q=2 * info.q, p=2 * info.p, contractible=True,
                        winding=info.winding)
-
-
-# -- summary verdict ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContactVerdict:
-    verdict: str        # certified | witnessed_noncontact | numerically_contact
-    m_gamma: float
-    h_floor: float      # certified lower bound for h (may be <= 0)
-    witness: dict | None
-
-    def to_dict(self):
-        return {"verdict": self.verdict, "m_gamma": self.m_gamma,
-                "h_floor": self.h_floor, "witness": self.witness}
-
-
-def contact_verdict(p: ProfileFunction, m: float) -> ContactVerdict:
-    """Classify the pair (profile, m).
-
-    certified: the quadratic bound already gives h > 0 everywhere.
-    Otherwise look for a witness of failure: a latitude orbit of this m
-    with negative action, or a grid point where the fiberwise minimum of h
-    is not positive. With neither, the verdict is numerically_contact.
-    """
-    mg = contact.m_gamma(p)
-    floor = contact.reeb_factor(m, mg, 1.0, 1.0)
-    if floor > 0.0:
-        return ContactVerdict("certified", mg, floor, None)
-    witness = None
-    try:
-        for lat in latitudes(p, m):
-            if lat.action < 0.0 and abs(lat.m_t0 - m) < 1e-6 * max(1.0, m):
-                witness = lat.to_dict()
-                break
-    except ValueError:
-        pass
-    if witness is None:
-        eps = 1e-4 * p.ell
-        for t0 in np.linspace(eps, p.ell - eps, 2048):
-            g, dg, G = map(float, p.jet(t0, 1))
-            # fiberwise minimum of h, at sin(phi) = +-1 against sign(m beta)
-            h_lo = contact.reeb_factor(abs(m), abs(G + dg), 1.0, g)
-            if h_lo <= 0.0:
-                witness = {"t0": float(t0), "h_min_at_t0": h_lo}
-                break
-    if witness is not None:
-        return ContactVerdict("witnessed_noncontact", mg, floor, witness)
-    return ContactVerdict("numerically_contact", mg, floor, None)

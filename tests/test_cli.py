@@ -133,6 +133,21 @@ class TestActionScan:
             assert "min action" in capsys.readouterr().out
             assert len(out.read_text().splitlines()) == 1 + rows
 
+    @pytest.mark.parametrize("spec,m", [("sphere", "2"),
+                                        ("ellipsoid:1.5", "0.25")])
+    def test_min_action_lowest_tied_level(self, capsys, tmp_path, spec, m):
+        # actions tie on every sphere level and in +-I pairs on the
+        # ellipsoid; the report names the lowest I among the ties
+        out = tmp_path / "scan.csv"
+        assert main(["action", "scan", spec, "--m", m, "--levels", "100",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        acts = rows[:, 4]
+        least = acts.min()
+        tied = rows[acts - least <= 1e-9 * max(1.0, abs(least)), 0]
+        assert tied.min() < 0.0 < tied.max()
+        assert f"at I={tied.min():.6g}\n" in capsys.readouterr().out
+
 
 class TestFlowTrace:
     def test_trace_csv(self, capsys, tmp_path):

@@ -12,16 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from magflow.contact import ContactPrimitiveError
+from magflow.contact import ContactPrimitiveError, beta_theta, reeb_factor
 from magflow.cz import (
     FrameError,
     SymplecticPath,
-    coframe_eval,
+    chi_project,
     cz_fiber,
     cz_index,
     dynamical_convexity_report,
     frame_state,
-    h_value,
     index_from_interval,
     integrate_linearized,
     latitude_cz,
@@ -29,7 +28,7 @@ from magflow.cz import (
     path_deviation,
     winding_interval,
 )
-from magflow.flow import band_state, vector_field
+from magflow.flow import band_state, flow_rhs
 from magflow.profiles import make_ellipsoid, make_sphere
 from magflow.reduced import birkhoff_action
 
@@ -126,27 +125,26 @@ class TestSyntheticPaths:
 
 class TestCoframe:
     def test_generator_pairings(self, ellipsoid):
-        # psi(F) = 1, alpha(F) = m, eta(F) = 0 at any regular state
+        # alpha(F) = m and eta(F) = 0 at any regular state, so the column
+        # chi(F) = sqrt(h) (eta(F), alpha(F)) of Psi is (0, sqrt(h) m)
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            t = rng.uniform(0.2, 0.8) * ellipsoid.ell
-            phi = rng.uniform(-np.pi, np.pi)
-            m = rng.uniform(0.1, 3.0)
-            F = vector_field(ellipsoid, m, (t, phi, 0.0))
-            alpha, psi, eta = coframe_eval(ellipsoid, (t, phi, 0.0), F)
-            assert psi == pytest.approx(1.0, abs=1e-12)
-            assert alpha == pytest.approx(m, abs=1e-12)
-            assert eta == pytest.approx(0.0, abs=1e-12)
-
-    def test_h_value(self, sphere):
-        t, phi, m = 1.1, 0.7, 1.5
-        bt = sphere.Gamma(t) + sphere.dgamma(t)
-        want = m * m + 1.0 - m * bt * np.sin(phi) / sphere.gamma(t)
-        assert h_value(sphere, m, (t, phi, 0.0)) == pytest.approx(want)
+        n = 25
+        t = rng.uniform(0.2, 0.8, n) * ellipsoid.ell
+        phi = rng.uniform(-np.pi, np.pi, n)
+        for m in (0.1, 1.7, 3.0):
+            states = np.zeros((9, n))
+            states[0], states[1] = t, phi
+            for k in range(n):
+                states[3:6, k] = flow_rhs(ellipsoid, m)(0.0, states[:3, k])
+            Psi = chi_project(ellipsoid, m, states)
+            rh = np.sqrt(reeb_factor(m, beta_theta(ellipsoid, t),
+                                     np.sin(phi), ellipsoid.gamma(t)))
+            assert np.max(np.abs(Psi[:, 0, 0])) < 1e-12
+            assert np.max(np.abs(Psi[:, 1, 0] - rh * m)) < 1e-12
 
     def test_pole_rejected(self, sphere):
         with pytest.raises(ContactPrimitiveError):
-            h_value(sphere, 1.0, (0.0, 0.3, 0.0))
+            frame_state(sphere, 1.0, 0.0, 0.3)
 
 
 class TestLinearizedPath:

@@ -14,12 +14,10 @@ import pytest
 from magflow.flow import (
     Trajectory,
     band_state,
-    birkhoff_action_ode,
     compare_level,
+    flow_rhs,
     integrate,
     level_average_ode,
-    liouville_action,
-    vector_field,
 )
 from magflow.profiles import make_ellipsoid, make_sphere
 from magflow.reduced import LevelRangeError, birkhoff_action, find_latitude
@@ -38,15 +36,11 @@ def ellipsoid():
 class TestVectorField:
     def test_components(self, sphere):
         m, t, phi = 2.0, 1.1, 0.4
-        v = vector_field(sphere, m, (t, phi, 0.0))
+        v = flow_rhs(sphere, m)(0.0, (t, phi, 0.0))
         assert v[0] == pytest.approx(m * np.cos(phi))
         assert v[1] == pytest.approx(
             1.0 - m * np.cos(t) * np.sin(phi) / np.sin(t))
         assert v[2] == pytest.approx(m * np.sin(phi) / np.sin(t))
-
-    def test_pole_guard(self, sphere):
-        with pytest.raises(Exception):
-            vector_field(sphere, 1.0, (1e-9, 0.0, 0.0))
 
 
 class TestConservation:
@@ -150,30 +144,6 @@ class TestSectionMeasurement:
         monkeypatch.setattr("magflow.flow.birkhoff_action", reject)
         with pytest.raises(LevelRangeError):
             level_average_ode(sphere, 1.0, 0.3)
-
-
-class TestBirkhoffAverage:
-    def test_latitude_start_exact(self, sphere):
-        m = 1.0
-        lat = find_latitude(sphere, m, side="upper")
-        A = birkhoff_action_ode(sphere, m, (lat.t0, np.pi / 2, 0.0), 40.0)
-        assert A == pytest.approx(2.0, rel=1e-9)
-
-    def test_band_start(self, ellipsoid):
-        # whole-period horizon so the Richardson correction is exact
-        m, I = 0.8, 0.45
-        lev = birkhoff_action(ellipsoid, m, I)
-        A = birkhoff_action_ode(ellipsoid, m, band_state(ellipsoid, m, I),
-                                60.0 * lev.period)
-        assert A == pytest.approx(lev.action, rel=1e-6)
-
-
-class TestLiouville:
-    def test_universal_value(self, sphere, ellipsoid):
-        for p in (sphere, ellipsoid):
-            for m in (0.5, 3.0):
-                assert liouville_action(p, m) == pytest.approx(
-                    m * m + 1.0, rel=1e-12)
 
 
 class TestTrajectoryRecord:

@@ -23,7 +23,6 @@ from magflow.hopf import (
     QJ,
     QK,
     antipodal_link_parity,
-    conj_rot,
     dp0,
     from_imag,
     gauss_linking,
@@ -122,14 +121,6 @@ class TestQuaternionAlgebra:
         assert stacked.shape == (10, 4)
         assert np.array_equal(stacked,
                               np.array([quat_from_rotation(B) for B in Bs]))
-
-    def test_conj_rot_matches_matrix(self):
-        th = np.pi / 4
-        U = np.array([np.cos(th), np.sin(th), 0.0, 0.0])
-        got = conj_rot(U, QJ)
-        expect = from_imag(rotation_matrix(quat_conj(U))
-                           @ np.array([0.0, 1.0, 0.0]))
-        assert np.allclose(got, expect, atol=1e-14)
 
     def test_imag_round_trip(self):
         v = np.array([0.3, -0.2, 0.9])

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from magflow.contact import contact_interval, h_min
 from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
                               parse_profile_spec)
 from magflow.reduced import (
@@ -28,7 +29,6 @@ from magflow.reduced import (
     action_scan,
     birkhoff_action,
     closure_parity,
-    contact_verdict,
     find_latitude,
     latitude_action,
     latitudes,
@@ -345,15 +345,19 @@ class TestClosures:
 
 
 class TestVerdict:
+    """The two contact verdicts the paper proves, on their production paths."""
+
     def test_sphere_certified(self, sphere):
-        v = contact_verdict(sphere, 1.0)
-        assert v.verdict == "certified"
-        assert v.h_floor == pytest.approx(2.0, abs=1e-7)
+        assert contact_interval(sphere).contains(1.0)
+        assert h_min(sphere, 1.0) == pytest.approx(2.0, abs=1e-7)
 
     def test_negative_action_witness(self):
+        # a closed orbit of negative action rules out contact type
+        # (McDuff), and the certified floor must fail at its strength
         p, t_lat = make_negative_action(0.1, 0.9)
         lat = latitude_action(p, t_lat)
-        v = contact_verdict(p, lat.m_t0)
-        assert v.verdict == "witnessed_noncontact"
-        assert v.witness is not None
-        assert v.h_floor <= 0.0
+        g, dg, _ = map(float, p.jet(t_lat, 1))
+        assert lat.action < 0.0
+        assert lat.m_t0 * abs(dg) == pytest.approx(g, rel=1e-12)
+        assert not contact_interval(p).contains(lat.m_t0)
+        assert h_min(p, lat.m_t0) <= 0.0
