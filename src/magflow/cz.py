@@ -17,7 +17,8 @@ determinant-one matrices starting at the identity.
 
 The index of a closed orbit is read from the winding interval of Psi: the
 rotation number of the direction Psi(tau) u over the orbit, minimized and
-maximized over lines u. The interval is shorter than 1/2, so either it
+maximized over lines u, both in closed form from Psi(T) and one winding
+summed over the samples. The interval is shorter than 1/2, so either it
 contains an integer k (index 2k) or it lies inside (k, k + 1) (index
 2k + 1); an integer endpoint marks a degenerate return map, resolved by
 nudging that endpoint just below the integer before applying the rule.
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .numerics import golden_max
 from .profiles import ProfileFunction
 from .contact import ContactPrimitiveError, reeb_factor
 from .reduced import LatitudeOrbit, find_latitude, rational_closures, \
@@ -162,20 +162,8 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
 # -- winding ---------------------------------------------------------------------
 
 
-def _windings(path: SymplecticPath, dirs: np.ndarray) -> np.ndarray:
-    """Winding (in full turns) of Psi(tau) u for each direction column of u."""
-    V = path.matrices @ dirs                  # (n, 2, d)
-    ang = np.arctan2(V[:, 1, :], V[:, 0, :])
-    steps = np.diff(ang, axis=0)
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    if np.max(np.abs(steps)) >= 0.5 * np.pi:
-        raise FrameError("direction rotation under-resolved; raise n_out")
-    return np.sum(steps, axis=0) / (2.0 * np.pi)
-
-
-def _winding_of_angle(path: SymplecticPath, u_angle: float) -> float:
-    d = np.array([[np.cos(u_angle)], [np.sin(u_angle)]])
-    return float(_windings(path, d)[0])
+def _wrap(x):
+    return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
 @dataclass(frozen=True)
@@ -190,28 +178,47 @@ class WindingInterval:
         return self.hi - self.lo
 
 
-def winding_interval(path: SymplecticPath,
-                     n_dirs: int = 256) -> WindingInterval:
-    """Winding interval over all lines, by half-circle grid plus refinement.
+def winding_interval(path: SymplecticPath) -> WindingInterval:
+    """Winding interval over all lines, in closed form from Psi(T).
 
-    The interval of a determinant-one path over one period has length
-    below 1/2; a longer result means the path is under-resolved.
+    Every step must turn every direction by less than pi/2, which holds
+    exactly when the symmetric part of Psi_k^T Psi_{k+1} is positive
+    definite; otherwise the path is under-resolved. The winding of the
+    first column is summed over the samples, and with M = Psi(T) and
+    Delta(u) = arg(M u) - u the winding of any other line u is that sum
+    plus wrap(Delta(u) - Delta(0)) / 2 pi. Delta is extremal where
+    |M u|^2 = det M (docs/decisions.md, entry 7).
     """
-    u = np.pi * np.arange(n_dirs) / n_dirs
-    dirs = np.vstack([np.cos(u), np.sin(u)])
-    w = _windings(path, dirs)
-    du = np.pi / n_dirs
-    f = lambda a: _winding_of_angle(path, a)
-    k_lo, k_hi = int(np.argmin(w)), int(np.argmax(w))
-    u_lo, neg = golden_max(lambda a: -f(a), u[k_lo] - du, u[k_lo] + du,
-                           tol=1e-10)
-    u_hi, w_hi = golden_max(f, u[k_hi] - du, u[k_hi] + du, tol=1e-10)
-    w_lo = min(-neg, float(np.min(w)))
-    w_hi = max(w_hi, float(np.max(w)))
+    Psi = path.matrices
+    if np.max(np.abs(Psi[0] - np.eye(2))) > 1e-9:
+        raise ValueError("winding interval needs a path with Psi(0) = I")
+    A = np.swapaxes(Psi[:-1], 1, 2) @ Psi[1:]
+    sym = 0.5 * (A[:, 0, 1] + A[:, 1, 0])
+    if np.any((A[:, 0, 0] <= 0.0) | (A[:, 0, 0] * A[:, 1, 1] <= sym * sym)):
+        raise FrameError("direction rotation under-resolved; raise n_out")
+    w0 = np.sum(_wrap(np.diff(np.arctan2(Psi[:, 1, 0], Psi[:, 0, 0]))))
+    M = Psi[-1]
+    S = M.T @ M
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    a, b = 0.5 * (S[0, 0] - S[1, 1]), S[0, 1]
+    r = np.hypot(a, b)
+    # |M u|^2 = (tr S)/2 + r cos(2u - phi) crosses det M at 2u = phi -+ c
+    c = np.arccos(np.clip((det - 0.5 * np.trace(S)) / r, -1.0, 1.0)) \
+        if r > 0.0 else 0.0
+    phi = np.arctan2(b, a)
+    delta0 = np.arctan2(M[1, 0], M[0, 0])
+
+    def winding(u):
+        x, y = M @ (np.cos(u), np.sin(u))
+        return float((w0 + _wrap(np.arctan2(y, x) - u - delta0))
+                     / (2.0 * np.pi))
+
+    u_lo, u_hi = (0.5 * (phi + c)) % np.pi, (0.5 * (phi - c)) % np.pi
+    w_lo, w_hi = winding(u_lo), winding(u_hi)
     if w_hi - w_lo >= 0.5 + 1e-4:
         raise FrameError(f"winding interval [{w_lo}, {w_hi}] too long; "
                          f"path not a single-period symplectic loop")
-    return WindingInterval(lo=w_lo, hi=w_hi, u_lo=u_lo, u_hi=u_hi)
+    return WindingInterval(w_lo, w_hi, float(u_lo), float(u_hi))
 
 
 def index_from_interval(lo: float, hi: float,
@@ -248,9 +255,9 @@ class CZResult:
                 "interval": [self.interval.lo, self.interval.hi]}
 
 
-def cz_index(path: SymplecticPath, tol: float = DEGENERACY_TOL,
-             n_dirs: int = 256) -> CZResult:
-    iv = winding_interval(path, n_dirs=n_dirs)
+def cz_index(path: SymplecticPath,
+             tol: float = DEGENERACY_TOL) -> CZResult:
+    iv = winding_interval(path)
     idx, deg = index_from_interval(iv.lo, iv.hi, tol=tol)
     return CZResult(index=idx, degenerate=deg, interval=iv)
 

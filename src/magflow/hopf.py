@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
@@ -35,6 +36,10 @@ UNIT_TOL = 1e-12
 
 
 # -- quaternion algebra ----------------------------------------------------------
+
+
+def _dot(p, q):
+    return np.einsum("...k,...k->...", p, q)
 
 
 def quat_mul(a, b):
@@ -111,7 +116,8 @@ def quat_from_rotation(B) -> np.ndarray:
 
 
 def p0(U):
-    """Frame pair (U^-1 i U, U^-1 j U); satisfies p0(U) = p0(-U) exactly."""
+    """Frame pair (U^-1 i U, U^-1 j U); satisfies p0(U) = p0(-U) exactly.
+    Like dp0, psi0 and lambda_st, it takes one U or a stack (n, 4)."""
     _require_unit(U, "cover point")
     Uc = quat_conj(U)
     return (quat_mul(Uc, quat_mul(QI, U)), quat_mul(Uc, quat_mul(QJ, U)))
@@ -120,12 +126,13 @@ def p0(U):
 def dp0(U, W):
     """Exact differential of p0 at U applied to a tangent W.
 
-    Uses d(U^-1) = -U^-1 (dU) U^-1; W must satisfy <U, W> = 0.
+    Uses d(U^-1) = -U^-1 (dU) U^-1; W must satisfy <U, W> = 0 (in every
+    row, for stacked inputs).
     """
     U = np.asarray(U, dtype=float)
     W = np.asarray(W, dtype=float)
     _require_unit(U, "cover point")
-    if abs(float(np.dot(U, W))) > 1e-9 * max(1.0, float(quat_norm(W))):
+    if np.any(np.abs(_dot(U, W)) > 1e-9 * np.maximum(1.0, quat_norm(W))):
         raise ValueError("W is not tangent to the 3-sphere at U")
     Uc = quat_conj(U)
     out = []
@@ -137,34 +144,28 @@ def dp0(U, W):
     return tuple(out)
 
 
-def psi0(point, Z) -> float:
+def psi0(point, Z):
     """Contact form at point = (u1, u2) on the tangent pair Z = (z1, z2)."""
     u1, u2 = (imag_part(c) for c in point)
-    zv = imag_part(Z[1])
-    return float(np.dot(zv, np.cross(u1, u2)))
+    return _dot(imag_part(Z[1]), np.cross(u1, u2))
 
 
-def lambda_st(U, W) -> float:
+def lambda_st(U, W):
     """Standard contact form of S^3: <i U, W> in the flat metric."""
-    return float(np.dot(quat_mul(QI, U), np.asarray(W, dtype=float)))
+    return _dot(quat_mul(QI, U), np.asarray(W, dtype=float))
 
 
 def pullback_residual(n_samples: int, seed: int = 0) -> float:
     """Max residual of the cover pullback identity at random samples.
 
-    Draws unit quaternions U and tangents W and evaluates
-    |psi0(dp0(U, W)) + 2 lambda_st(U, W)|, which vanishes identically.
+    Draws unit quaternions U and tangents W (8 normals per sample) and
+    evaluates |psi0(dp0(U, W)) + 2 lambda_st(U, W)|, which vanishes.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(int(n_samples)):
-        U = rng.normal(size=4)
-        U /= np.linalg.norm(U)
-        W = rng.normal(size=4)
-        W -= np.dot(W, U) * U
-        res = abs(psi0(p0(U), dp0(U, W)) + 2.0 * lambda_st(U, W))
-        worst = max(worst, res)
-    return worst
+    UW = np.random.default_rng(seed).normal(size=(int(n_samples), 8))
+    U = UW[:, :4] / np.linalg.norm(UW[:, :4], axis=1)[:, None]
+    W = UW[:, 4:] - _dot(UW[:, 4:], U)[:, None] * U
+    res = np.abs(psi0(p0(U), dp0(U, W)) + 2.0 * lambda_st(U, W))
+    return float(np.max(res, initial=0.0))
 
 
 # -- star-shaped hypersurfaces ---------------------------------------------------
@@ -263,8 +264,8 @@ class KnotPolyline:
         return KnotPolyline(-self.points)
 
     def min_distance(self, other: "KnotPolyline") -> float:
-        return float(np.sqrt(np.min(_nearest_sq(self.points[:-1],
-                                                other.points[:-1]))))
+        dist, _ = cKDTree(other.points[:-1]).query(self.points[:-1])
+        return float(np.min(dist))
 
     def to_json_list(self):
         return [[float(c) for c in row] for row in self.points]
@@ -302,23 +303,12 @@ _POLE_SEED = 1905
 _CHUNK = 64          # rows per block, so pair arrays stay O(64 m)
 
 
-def _dot(p, q):
-    return np.einsum("...k,...k->...", p, q)
-
-
-def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of a to its nearest row of b."""
-    blocks = (a[i:i + _CHUNK, None, :] - b[None, :, :]
-              for i in range(0, len(a), _CHUNK))
-    return np.concatenate([np.min(_dot(d, d), axis=1) for d in blocks])
-
-
 def _choose_pole(points: np.ndarray) -> np.ndarray:
     """Point of S^3 far from every input point (seeded, deterministic)."""
     rng = np.random.default_rng(_POLE_SEED)
     cands = rng.normal(size=(512, 4))
     cands /= np.linalg.norm(cands, axis=1)[:, None]
-    return cands[int(np.argmax(_nearest_sq(cands, points)))]
+    return cands[int(np.argmax(cKDTree(points).query(cands)[0]))]
 
 
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:

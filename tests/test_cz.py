@@ -6,11 +6,14 @@ round-sphere latitude are rigid rotations in the trivialization, so their
 intervals collapse to integers and the index follows the lower-limit
 convention. Ellipsoid latitudes give genuinely nondegenerate elliptic
 paths whose closed-form turn count must land inside the computed interval.
+Random fine-sampled SL(2) paths check the closed-form interval against a
+brute-force winding over 4096 directions.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magflow.contact import ContactPrimitiveError, beta_theta, reeb_factor
 from magflow.cz import (
@@ -57,6 +60,32 @@ def _synthetic(matrices: np.ndarray, T: float = 1.0) -> SymplecticPath:
     n = matrices.shape[0]
     return SymplecticPath(times=np.linspace(0.0, T, n), matrices=matrices,
                           m=0.0, descriptor="synthetic", det_defect=0.0)
+
+
+def _wrap(x):
+    return (x + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _turn(matrices: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Angle from direction u to matrices @ u, in [-pi, pi)."""
+    V = matrices @ np.vstack([np.cos(u), np.sin(u)])
+    return _wrap(np.arctan2(V[..., 1, :], V[..., 0, :]) - u)
+
+
+def _brute_windings(path: SymplecticPath, u: np.ndarray) -> np.ndarray:
+    """Winding of Psi(tau) u summed step by step, one per angle in u."""
+    V = path.matrices @ np.vstack([np.cos(u), np.sin(u)])
+    steps = _wrap(np.diff(np.arctan2(V[:, 1, :], V[:, 0, :]), axis=0))
+    assert np.max(np.abs(steps)) < 0.5 * np.pi
+    return np.sum(steps, axis=0) / (2.0 * np.pi)
+
+
+_GENERATORS = {"rotation": np.array([[0.0, -1.0], [1.0, 0.0]]),
+               "shear": np.array([[0.0, 1.0], [0.0, 0.0]]),
+               "boost": np.array([[1.0, 0.0], [0.0, -1.0]])}
+_SEGMENTS = st.lists(st.tuples(st.sampled_from(sorted(_GENERATORS)),
+                               st.floats(-0.02, 0.02), st.integers(1, 40)),
+                     min_size=1, max_size=6)
 
 
 class TestIndexRule:
@@ -116,6 +145,26 @@ class TestSyntheticPaths:
         assert -0.25 < iv.lo <= iv.hi < 0.25
         assert cz_index(_synthetic(Psi)).index == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(_SEGMENTS, st.floats(-0.05, 0.05))
+    def test_closed_form_matches_brute_force(self, segments, drift):
+        # each step: a small rotation, shear or boost plus a steady turn
+        mats = [np.eye(2)]
+        for kind, size, count in segments:
+            gen = size * _GENERATORS[kind] + drift * _GENERATORS["rotation"]
+            step = np.eye(2) + gen + 0.5 * gen @ gen + gen @ gen @ gen / 6.0
+            step /= np.sqrt(np.linalg.det(step))
+            for _ in range(count):
+                mats.append(step @ mats[-1])
+        path = _synthetic(np.array(mats))
+        iv = winding_interval(path)
+        assert 0.0 <= iv.length < 0.5
+        ends = _brute_windings(path, np.array([iv.u_lo, iv.u_hi]))
+        assert ends == pytest.approx([iv.lo, iv.hi], abs=1e-9)
+        grid = _brute_windings(path, np.pi * np.arange(4096) / 4096)
+        assert iv.lo - 1e-12 <= np.min(grid)
+        assert np.max(grid) <= iv.hi + 1e-12
+
     def test_rigid_rotation_deviation_floor(self):
         # Psi' Psi^-1 = J exactly; only the finite-difference bias remains
         tau = np.linspace(0.0, 2.0 * np.pi * 0.9, 4097)
@@ -172,6 +221,41 @@ class TestLinearizedPath:
         path = integrate_linearized(sphere, 0.0, z0, 8.0 * np.pi, n_out=9)
         with pytest.raises(FrameError):
             cz_index(path)
+
+
+class TestResolutionCheck:
+    def test_narrow_wedge_step_raises(self):
+        # The first step turns lines by more than pi/2 only inside a wedge
+        # about 0.27 pi/256 wide, centred between two lines of a pi/256
+        # grid. The boost diag(lam, 1/lam) turns lines least at angle
+        # atan(lam), by atan(1/lam) - atan(lam); a rotation deepens that to
+        # -(pi/2 + eps), and a conjugation moves the wedge off the grid.
+        # Fine steps then undo the first one and end on a milder boost, so
+        # the winding extremes lie far from the wedge as well.
+        lam, eps = 4.0, 1e-5
+        centre = 108.5 * np.pi / 256
+        shift = np.arctan(lam) - centre
+        gamma = 0.5 * np.pi + eps - (np.arctan(lam) - np.arctan(1.0 / lam))
+        R = lambda a: _rotation_stack(np.array([a]))[0]
+        D = lambda x: np.diag([x, 1.0 / x])
+        s = np.linspace(0.0, 1.0, 101)[1:]
+        X = ([np.eye(2), R(-gamma) @ D(lam)]
+             + [R(-gamma * (1.0 - a)) @ D(lam) for a in s]
+             + [D(lam ** (1.0 - a)) for a in s]
+             + [D(2.0 ** a) for a in s])
+        Psi = R(-shift) @ np.array(X) @ R(shift)
+        step = Psi[1]
+        grid = np.pi * np.arange(256) / 256
+        assert np.max(np.abs(_turn(step, grid))) < 0.5 * np.pi
+        assert _turn(step, np.array([centre]))[0] == pytest.approx(
+            -(0.5 * np.pi + eps), abs=1e-12)
+        with pytest.raises(FrameError):
+            winding_interval(_synthetic(Psi))
+
+    def test_path_must_start_at_identity(self):
+        tau = np.linspace(0.3, 1.0, 101)
+        with pytest.raises(ValueError):
+            winding_interval(_synthetic(_rotation_stack(tau)))
 
 
 class TestFiberOrbit:

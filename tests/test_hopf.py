@@ -181,8 +181,32 @@ class TestProjection:
             res = psi0(p0(U), dp0(U, W)) + 2.0 * lambda_st(U, W)
             assert abs(res) < 1e-12 * max(1.0, float(np.linalg.norm(W)))
 
+    def test_stacked_rows_match_single(self):
+        rng = np.random.default_rng(14)
+        U = np.array([_rand_unit(rng) for _ in range(12)])
+        W = np.array([_rand_tangent(rng, u) for u in U])
+        P, D = p0(U), dp0(U, W)
+        psi, lam = psi0(P, D), lambda_st(U, W)
+        assert psi.shape == lam.shape == (12,)
+        for k in range(12):
+            pk, dk = p0(U[k]), dp0(U[k], W[k])
+            for c in range(2):
+                assert np.array_equal(P[c][k], pk[c])
+                assert np.array_equal(D[c][k], dk[c])
+            assert psi[k] == psi0(pk, dk)
+            assert lam[k] == lambda_st(U[k], W[k])
+
+    def test_stacked_tangency_guard(self):
+        rng = np.random.default_rng(15)
+        U = np.array([_rand_unit(rng) for _ in range(5)])
+        W = np.array([_rand_tangent(rng, u) for u in U])
+        W[3] += 0.1 * U[3]
+        with pytest.raises(ValueError, match="not tangent"):
+            dp0(U, W)
+
     def test_pullback_residual_sup(self):
         assert pullback_residual(500) < 1e-10
+        assert pullback_residual(0) == 0.0
 
     def test_lambda_right_invariant(self):
         rng = np.random.default_rng(13)
