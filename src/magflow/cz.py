@@ -215,6 +215,9 @@ def winding_interval(path: SymplecticPath) -> WindingInterval:
 
     u_lo, u_hi = (0.5 * (phi + c)) % np.pi, (0.5 * (phi - c)) % np.pi
     w_lo, w_hi = winding(u_lo), winding(u_hi)
+    if w_hi < w_lo:
+        # M near a rotation: Delta is flat and roundoff picks the order
+        (w_lo, u_lo), (w_hi, u_hi) = (w_hi, u_hi), (w_lo, u_lo)
     if w_hi - w_lo >= 0.5 + 1e-4:
         raise FrameError(f"winding interval [{w_lo}, {w_hi}] too long; "
                          f"path not a single-period symplectic loop")

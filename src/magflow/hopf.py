@@ -31,7 +31,6 @@ from scipy.spatial import cKDTree
 
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
-QK = np.array([0.0, 0.0, 0.0, 1.0])
 UNIT_TOL = 1e-12
 
 
@@ -66,13 +65,6 @@ def quat_norm(q):
 
 def imag_part(q):
     return np.asarray(q, dtype=float)[..., 1:]
-
-
-def from_imag(v):
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (4,))
-    out[..., 1:] = v
-    return out
 
 
 def _require_unit(U, what: str = "quaternion"):

@@ -1,15 +1,15 @@
 """Small numerical helpers shared across modules.
 
-Grid-plus-refinement extremum searches, bracketed root finding, and cached
-Gauss-Legendre nodes. Everything here is deterministic: fixed grids, fixed
-iteration budgets, ties broken toward smaller abscissae.
+Grid-plus-golden-section extremum search, bracketed root finding by
+bisection and by safeguarded Newton steps, and cached Gauss-Legendre nodes.
+Everything here is deterministic: fixed grids, fixed iteration budgets,
+ties broken toward smaller abscissae.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 BISECT_MAX_ITER = 200
@@ -56,20 +56,12 @@ def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
 
     f must accept numpy arrays. The grid is uniform over the open interval;
     endpoint_values, when given, stand in for f at a and b (useful when f is
-    defined there only as a limit). Returns (argmax, sup).
+    defined there only as a limit). The top_k interior local maxima of the
+    grid values are each refined to xtol in the abscissa with scalar calls
+    of f. Returns (argmax, sup).
     """
     t = np.linspace(a, b, n + 2)[1:-1]
-    return refine_sup(f, t, np.asarray(f(t), dtype=float), a, b, top_k=top_k,
-                      xtol=xtol, endpoint_values=endpoint_values)
-
-
-def refine_sup(f, t, v, a: float, b: float, top_k: int = 5,
-               xtol: float = 1e-9, endpoint_values=(None, None)):
-    """grid_sup from values v of f already taken on the interior grid t.
-
-    The top_k interior local maxima of v are each refined to xtol in the
-    abscissa with scalar calls of f. Returns (argmax, sup).
-    """
+    v = np.asarray(f(t), dtype=float)
     interior = v[1:-1]
     is_max = (interior >= v[:-2]) & (interior >= v[2:])
     idx = np.nonzero(is_max)[0] + 1
@@ -87,20 +79,6 @@ def refine_sup(f, t, v, a: float, b: float, top_k: int = 5,
         if ve is not None and ve > best_v:
             best_x, best_v = te, ve
     return best_x, best_v
-
-
-def grid_roots(f, a: float, b: float, n: int = 4096, xtol: float = 1e-12):
-    """All simple roots of f on (a, b) located by sign change plus brentq."""
-    t = np.linspace(a, b, n + 1)
-    v = np.asarray(f(t), dtype=float)
-    roots = []
-    for i in range(n):
-        if v[i] == 0.0:
-            roots.append(t[i])
-        elif v[i] * v[i + 1] < 0.0:
-            roots.append(brentq(lambda s: float(f(s)), t[i], t[i + 1],
-                                xtol=xtol, maxiter=200))
-    return roots
 
 
 def bisect_root(f, a: float, b: float, tol: float = 1e-10):

@@ -8,23 +8,24 @@ by the conserved quantity
 
 whose level sets in the (t, phi) cylinder are the reduced orbits. A
 regular level I oscillates in a meridian band [t_minus, t_plus] whose ends
-lie on the envelope curves I_hat_plus = m gamma - Gamma (phi = pi/2) and
-I_hat_minus = -m gamma - Gamma (phi = -pi/2). Between consecutive turning
-points
+lie on the envelope curves I+(t) = m gamma - Gamma (phi = pi/2) and
+I-(t) = -m gamma - Gamma (phi = -pi/2). Between consecutive turning points
 
-    W(t) = (I_hat_plus - I)(I - I_hat_minus) = m^2 gamma^2 - (I + Gamma)^2
+    W(t) = (I+ - I)(I - I-) = m^2 gamma^2 - (I + Gamma)^2
 
 is positive and the reduced motion satisfies ds = gamma dt / sqrt(W),
 d theta = (I + Gamma) dt / (gamma sqrt(W)). When the magnetic curvature
 K_m = m^2 K + 1 is positive the band of every regular level is a single
-interval; this module refuses to classify levels otherwise.
+interval; this module refuses the range, the latitudes and every level
+otherwise.
 
-Under K_m > 0 each envelope is unimodal, so every turning point is the one
-crossing of I with a monotone envelope piece. Both envelopes are tabulated
-once per (profile, m), from the same jet evaluation that locates the
-invariant range, and cached on the profile with it. A level brackets each
-crossing between two table entries and polishes it by Newton's method on
-the envelope, whose slope +-m gamma' - gamma comes from the same jet.
+Under K_m > 0 each envelope has a single critical point, its extremum,
+which is the latitude orbit on it; every turning point is the one crossing
+of I with a monotone envelope piece. Both envelopes and their slopes are
+tabulated once per (profile, m) from one jet evaluation, and cached on the
+profile with the invariant range and the two latitudes they give. The
+extrema and the crossings of a level are each bracketed between two table
+entries and polished by Newton's method on the same jet.
 
 All band integrals use Gauss-Chebyshev nodes on [t_minus, t_plus], whose
 weight 1 / sqrt((t - t_minus)(t_plus - t)) absorbs both inverse
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import refine_sup, grid_roots, bisect_root, newton_root
+from .numerics import bisect_root, newton_root
 from .profiles import ProfileFunction
 from . import contact
 
@@ -70,16 +71,6 @@ def I_hat(p: ProfileFunction, m: float, t, phi):
     return m * g * np.sin(phi) - G
 
 
-def I_hat_plus(p: ProfileFunction, m: float, t):
-    g, G = p.jet(t, 0)
-    return m * g - G
-
-
-def I_hat_minus(p: ProfileFunction, m: float, t):
-    g, G = p.jet(t, 0)
-    return -m * g - G
-
-
 @dataclass(frozen=True)
 class IRange:
     I_min: float
@@ -98,48 +89,77 @@ ENVELOPE_GRID = 4096          # interior points of the envelope table
 @dataclass(frozen=True)
 class _Piece:
     """Monotone piece of an envelope, tabulated with its end values."""
-    sign: int             # +1: I_hat_plus, -1: I_hat_minus
+    sign: int             # +1: upper envelope, -1: lower envelope
     t: np.ndarray
     I: np.ndarray
 
 
-def _envelopes(p: ProfileFunction, m: float):
-    """(IRange, pieces) at (p, m), cached on the profile for the last m.
+def _one_root(fdf, t, v, ftol: float, what: str) -> float:
+    """The one sign change of f over the table v = f(t), polished.
 
-    Both envelopes are tabulated from one jet on the grid of grid_sup, and
-    the same values seed the range search, so the range is the one grid_sup
-    returns. Under K_m > 0 each envelope is unimodal: pieces holds its
-    monotone halves, keyed by envelope and by side of its extremum.
+    The root is bracketed between the two neighbouring entries where v > 0
+    flips and polished by numerics.newton_root; fdf returns f and f' from
+    one jet. Any other number of flips raises LevelRangeError.
+    """
+    pos = v > 0.0
+    k = np.flatnonzero(pos[1:] != pos[:-1])
+    if k.size != 1:
+        raise LevelRangeError(f"{what} changes sign {k.size} times on the "
+                              f"table; K_m > 0 allows one")
+    k = int(k[0])
+    return newton_root(fdf, float(t[k]), float(t[k + 1]), float(v[k]),
+                       float(v[k + 1]), ftol=ftol)
+
+
+def _envelopes(p: ProfileFunction, m: float):
+    """(IRange, pieces) at (p, m), cached on the profile for the last m;
+    raises KmNotPositiveError unless K_m > 0.
+
+    Both envelopes I+- = +-m gamma - Gamma and their slopes +-m gamma' -
+    gamma are tabulated from one jet, the slopes including their pole
+    values +-m and -+m (gamma = 0, gamma' = +-1 there). At a critical point
+    +-m gamma' = gamma, so I+-'' = -+(gamma / m) K_m there: under K_m > 0
+    every critical point is a strict extremum and each slope changes sign
+    exactly once on [0, ell]. That root, polished with slope' = +-m gamma''
+    - gamma', is the extremum of the envelope and the latitude on it.
+    pieces holds the monotone halves of each envelope, keyed by envelope
+    and by side of its extremum.
     """
     cached = getattr(p, "_I_range_at", None)
     if cached is not None and cached[0] == m:
         return cached[1], cached[2]
-    L = p.ell
-    t = np.linspace(0.0, L, ENVELOPE_GRID + 2)
-    g, G = p.jet(t[1:-1], 0)
-    upper, lower = m * g - G, -m * g - G
-    t_hi, I_max = refine_sup(lambda s: I_hat_plus(p, m, s), t[1:-1], upper,
-                             0.0, L, endpoint_values=(1.0, -1.0))
-    t_lo, neg = refine_sup(lambda s: -I_hat_minus(p, m, s), t[1:-1], -lower,
-                           0.0, L, endpoint_values=(-1.0, 1.0))
-    I_min = -neg
+    if not contact.km_positive(p, m):
+        raise KmNotPositiveError(
+            f"K_m changes sign at m = {m}; band structure not certified "
+            f"(positive for m < {contact.km_positive_threshold(p):.6g})")
+    t = np.linspace(0.0, p.ell, ENVELOPE_GRID + 2)
+    g, dg, G = p.jet(t[1:-1], 1)
+    # |m gamma'| = gamma <= max gamma at the root: the rounding error there
+    ftol = 8.0 * np.finfo(float).eps * float(np.max(g))
+    pieces, ext = {}, {}
+    for name, sg in (("upper", 1), ("lower", -1)):
+        def fdf(s, sg=sg):
+            gs, dgs, ddgs, _ = map(float, p.jet(s, 2))
+            return sg * m * dgs - gs, sg * m * ddgs - dgs
+
+        t_ext = _one_root(fdf, t, np.r_[sg * m, sg * m * dg - g, -sg * m],
+                          ftol, f"{name} envelope slope")
+        g_ext, G_ext = map(float, p.jet(t_ext, 0))
+        I_ext = sg * m * g_ext - G_ext
+        ext[name] = t_ext, I_ext
+        # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name,
+        # 0] runs from t = 0 to the extremum, pieces[name, 1] on to t = ell
+        vals = np.r_[1.0, sg * m * g - G, -1.0]
+        k = int(np.searchsorted(t, t_ext))
+        pieces[name, 0] = _Piece(sg, np.r_[t[:k], t_ext],
+                                 np.r_[vals[:k], I_ext])
+        pieces[name, 1] = _Piece(sg, np.r_[t_ext, t[k:]],
+                                 np.r_[I_ext, vals[k:]])
+    (t_hi, I_max), (t_lo, I_min) = ext["upper"], ext["lower"]
     if not (I_max > 1.0 and I_min < -1.0):
         raise LevelRangeError(
             f"degenerate invariant range [{I_min}, {I_max}] at m = {m}")
-    rng = IRange(I_min=float(I_min), I_max=float(I_max),
-                 argmin_t=float(t_lo), argmax_t=float(t_hi))
-    # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name, 0]
-    # runs from t = 0 to the extremum, pieces[name, 1] from it to t = ell
-    pieces = {}
-    for name, sign, vals, t_ext, I_ext in (
-            ("upper", 1, upper, rng.argmax_t, rng.I_max),
-            ("lower", -1, lower, rng.argmin_t, rng.I_min)):
-        vals = np.r_[1.0, vals, -1.0]
-        k = int(np.searchsorted(t, t_ext))
-        pieces[name, 0] = _Piece(sign, np.r_[t[:k], t_ext],
-                                 np.r_[vals[:k], I_ext])
-        pieces[name, 1] = _Piece(sign, np.r_[t_ext, t[k:]],
-                                 np.r_[I_ext, vals[k:]])
+    rng = IRange(I_min=I_min, I_max=I_max, argmin_t=t_lo, argmax_t=t_hi)
     p._I_range_at = (m, rng, pieces)
     return rng, pieces
 
@@ -149,9 +169,9 @@ def I_range(p: ProfileFunction, m: float) -> IRange:
 
     The maximum of the upper envelope exceeds +1 and the minimum of the
     lower envelope is below -1 because both envelopes attain +-1 at the
-    poles with nonzero slope there. The range is cached on the profile
-    (immutable after build) with the envelope table, so scans at one m
-    compute it once.
+    poles with nonzero slope there. Both are attained at the latitudes.
+    The range is cached on the profile (immutable after build) with the
+    envelope table, so scans and latitudes at one m compute it once.
     """
     return _envelopes(p, m)[0]
 
@@ -174,16 +194,9 @@ class TurningPoints:
 def _crossing(p: ProfileFunction, m: float, I: float, piece: _Piece) -> float:
     """The one t where the monotone envelope piece equals I.
 
-    The crossing is bracketed between neighbouring table entries and
-    polished by Newton's method on the envelope, whose derivative
-    +-m gamma' - gamma comes from the same jet as its value.
+    Newton's method runs on the envelope, whose derivative +-m gamma' -
+    gamma comes from the same jet as its value.
     """
-    above = piece.I > I
-    k = np.flatnonzero(above[1:] != above[:-1])
-    if k.size != 1:
-        raise LevelRangeError(f"envelope piece crosses I = {I} {k.size} "
-                              f"times on the table; K_m > 0 allows one")
-    k = int(k[0])
     sg = piece.sign
 
     def fdf(t):
@@ -192,9 +205,8 @@ def _crossing(p: ProfileFunction, m: float, I: float, piece: _Piece) -> float:
 
     # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error of f
     ftol = 8.0 * np.finfo(float).eps * (1.0 + abs(I))
-    return newton_root(fdf, float(piece.t[k]), float(piece.t[k + 1]),
-                       float(piece.I[k]) - I, float(piece.I[k + 1]) - I,
-                       ftol=ftol)
+    return _one_root(fdf, piece.t, piece.I - I, ftol,
+                     f"envelope piece minus I = {I}")
 
 
 def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
@@ -206,10 +218,6 @@ def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
     lower piece when I < -1 and on the falling upper piece otherwise. The
     branch labels record which envelope is touched.
     """
-    if not contact.km_positive(p, m):
-        raise KmNotPositiveError(
-            f"K_m changes sign at m = {m}; band structure not certified "
-            f"(positive for m < {contact.km_positive_threshold(p):.6g})")
     rng, pieces = _envelopes(p, m)
     if not (rng.I_min < I < rng.I_max):
         raise LevelRangeError(
@@ -374,35 +382,24 @@ def latitude_action(p: ProfileFunction, t0: float) -> LatitudeOrbit:
                          curvature_m=Km, gamma_t0=g)
 
 
-def latitudes(p: ProfileFunction, m: float, n: int = 4096) -> list:
-    """All latitude orbits at strength m: roots of m gamma' = +- gamma.
+def latitudes(p: ProfileFunction, m: float) -> list:
+    """The two latitude orbits at strength m: roots of m gamma' = +- gamma.
 
-    With K_m > 0 there are exactly two, one on each envelope (the upper
-    one has gamma' > 0). Sorted by t0.
+    They sit at the extrema of the envelopes, argmax_t and argmin_t of the
+    cached invariant range. The upper one (gamma' > 0) comes first, which
+    sorts the list by t0: slope_+ + slope_- = -2 gamma < 0, so the lower
+    slope is still negative where the upper one vanishes.
     """
-    L = p.ell
-    out = []
-    for sgn in (+1, -1):
-        def f(t):
-            g, dg, _ = p.jet(t, 1)
-            return m * dg - sgn * g
-        for r in grid_roots(f, 0.0, L, n=n):
-            if 1e-9 * L < r < L * (1.0 - 1e-9):
-                out.append(latitude_action(p, r))
-    out.sort(key=lambda lat: lat.t0)
-    return out
+    rng = I_range(p, m)
+    return [latitude_action(p, rng.argmax_t), latitude_action(p, rng.argmin_t)]
 
 
 def find_latitude(p: ProfileFunction, m: float, side: str) -> LatitudeOrbit:
-    """The unique latitude on the requested envelope ("upper" or "lower")."""
-    want = 1 if side == "upper" else -1
-    cands = [lat for lat in latitudes(p, m) if lat.sign == want]
-    if not cands:
-        raise LevelRangeError(f"no {side} latitude found at m = {m}")
-    if len(cands) > 1:
-        raise LevelRangeError(f"multiple {side} latitudes at m = {m}; "
-                              f"K_m sign condition likely violated")
-    lat = cands[0]
+    """The latitude on the requested envelope ("upper" or "lower")."""
+    if side not in ("upper", "lower"):
+        raise ValueError(f"side must be 'upper' or 'lower', not {side!r}")
+    rng = I_range(p, m)
+    lat = latitude_action(p, rng.argmax_t if side == "upper" else rng.argmin_t)
     if abs(lat.m_t0 - m) > 1e-6 * max(1.0, m):
         raise LevelRangeError(f"latitude solve inconsistent: m_t0 = "
                               f"{lat.m_t0} against m = {m}")

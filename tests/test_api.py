@@ -2,8 +2,10 @@
 
 Every name exported by the package must have a caller in the package
 itself, outside its own definition, or a recorded reason to stay public.
-No module may import a name it never uses. Both checks read the source
-with ast, so they need nothing beyond the standard library.
+Every module-level function, class and constant must be exported or read
+somewhere in the package outside its own definition. No module may import
+a name it never uses. The checks read the source with ast, so they need
+nothing beyond the standard library.
 """
 from __future__ import annotations
 
@@ -49,11 +51,26 @@ def _references(tree: ast.AST, skip: str | None = None) -> set:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)) and node.name == skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _definitions(tree: ast.Module) -> list:
+    """Module-level functions, classes and constants defined in tree."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name):
+            out.append(node.target.id)
     return out
 
 
@@ -85,6 +102,17 @@ def test_every_export_has_a_package_caller():
 def test_allow_list_is_current():
     # an entry that gained a caller, or lost its export, is stale
     assert set(ALLOWED_UNCALLED) <= set(_uncalled_exports())
+
+
+def test_every_definition_is_exported_or_used():
+    mods = _modules()
+    exported = set(_exports(mods.pop("__init__")))
+    dead = [f"{stem}.{name}" for stem, tree in mods.items()
+            for name in _definitions(tree)
+            if name not in exported
+            and not any(name in _references(other, skip=name)
+                        for other in mods.values())]
+    assert not dead, f"neither exported nor used in the package: {dead}"
 
 
 def test_no_unused_imports():

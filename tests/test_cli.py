@@ -121,6 +121,16 @@ class TestActionScan:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_km_not_positive_refused(self, capsys):
+        # the latitude rows alone used to pass, hiding the witness with
+        # action -1.096 at t = 0.1
+        rc = main(["action", "scan", "negative-action:0.1:0.9",
+                   "--m", "0.016787", "--levels", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "K_m changes sign" in captured.err
+        assert "min action" not in captured.out
+
     def test_spindle_default_band(self, capsys, tmp_path):
         # the outermost level sits LEVEL_BAND of the range inside I_min,
         # or --band of it

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magflow.contact import ContactPrimitiveError, beta_theta, reeb_factor
 from magflow.cz import (
@@ -147,6 +147,9 @@ class TestSyntheticPaths:
 
     @settings(max_examples=60, deadline=None)
     @given(_SEGMENTS, st.floats(-0.05, 0.05))
+    # a pure turn: Psi(T) is a rotation and both ends agree to roundoff
+    @example([("boost", 0.0, 1), ("boost", 0.0, 1), ("boost", 0.0, 19),
+              ("boost", 0.0, 40)], 0.013671875)
     def test_closed_form_matches_brute_force(self, segments, drift):
         # each step: a small rotation, shear or boost plus a steady turn
         mats = [np.eye(2)]

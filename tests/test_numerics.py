@@ -9,7 +9,6 @@ from magflow.numerics import (
     bisect_root,
     gauss_nodes,
     golden_max,
-    grid_roots,
     grid_sup,
     newton_root,
 )
@@ -74,10 +73,6 @@ class TestGridSup:
 
 
 class TestRoots:
-    def test_grid_roots_sine(self):
-        roots = grid_roots(np.sin, 0.5, 10.0, n=512)
-        assert np.allclose(roots, [np.pi, 2 * np.pi, 3 * np.pi], atol=1e-10)
-
     def test_bisect_root(self):
         r = bisect_root(lambda t: t**3 - 2.0, 0.0, 2.0, tol=1e-12)
         assert r == pytest.approx(2.0 ** (1 / 3), abs=1e-10)

@@ -19,6 +19,7 @@ from magflow.contact import contact_interval, h_min
 from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
                               parse_profile_spec)
 from magflow.reduced import (
+    ENVELOPE_GRID,
     KmNotPositiveError,
     LATITUDE_BAND,
     LEVEL_BAND,
@@ -63,11 +64,16 @@ class TestInvariantRange:
             I_range(sphere, 0.0)
 
     def test_latitude_sits_on_the_range_boundary(self, ellipsoid):
-        # the envelope maximum is attained exactly at the upper latitude
-        for m in (0.3, 1.0, 2.5):
-            lat = find_latitude(ellipsoid, m, side="upper")
-            r = I_range(ellipsoid, m)
-            assert lat.I_value == pytest.approx(r.I_max, rel=1e-9)
+        # the envelope extrema are the latitudes, found by one search
+        spindle = parse_profile_spec("spindle:0.07:0.2")
+        for p, m in [(ellipsoid, 0.3), (ellipsoid, 1.0), (ellipsoid, 2.5),
+                     (spindle, 0.25)]:
+            upper = find_latitude(p, m, side="upper")
+            lower = find_latitude(p, m, side="lower")
+            r = I_range(p, m)
+            assert r.argmax_t == upper.t0 and r.argmin_t == lower.t0
+            assert upper.I_value == pytest.approx(r.I_max, rel=1e-9)
+            assert lower.I_value == pytest.approx(r.I_min, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([0.25, 0.8, 2.0]),
@@ -130,9 +136,17 @@ class TestTurningPoints:
             turning_points(p, 0.5, 1.5)
 
     def test_km_gate(self):
+        # at m = 0.016787 the latitude at t = 0.1 has action -1.096 and K_m
+        # < 0 elsewhere; every consumer of the envelope table refuses it
         p = make_negative_action(0.1, 0.9)[0]
-        with pytest.raises(KmNotPositiveError):
-            turning_points(p, 1.0, 0.0)
+        for call in (lambda: turning_points(p, 1.0, 0.0),
+                     lambda: latitudes(p, 0.016787),
+                     lambda: find_latitude(p, 0.016787, "upper"),
+                     lambda: I_range(p, 0.016787),
+                     lambda: regular_levels(p, 0.016787, 5),
+                     lambda: action_scan(p, 0.016787, 0)):
+            with pytest.raises(KmNotPositiveError):
+                call()
 
     @pytest.mark.parametrize("spec,m", [("ellipsoid:1.5", 0.8),
                                         ("spindle:0.07:0.2", 0.25)])
@@ -243,7 +257,7 @@ class TestLatitudes:
     def test_sphere_location_and_action(self, sphere):
         for m in (0.5, 1.0, 2.0, 5.0):
             lat = find_latitude(sphere, m, side="upper")
-            assert lat.t0 == pytest.approx(np.arctan(m), abs=1e-10)
+            assert abs(lat.t0 - np.arctan(m)) <= 1e-14
             assert lat.m_t0 == pytest.approx(m, rel=1e-10)
             assert lat.action == pytest.approx(1 + m * m, rel=1e-9)
             assert lat.I_value == pytest.approx(np.sqrt(1 + m * m), rel=1e-9)
@@ -261,6 +275,51 @@ class TestLatitudes:
             lats[1], lats[0])
         assert up.t0 + lo.t0 == pytest.approx(np.pi, abs=1e-9)
         assert up.I_value == pytest.approx(-lo.I_value, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.5, 4.0), st.floats(0.2, 3.0))
+    def test_ellipsoid_latitudes_solve_m_gamma_prime(self, ratio, m):
+        # m gamma'(t0) = +-gamma(t0) to rounding, so m_t0 reproduces m
+        p = make_ellipsoid(ratio)
+        upper, lower = latitudes(p, m)
+        for lat, sign in ((upper, 1), (lower, -1)):
+            g, dg, _ = map(float, p.jet(lat.t0, 1))
+            assert lat.sign == sign
+            assert abs(m * dg - sign * g) <= 8 * np.finfo(float).eps
+            assert lat.m_t0 == pytest.approx(m, rel=1e-13)
+
+    def test_repeated_calls_do_no_grid_pass(self):
+        p = make_ellipsoid(1.3)
+        find_latitude(p, 0.8, "upper")
+        jet, sizes = p.jet, []
+        p.jet = lambda t, order=1: (sizes.append(np.size(t)), jet(t, order))[1]
+        for side in ("upper", "lower", "upper"):
+            find_latitude(p, 0.8, side)
+        latitudes(p, 0.8)
+        assert sizes and set(sizes) == {1}
+
+    def test_small_m_latitudes_in_the_pole_cells(self, sphere):
+        # at m = 1e-4 both latitudes lie within one grid cell of a pole,
+        # where only the pole slopes +-m bracket them
+        m = 1e-4
+        r = I_range(sphere, m)
+        upper, lower = latitudes(sphere, m)
+        assert abs(r.argmax_t - np.arctan(m)) <= 1e-18
+        assert abs(r.argmin_t - (np.pi - np.arctan(m))) <= 1e-15
+        assert (upper.t0, lower.t0) == (r.argmax_t, r.argmin_t)
+        assert upper.action == pytest.approx(1 + m * m, rel=1e-12)
+        for spec in ("spindle:0.07:0.2", "negative-action:0.1:0.9"):
+            p = parse_profile_spec(spec)
+            upper, lower = latitudes(p, m)
+            assert upper.t0 < p.ell / ENVELOPE_GRID
+            assert lower.t0 > p.ell * (1 - 1 / ENVELOPE_GRID)
+            for lat in (upper, lower):
+                assert lat.m_t0 == pytest.approx(m, rel=1e-12)
+                assert lat.action > 0
+
+    def test_side_must_be_upper_or_lower(self, sphere):
+        with pytest.raises(ValueError, match="side"):
+            find_latitude(sphere, 1.0, "uper")
 
     def test_equator_degenerate(self, sphere):
         with pytest.raises(ValueError):
