@@ -17,13 +17,16 @@ Its pullback satisfies p0* psi0 = -2 lambda_st with lambda_st(W) =
 <i U, W> the standard contact form of S^3; pullback_residual verifies the
 identity at random samples with exact differentials.
 
-The remaining tools work with closed polylines on S^3: stereographic
-Gauss linking numbers, the even-linking property of antipodal pairs, and
-continuous lifting of frame paths through p0, which detects whether a
-closed path upstairs closes after one or two traversals.
+The remaining tools work with closed polylines on S^3: their exact
+segment-to-segment distance, linking numbers counted from the signed
+crossings of one planar projection after stereographic projection, the
+even-linking property of antipodal pairs, and continuous lifting of frame
+paths through p0, which detects whether a closed path upstairs closes
+after one or two traversals.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +232,8 @@ def hessian_convexity(rho, n_samples: int, seed: int = 0,
 
 # -- knots on the 3-sphere -------------------------------------------------------
 
+_ROWS = 64           # segments per block of KnotPolyline.min_distance
+
 
 @dataclass(frozen=True)
 class KnotPolyline:
@@ -256,11 +261,46 @@ class KnotPolyline:
         return KnotPolyline(-self.points)
 
     def min_distance(self, other: "KnotPolyline") -> float:
-        dist, _ = cKDTree(other.points[:-1]).query(self.points[:-1])
-        return float(np.min(dist))
+        """Exact distance between the two polygons in R^4, segment to
+        segment. Two segments are at least as far apart as their midpoints
+        less their half chords, so only pairs whose midpoints lie within
+        the best distance so far plus the two longest half chords can
+        attain the minimum. Rows go _ROWS at a time: on knots that are
+        about equidistant, such as a torus knot and its antipode, every
+        segment has dozens of candidates."""
+        P, Q = self.points, other.points
+        u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
+        mid_p, mid_q = P[:-1] + 0.5 * u, cKDTree(Q[:-1] + 0.5 * v)
+        slack = 0.5 * (np.max(quat_norm(u)) + np.max(quat_norm(v)))
+        best = float(np.min(mid_q.query(mid_p)[0]))
+        for lo in range(0, len(mid_p), _ROWS):
+            pairs = cKDTree(mid_p[lo:lo + _ROWS]).sparse_distance_matrix(
+                mid_q, best + slack, output_type="ndarray")
+            i, j = pairs["i"] + lo, pairs["j"]
+            best = min(best, float(np.min(
+                _segment_distance(P[i], u[i], Q[j], v[j]), initial=best)))
+        return best
 
     def to_json_list(self):
         return [[float(c) for c in row] for row in self.points]
+
+
+def _segment_distance(a, u, c, v):
+    """Distance between the segments a + s u and c + t v, s, t in [0, 1],
+    row by row: the closest pair of the two lines, clamped to the
+    segments (Ericson, Real-Time Collision Detection, 5.1.9)."""
+    w = a - c
+    tiny = np.finfo(float).tiny       # a zero chord is a point
+    uu, vv = np.maximum(_dot(u, u), tiny), np.maximum(_dot(v, v), tiny)
+    uv, uw, vw = _dot(u, v), _dot(u, w), _dot(v, w)
+    den = uu * vv - uv * uv
+    s = np.clip(np.divide(uv * vw - vv * uw, den, out=np.zeros_like(den),
+                          where=den > 1e-14 * uu * vv), 0.0, 1.0)
+    t = (uv * s + vw) / vv
+    s = np.where(t < 0.0, np.clip(-uw / uu, 0.0, 1.0),
+                 np.where(t > 1.0, np.clip((uv - uw) / uu, 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    return quat_norm(w + s[:, None] * u - t[:, None] * v)
 
 
 def knot_from_samples(samples, n: int | None = None) -> KnotPolyline:
@@ -292,7 +332,21 @@ def knot_from_samples(samples, n: int | None = None) -> KnotPolyline:
 # -- Gauss linking ---------------------------------------------------------------
 
 _POLE_SEED = 1905
-_CHUNK = 64          # rows per block, so pair arrays stay O(64 m)
+
+
+@functools.cache
+def _viewing_frame() -> np.ndarray:
+    """Columns e1, e2, d of a right-handed orthonormal frame, drawn once
+    from _POLE_SEED: polygons are projected along d onto (e1, e2). Drawn
+    on first use, so that importing the package does not load
+    numpy.random."""
+    d, g = np.random.default_rng(_POLE_SEED).normal(size=(2, 3))
+    d /= np.linalg.norm(d)
+    e1 = g - np.dot(g, d) * d
+    e1 /= np.linalg.norm(e1)
+    frame = np.stack([e1, np.cross(d, e1), d], axis=1)
+    frame.flags.writeable = False
+    return frame
 
 
 def _choose_pole(points: np.ndarray) -> np.ndarray:
@@ -321,27 +375,61 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
     return y / (1.0 - w)[:, None]
 
 
-def _gauss_double_sum(X: np.ndarray, Y: np.ndarray) -> float:
-    """Exact Gauss integral of two disjoint closed polygons in R^3.
+def _cross2(p, q):
+    return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
 
-    The Gauss map (x - y)/|x - y| sends each pair of segments onto a
-    geodesic quadrilateral U00 U10 U11 U01 of S^2, and the integral is
-    minus the sum of their signed areas over 4 pi (Banchoff 1976). Each
-    quadrilateral is cut along U00 U11 into two triangles with solid angle
-    2 atan2(det[a, b, c], 1 + a.b + b.c + c.a) (Van Oosterom and Strackee
-    1983). Rows of X go in blocks of _CHUNK, so memory is O(len(Y)).
+
+def _gauss_double_sum(X: np.ndarray, Y: np.ndarray) -> float:
+    """Linking number of two disjoint closed polygons in R^3, counted from
+    the signed crossings of their projection along the d of
+    _viewing_frame (Rolfsen, Knots and Links, 5.D; docs/decisions.md,
+    entry 9).
+
+    A crossing of segments a + s u of X and c + t v of Y has the sign of
+    u x v in the plane; the heights interpolated at s and t say which
+    passes over. The signed count where X passes over must be minus the
+    one where Y does. Segments only cross if their midpoints are within
+    half the sum of the longest chords, so a KD-tree finds all candidates.
+    An orientation within 64 eps scale^2 of zero, a height gap within its
+    roundoff margin or two counts that disagree raise RuntimeError.
     """
-    total = 0.0
-    for i in range(0, len(X) - 1, _CHUNK):
-        U = X[i:i + _CHUNK + 1, None, :] - Y[None, :, :]
-        U /= np.linalg.norm(U, axis=2)[..., None]
-        a, b, c, d = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
-        ac = _dot(a, c)
-        axc = np.cross(a, c)
-        total += np.sum(
-            np.arctan2(-_dot(b, axc), 1.0 + _dot(a, b) + _dot(b, c) + ac)
-            + np.arctan2(_dot(d, axc), 1.0 + ac + _dot(c, d) + _dot(d, a)))
-    return float(-total / (2.0 * np.pi))
+    frame = _viewing_frame()
+    P, Q = X @ frame, Y @ frame           # plane coordinates, then height
+    a, c = P[:-1], Q[:-1]
+    u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
+    reach = 0.5 * (np.max(np.hypot(u[:, 0], u[:, 1]))
+                   + np.max(np.hypot(v[:, 0], v[:, 1])))
+    pairs = cKDTree(a[:, :2] + 0.5 * u[:, :2]).sparse_distance_matrix(
+        cKDTree(c[:, :2] + 0.5 * v[:, :2]), reach * (1.0 + 1e-12),
+        output_type="ndarray")            # widened by the distances' roundoff
+    a, u, c, v = a[pairs["i"]], u[pairs["i"]], c[pairs["j"]], v[pairs["j"]]
+    scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
+    roundoff = 64.0 * np.finfo(float).eps * scale
+    o1, o2 = _cross2(u, c - a), _cross2(u, c + v - a)   # Y's ends about X
+    o3, o4 = _cross2(v, a - c), _cross2(v, a + u - c)   # X's ends about Y
+    sure = np.abs(np.stack([o1, o2, o3, o4])) > roundoff * scale
+    apart = ((sure[0] & sure[1] & (o1 * o2 > 0.0))
+             | (sure[2] & sure[3] & (o3 * o4 > 0.0)))
+    if not np.all(apart | np.all(sure, axis=0)):
+        raise RuntimeError("degenerate projection: a vertex within roundoff "
+                           "of a projected segment of the other polygon")
+    cross = ~apart
+    o1, o2, o3, o4 = o1[cross], o2[cross], o3[cross], o4[cross]
+    u, v, w = u[cross], v[cross], (a - c)[cross]
+    s, t = o3 / (o3 - o4), o1 / (o1 - o2)      # the crossing on X, on Y
+    gap = w[:, 2] + s * u[:, 2] - t * v[:, 2]  # height of X above Y there
+    # s and t carry the orientations' roundoff over o3 - o4 and o1 - o2
+    margin = roundoff * (1.0 + scale * (np.abs(u[:, 2] / (o3 - o4))
+                                        + np.abs(v[:, 2] / (o1 - o2))))
+    if np.any(np.abs(gap) <= margin):
+        raise RuntimeError("degenerate projection: two polygons at the same "
+                           "height over a crossing")
+    sign = np.sign(_cross2(u, v))
+    over, under = np.sum(sign[gap > 0.0]), np.sum(sign[gap < 0.0])
+    if over != -under:
+        raise RuntimeError(f"crossing counts disagree: {over:g} with X over "
+                           f"Y, {under:g} with Y over X")
+    return float(over)
 
 
 def _linking_number(k1: KnotPolyline, k2: KnotPolyline) -> int:
@@ -357,11 +445,12 @@ def _linking_number(k1: KnotPolyline, k2: KnotPolyline) -> int:
 
 
 def gauss_linking(k1: KnotPolyline, k2: KnotPolyline) -> int:
-    """Linking number by the Gauss integral after stereographic projection.
+    """Linking number of two knots more than 1e-3 apart, segment to segment.
 
-    The projection pole maximizes the distance to both curves. The polygon
-    sum is exact, so it sits within roundoff of an integer; a raw value
-    more than 1e-8 away raises RuntimeError instead of being rounded.
+    The knots are projected stereographically from a pole far from both,
+    and the signed crossings of one planar projection of the two polygons
+    are counted, with two counts that must agree. A degenerate projection
+    raises RuntimeError instead of being guessed around.
     """
     gap = k1.min_distance(k2)
     if gap <= 1e-3:

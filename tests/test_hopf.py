@@ -6,8 +6,11 @@ The contact-form pullback identity is checked pointwise at random tangent
 vectors and through the sampled residual sup. Linking numbers come from
 configurations with known answers: fibers of the projection link once,
 separated circles do not link, and a two-twist loop links its antipode
-twice. Lifts are exercised on fiber loops and latitude frames where the
-one-versus-two traversal behavior is forced by the topology.
+twice. The crossing count is also checked against an independent oracle,
+the exact Gauss integral as a sum of solid angles, on random rotations of
+fiber pairs and torus knots. Lifts are exercised on fiber loops and
+latitude frames where the one-versus-two traversal behavior is forced by
+the topology.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magflow import hopf
 from magflow.hopf import (
@@ -76,6 +80,37 @@ def _small_circle(P, e1, e2, rad, n=512):
            + np.sin(rad) * (np.cos(s)[:, None] * e1
                             + np.sin(s)[:, None] * e2))
     return KnotPolyline(pts)
+
+
+def _banchoff_sum(X, Y):
+    """Gauss integral of two closed polygons in R^3, the reference for the
+    crossing count: minus the signed solid angles of the Gauss-map
+    quadrilaterals of all segment pairs over 4 pi (Banchoff 1976), each
+    split into two triangles with solid angle
+    2 atan2(det[a, b, c], 1 + a.b + b.c + c.a)."""
+    def dot(p, q):
+        return np.sum(p * q, axis=-1)
+
+    U = X[:, None, :] - Y[None, :, :]
+    U /= np.linalg.norm(U, axis=2)[..., None]
+    a, b, c, d = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
+    ac = dot(a, c)
+    axc = np.cross(a, c)
+    total = np.sum(np.arctan2(-dot(b, axc), 1.0 + dot(a, b) + dot(b, c) + ac)
+                   + np.arctan2(dot(d, axc), 1.0 + ac + dot(c, d) + dot(d, a)))
+    return float(-total / (2.0 * np.pi))
+
+
+def _rotation4(seed):
+    Q, R = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    return Q * np.sign(np.diag(R))
+
+
+def _torus_knot(p, q, alpha, n):
+    s = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    a, b = np.cos(alpha), np.sin(alpha)
+    return np.stack([a * np.cos(p * s), a * np.sin(p * s),
+                     b * np.cos(q * s), b * np.sin(q * s)], axis=1)
 
 
 class TestQuaternionAlgebra:
@@ -246,6 +281,62 @@ class TestKnotPolyline:
         assert d1 == pytest.approx(d2, rel=1e-12)
         assert d1 > 1.0
 
+    def test_crossing_chords_not_disjoint(self):
+        # vertices 0.056 apart, but the chords through +-1 meet there
+        h = 2.0 * np.pi / 80
+        s = (np.arange(81) + 0.5) * h
+        zero = np.zeros_like(s)
+        kA = KnotPolyline(np.stack([np.cos(s), np.sin(s), zero, zero], 1))
+        kB = KnotPolyline(np.stack([np.cos(s), zero, np.sin(s), zero], 1))
+        vertex_gap = np.min(np.linalg.norm(
+            kA.points[:, None] - kB.points[None], axis=2))
+        assert vertex_gap > 0.05
+        assert kA.min_distance(kB) < 1e-15
+        with pytest.raises(ValueError, match="too close"):
+            gauss_linking(kA, kB)
+
+    def test_segment_distance_against_sampling(self):
+        # clamped closest points against a 201 x 201 sampling of both
+        # segments, whose minimum is at most (|u| + |v|) / 400 too high;
+        # parallel and crossing pairs included
+        rng = np.random.default_rng(21)
+        a, u, c, v = rng.normal(size=(4, 200, 4))
+        v[:20] = 0.5 * u[:20]
+        c[20:40] = a[20:40] + 0.5 * u[20:40] - 0.3 * v[20:40]
+        got = hopf._segment_distance(a, u, c, v)
+        grid = np.linspace(0.0, 1.0, 201)[:, None]
+        sampled = np.array([np.min(np.linalg.norm(
+            (a[k] + grid * u[k])[:, None] - (c[k] + grid * v[k])[None],
+            axis=-1)) for k in range(len(a))])
+        slack = (np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1)) / 400
+        assert np.all(got <= sampled + 1e-12)
+        assert np.all(got >= sampled - slack)
+        assert np.max(got[20:40]) < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 10, 23])
+    def test_min_distance_is_min_over_all_pairs(self, seed):
+        # coarse great circles in general position, where the closest
+        # segments are not the ones with the closest midpoints: the
+        # KD-tree pruning and the row blocks drop no pair
+        def circle(n, offset, R):
+            s = np.linspace(0.0, 2.0 * np.pi, n + 1) + offset
+            zero = np.zeros_like(s)
+            return KnotPolyline(np.stack([np.cos(s), np.sin(s), zero, zero],
+                                         axis=1) @ R)
+        rng = np.random.default_rng(seed)
+        kA = circle(64, rng.uniform(0.0, 1.0), _rotation4(seed))
+        kB = circle(65, rng.uniform(0.0, 1.0), _rotation4(seed + 1000))
+        i, j = np.divmod(np.arange(len(kA) * len(kB)), len(kB))
+        u, v = np.diff(kA.points, axis=0), np.diff(kB.points, axis=0)
+        dist = hopf._segment_distance(kA.points[i], u[i], kB.points[j], v[j])
+        brute = np.min(dist)
+        closest_mids = np.argmin(np.linalg.norm(
+            (kA.points[:-1] + 0.5 * u)[i] - (kB.points[:-1] + 0.5 * v)[j],
+            axis=1))
+        assert brute < dist[closest_mids]
+        assert kA.min_distance(kB) == brute
+        assert kB.min_distance(kA) == pytest.approx(brute, rel=1e-12)
+
     def test_from_samples_closes_and_resamples(self):
         pts = self._circle(400)[:-1]           # open by one sample
         k = knot_from_samples(pts, n=256)
@@ -271,11 +362,12 @@ class TestLinking:
         lk = gauss_linking(k0, k1)
         assert abs(lk) == 1
         assert gauss_linking(k1, k0) == lk
-        # the polygon sum is exact: no quadrature error even at 64 segments
+        # the crossing count is an integer, and so is the exact Gauss sum
         pole = hopf._choose_pole(np.vstack([k0.points[:-1], k1.points[:-1]]))
-        raw = hopf._gauss_double_sum(hopf._stereographic(k0.points, pole),
-                                     hopf._stereographic(k1.points, pole))
-        assert abs(raw - lk) < 1e-9
+        X = hopf._stereographic(k0.points, pole)
+        Y = hopf._stereographic(k1.points, pole)
+        assert hopf._gauss_double_sum(X, Y) == lk
+        assert abs(_banchoff_sum(X, Y) - lk) < 1e-9
 
     def test_separated_circles_unlinked(self):
         P = np.array([1.0, 0, 0, 0])
@@ -283,6 +375,63 @@ class TestLinking:
         e2 = np.array([0.0, 0, 1, 0])
         assert gauss_linking(_small_circle(P, e1, e2, 0.4),
                              _small_circle(-P, e1, e2, 0.4)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           knot=st.one_of(
+               st.tuples(st.just("fibers"), st.integers(64, 256)),
+               st.tuples(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]),
+                         st.floats(0.35, 1.2))))
+    def test_crossing_count_matches_solid_angles(self, seed, knot):
+        R = _rotation4(seed)
+        if knot[0] == "fibers":
+            n = knot[1]
+            U = _rotation4(seed + 1)[0]
+            k1 = KnotPolyline(_fiber_knot(np.eye(4)[0], n).points @ R)
+            k2 = KnotPolyline(_fiber_knot(U, n).points @ R)
+        else:
+            (p, q), alpha = knot
+            k1 = KnotPolyline(_torus_knot(p, q, alpha, 256) @ R)
+            k2 = k1.antipode()
+        assume(k1.min_distance(k2) > 1e-3)
+        pole = hopf._choose_pole(np.vstack([k1.points[:-1], k2.points[:-1]]))
+        X = hopf._stereographic(k1.points, pole)
+        Y = hopf._stereographic(k2.points, pole)
+        ref = _banchoff_sum(X, Y)
+        assert abs(ref - round(ref)) < 1e-8
+        assert hopf._gauss_double_sum(X, Y) == round(ref)
+
+    def test_degenerate_projection_raises(self):
+        # a vertex of Y sits 0.5 above the middle of X's segment (0, 0)-(2, 0)
+        # along the module's viewing direction: the crossing is undecided
+        X = np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 0]])
+        Y = np.array([[1.0, 0, 0.5], [1, 0.5, -1], [3, -1, 0], [1, 0, 0.5]])
+        F = hopf._viewing_frame()
+        with pytest.raises(RuntimeError, match="vertex within roundoff"):
+            hopf._gauss_double_sum(X @ F.T, Y @ F.T)
+        # moved off the segment, Y goes under X and back over it: linked
+        Y[[0, -1], 1] = 0.25
+        X, Y = X @ F.T, Y @ F.T
+        assert abs(hopf._gauss_double_sum(X, Y)) == 1.0
+        assert hopf._gauss_double_sum(X, Y) == round(_banchoff_sum(X, Y))
+
+    def test_polygons_meeting_at_a_crossing_raise(self):
+        # Y's first edge passes through (1, 0, 0) on X's edge (0, 0)-(2, 0)
+        X = np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 0]])
+        Y = np.array([[1.0, -1, -1], [1, 0.5, 0.5], [-1, -1, 0],
+                      [1, -1, -1]])
+        F = hopf._viewing_frame()
+        with pytest.raises(RuntimeError, match="same height"):
+            hopf._gauss_double_sum(X @ F.T, Y @ F.T)
+
+    def test_crossing_counts_must_agree(self):
+        # an open path over one edge of a triangle: one count is 1, the
+        # other 0, which no pair of closed polygons can give
+        X = np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 0]])
+        Y = np.array([[1.0, -1, 1], [1, 0.5, 1]])
+        F = hopf._viewing_frame()
+        with pytest.raises(RuntimeError, match="crossing counts disagree"):
+            hopf._gauss_double_sum(X @ F.T, Y @ F.T)
 
     def test_sum_off_integer_raises(self, monkeypatch):
         # the exact sum misses an integer only by roundoff; never round 1.5
@@ -304,7 +453,9 @@ class TestLinking:
 
     def test_antipodal_memory_bounded(self):
         # 3072 segments: criterion 9's finest knot; all n x n pair data
-        # would be hundreds of MB
+        # would be hundreds of MB. The crossing count holds O(n) arrays;
+        # min_distance's row blocks hold most of the peak, since this knot
+        # is about equidistant from its antipode
         knot = _two_twist(3072)
         tracemalloc.start()
         try:
@@ -313,7 +464,7 @@ class TestLinking:
         finally:
             tracemalloc.stop()
         assert rep.lk == 2
-        assert peak <= 64 * 2**20
+        assert peak <= 4 * 2**20
 
     def test_fiber_self_antipodal(self):
         # e^{i pi} U = -U lies on the fiber, so the antipode is not disjoint
