@@ -183,11 +183,12 @@ class TestCoframe:
         n = 25
         t = rng.uniform(0.2, 0.8, n) * ellipsoid.ell
         phi = rng.uniform(-np.pi, np.pi, n)
+        jet = ellipsoid.point_jet()
         for m in (0.1, 1.7, 3.0):
             states = np.zeros((9, n))
             states[0], states[1] = t, phi
             for k in range(n):
-                states[3:6, k] = flow_rhs(ellipsoid, m)(0.0, states[:3, k])
+                states[3:6, k] = flow_rhs(jet, m)(0.0, states[:3, k])
             Psi = chi_project(ellipsoid, m, states)
             rh = np.sqrt(reeb_factor(m, beta_theta(ellipsoid, t),
                                      np.sin(phi), ellipsoid.gamma(t)))

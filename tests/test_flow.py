@@ -4,14 +4,19 @@ Round-sphere orbits give exact references: latitudes are stationary in
 (t, phi) with linear theta drift, the invariant is conserved to integrator
 precision on every orbit, and level measurements taken by Poincare section
 reproduce the closed-form period, winding, and action. Reversibility and
-the quadrature cross-check are exercised on ellipsoids as well.
+the quadrature cross-check are exercised on ellipsoids as well. scipy's
+DOP853, which the package no longer uses, is the oracle for the stepper
+the flow owns.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from magflow.flow import (
+    ANGLES,
+    POLE_GUARD,
     Trajectory,
     band_state,
     compare_level,
@@ -19,6 +24,7 @@ from magflow.flow import (
     integrate,
     level_average_ode,
 )
+from magflow.numerics import dop853
 from magflow.profiles import make_ellipsoid, make_sphere
 from magflow.reduced import LevelRangeError, birkhoff_action, find_latitude
 
@@ -36,7 +42,7 @@ def ellipsoid():
 class TestVectorField:
     def test_components(self, sphere):
         m, t, phi = 2.0, 1.1, 0.4
-        v = flow_rhs(sphere, m)(0.0, (t, phi, 0.0))
+        v = flow_rhs(sphere.point_jet(), m)(0.0, (t, phi, 0.0))
         assert v[0] == pytest.approx(m * np.cos(phi))
         assert v[1] == pytest.approx(
             1.0 - m * np.cos(t) * np.sin(phi) / np.sin(t))
@@ -59,6 +65,14 @@ class TestConservation:
             traj = integrate(p, m, (t0, phi0, 0.0), 50.0)
             assert traj.I_drift < 1e-9
 
+    def test_long_band_orbit(self):
+        # inside criterion 5's domain; with scipy's relative error weight on
+        # the unwrapped angles this drifted by 1.2e-8 at T = 1e3
+        p = make_ellipsoid(1.456)
+        traj = integrate(p, 1.898, (1.0929, 2.8189, 0.0), 1e3, n_out=101)
+        assert not traj.pole_terminated
+        assert traj.I_drift <= 1e-9
+
     def test_reversibility(self, ellipsoid):
         state0 = (1.0, 0.7, 0.2)
         fwd = integrate(ellipsoid, 0.8, state0, 30.0, n_out=3)
@@ -67,6 +81,48 @@ class TestConservation:
         assert back.t[-1] == pytest.approx(state0[0], abs=1e-7)
         assert back.phi[-1] == pytest.approx(state0[1], abs=1e-7)
         assert back.theta[-1] == pytest.approx(state0[2], abs=1e-7)
+
+
+def _scipy_oracle(p, m, state0, s_eval, **kw):
+    def rhs(s, y):
+        g, dg, _ = map(float, p.jet(y[0], 1))
+        return (m * np.cos(y[1]), 1.0 - m * dg * np.sin(y[1]) / g,
+                m * np.sin(y[1]) / g)
+    return solve_ivp(rhs, (0.0, s_eval[-1]), state0, method="DOP853",
+                     t_eval=s_eval, rtol=1e-12, atol=1e-14, **kw)
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("spec", ["sphere", "ellipsoid"])
+    def test_trajectory(self, spec, sphere, ellipsoid):
+        p = {"sphere": sphere, "ellipsoid": ellipsoid}[spec]
+        state0 = (0.4 * p.ell, 0.7, 0.0)
+        traj = integrate(p, 1.1, state0, 20.0, n_out=201)
+        ref = _scipy_oracle(p, 1.1, state0, traj.s)
+        assert np.array_equal(ref.t, traj.s)
+        got = np.stack([traj.t, traj.phi, traj.theta])
+        assert np.max(np.abs(got - ref.y)) <= 1e-9
+
+    def test_pole_termination_time(self, sphere):
+        # the separatrix of TestPoleTermination, stopped by the pole guard:
+        # the event is a root of the step's interpolant, as in scipy
+        t0 = 1.0
+        u = (1.0 + sphere.Gamma(t0)) / (1.0 * sphere.gamma(t0))
+        state0 = (t0, np.pi - np.arcsin(u), 0.0)
+        guard = POLE_GUARD * sphere.ell
+
+        def pole(s, y):
+            return float(sphere.gamma(np.clip(y[0], 0.0, sphere.ell))) - guard
+        pole.terminal = True
+        s_eval = np.linspace(0.0, 50.0, 2001)
+        ref = _scipy_oracle(sphere, 1.0, state0, s_eval, events=pole)
+        run = dop853(flow_rhs(sphere.point_jet(), 1.0), 0.0, state0, 50.0,
+                     s_eval, angles=ANGLES, event=pole)
+        assert run.terminated and ref.status == 1
+        assert abs(run.t_end - ref.t_events[0][0]) < 1e-9
+        traj = integrate(sphere, 1.0, state0, 50.0)
+        assert traj.pole_terminated
+        assert np.array_equal(traj.s, ref.t)
 
 
 class TestLatitudeOrbit:

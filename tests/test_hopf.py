@@ -337,6 +337,33 @@ class TestKnotPolyline:
         assert kA.min_distance(kB) == brute
         assert kB.min_distance(kA) == pytest.approx(brute, rel=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(96, 200),
+           m=st.integers(96, 200), wobble=st.floats(0.0, 0.02),
+           offset=st.floats(0.0, 1.0), same_circle=st.booleans())
+    def test_pair_bound_drops_no_minimum(self, seed, n, m, wobble, offset,
+                                         same_circle):
+        # random polygons near two great circles, or near one (nearly
+        # parallel, where the bound drops most pairs): the pairs that the
+        # lower bound |m|^2 - |m.u| - |m.v| drops never hold the minimum
+        rng = np.random.default_rng(seed)
+
+        def polygon(k, R):
+            s = np.linspace(0.0, 2.0 * np.pi, k + 1) + offset
+            zero = np.zeros_like(s)
+            pts = np.stack([np.cos(s), np.sin(s), zero, zero], axis=1) @ R
+            pts[:-1] += wobble * rng.normal(size=(k, 4)) / np.sqrt(k)
+            pts[-1] = pts[0]
+            return KnotPolyline(pts / np.linalg.norm(pts, axis=1)[:, None])
+        kA = polygon(n, _rotation4(seed % 997))
+        kB = polygon(m, _rotation4(seed % 997 if same_circle
+                                   else seed % 991 + 1000))
+        i, j = np.divmod(np.arange(len(kA) * len(kB)), len(kB))
+        u, v = np.diff(kA.points, axis=0), np.diff(kB.points, axis=0)
+        unfiltered = np.min(hopf._segment_distance(kA.points[i], u[i],
+                                                   kB.points[j], v[j]))
+        assert kA.min_distance(kB) == unfiltered
+
     def test_from_samples_closes_and_resamples(self):
         pts = self._circle(400)[:-1]           # open by one sample
         k = knot_from_samples(pts, n=256)
@@ -368,6 +395,15 @@ class TestLinking:
         Y = hopf._stereographic(k1.points, pole)
         assert hopf._gauss_double_sum(X, Y) == lk
         assert abs(_banchoff_sum(X, Y) - lk) < 1e-9
+
+    def test_non_integer_count_raises(self, monkeypatch):
+        # only a broken crossing count can reach this message
+        k0 = _fiber_knot(np.array([1.0, 0, 0, 0]), 64)
+        k1 = _fiber_knot(_rand_unit(np.random.default_rng(14)), 64)
+        monkeypatch.setattr(hopf, "_gauss_double_sum", lambda X, Y: 0.5)
+        with pytest.raises(RuntimeError,
+                           match="crossing count 0.5 is not an integer"):
+            gauss_linking(k0, k1)
 
     def test_separated_circles_unlinked(self):
         P = np.array([1.0, 0, 0, 0])

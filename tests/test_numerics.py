@@ -1,4 +1,5 @@
-"""Numerical helper tests against closed-form optima and quadrature rules."""
+"""Numerical helper tests against closed-form optima, quadrature rules and
+exact solutions of linear ODEs."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from magflow.numerics import (
     GOLDEN,
     bisect_root,
+    dop853,
     gauss_nodes,
     golden_max,
     grid_sup,
@@ -99,3 +101,57 @@ class TestRoots:
         fdf = lambda t: (np.arctan(t - 0.3) + 0.1 * (t - 0.3), 0.0)
         r = newton_root(fdf, -5.0, 5.0, fdf(-5.0)[0], fdf(5.0)[0])
         assert r == pytest.approx(0.3, abs=1e-15)
+
+
+class TestDop853:
+    @staticmethod
+    def oscillator(calls):
+        def fun(t, y):
+            calls.append(t)
+            return (y[1], -y[0])
+        return fun
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_harmonic_oscillator(self, sign):
+        # y = (cos t, -sin t) exactly, forward and backward in time
+        calls = []
+        s = sign * np.linspace(0.0, 10.0, 41)
+        run = dop853(self.oscillator(calls), 0.0, (1.0, 0.0), sign * 10.0, s)
+        assert np.array_equal(run.t, s)
+        assert np.max(np.abs(run.y[:, 0] - np.cos(s))) < 1e-10
+        assert np.max(np.abs(run.y[:, 1] + np.sin(s))) < 1e-10
+        assert run.t_end == sign * 10.0 and not run.terminated
+        assert run.y_end == pytest.approx((np.cos(10.0), -np.sin(sign * 10.0)),
+                                          abs=1e-10)
+        # every call counts: initial slope, step probe, 12 per step and 3
+        # per step that holds output points
+        assert run.nfev == len(calls)
+
+    @pytest.mark.parametrize("direction, root", [(-1.0, 0.5 * np.pi),
+                                                 (1.0, 1.5 * np.pi),
+                                                 (0.0, 0.5 * np.pi)])
+    def test_terminal_event_on_the_interpolant(self, direction, root):
+        calls = []
+        s = np.linspace(0.0, 10.0, 101)
+        run = dop853(self.oscillator(calls), 0.0, (1.0, 0.0), 10.0, s,
+                     event=lambda t, y: y[0], direction=direction)
+        assert run.terminated
+        assert run.t_end == pytest.approx(root, abs=1e-12)
+        assert abs(run.y_end[0]) < 1e-12
+        assert np.array_equal(run.t, s[s <= run.t_end])
+        assert run.nfev == len(calls)
+
+    def test_angle_weight_is_fixed(self):
+        # theta' = cos t from theta = 1000: scipy's weight rtol |theta|
+        # loosens the tolerance a thousandfold, the fixed weight does not
+        def fun(t, y):
+            return (np.cos(t),)
+        err = {}
+        for angles in ((), (0,)):
+            run = dop853(fun, 0.0, (1000.0,), 50.0, angles=angles)
+            err[angles] = abs(run.y_end[0] - 1000.0 - np.sin(50.0))
+        assert err[(0,)] < 1e-12 < 1e-11 < err[()]
+
+    def test_empty_span(self):
+        run = dop853(lambda t, y: (1.0,), 2.0, (3.0,), 2.0, [2.0, 2.0])
+        assert run.y.tolist() == [[3.0], [3.0]] and run.nfev == 0

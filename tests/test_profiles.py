@@ -76,6 +76,13 @@ def test_scalar_and_array_agree(build):
         for a, b in zip(p.jet(float(t[k]), 3), jet):
             assert np.ndim(a) == 0
             assert float(a) == pytest.approx(b[k], rel=1e-14, abs=1e-14)
+    # the flow's point evaluator returns floats; the base class wraps jet
+    at = p.point_jet()
+    for k in (0, 4, len(t) - 1):
+        got = at(float(t[k]))
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx((jet[0][k], jet[1][k], jet[4][k]),
+                                    rel=1e-14, abs=1e-14)
     if isinstance(p, EllipsoidProfile):
         # the third derivative is pinned to its exact pole limit
         assert jet[3][0] == jet[3][1] == -p.pole_curvature
@@ -146,6 +153,21 @@ class TestEllipsoid:
         rep = validate(p)
         assert rep.passed, "\n".join(rep.lines())
         fd_check(p, np.linspace(0.2, p.ell - 0.2, 41), 1e-7)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.3, 2.0, 4.0])
+    def test_point_jet_matches_jet(self, ratio):
+        # Taylor tables against the spline's own evaluation, within 4 ulp
+        # of 1 (every column is O(1)): 2e5 random points, every knot, and
+        # points 1e-12 outside [0, ell]
+        p = make_ellipsoid(ratio)
+        k = p._sp.k
+        t = np.concatenate([
+            np.random.default_rng(int(10 * ratio)).uniform(0.0, p.ell, 200000),
+            np.unique(p._sp.t[k:-k]), [-1e-12, p.ell + 1e-12]])
+        want = np.column_stack(p.jet(t, 1))
+        at = p.point_jet()
+        got = np.array([at(ti) for ti in t.tolist()])
+        assert np.max(np.abs(got - want)) <= 4 * np.spacing(1.0)
 
     def test_make_ellipsoid_unit_ratio_is_sphere(self):
         assert isinstance(make_ellipsoid(1.0), SphereProfile)
