@@ -13,7 +13,9 @@ and generator fields
 projected through chi(Y) = sqrt(h) (eta(Y), alpha(Y)), where alpha and eta
 are the two rotating coframe entries. The columns chi(Y_1), chi(Y_2) of
 solutions with Y_1(0) = H~/sqrt(h), Y_2(0) = X~/sqrt(h) form a path Psi of
-determinant-one matrices starting at the identity.
+determinant-one matrices starting at the identity. The 9-dim system is
+integrated by numerics.dop853 on Python floats, with scipy's error weights
+on every component.
 
 The index of a closed orbit is read from the winding interval of Psi: the
 rotation number of the direction Psi(tau) u over the orbit, minimized and
@@ -25,13 +27,14 @@ nudging that endpoint just below the integer before applying the rule.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .profiles import ProfileFunction
 from .contact import ContactPrimitiveError, reeb_factor
+from .numerics import StepSizeError, dop853
 from .reduced import LatitudeOrbit, find_latitude, rational_closures, \
     minimal_contractible_closure
 from .flow import band_state
@@ -53,7 +56,7 @@ def _fields(p: ProfileFunction, t, phi, m: float):
     if g <= 0.0:
         raise ContactPrimitiveError(f"frame evaluated at a pole: t = {t}")
     bt = G + dg
-    sp, cp = np.sin(phi), np.cos(phi)
+    sp, cp = math.sin(phi), math.cos(phi)
     h = reeb_factor(m, bt, sp, g)
     if h <= 1e-12:
         raise ContactPrimitiveError(
@@ -72,29 +75,24 @@ def frame_state(p: ProfileFunction, m: float, t0: float, phi0: float,
 
 
 def linearized_rhs(p: ProfileFunction, m: float):
-    """Reeb field and its exact linearization on (z, Y1, Y2)."""
+    """Reeb field and its exact linearization on (z, Y1, Y2), in floats."""
     def rhs(tau, y):
-        t, phi = y[0], y[1]
-        g, dg, ddg, G, bt, sp, cp, h = _fields(p, t, phi, m)
-        F = np.array([m * cp, 1.0 - m * dg * sp / g, m * sp / g])
-        # dF in the (t, phi) variables; theta derivatives vanish
-        dF = np.array([
-            [0.0, -m * sp],
-            [-m * sp * (ddg * g - dg * dg) / (g * g), -m * dg * cp / g],
-            [-m * sp * dg / (g * g), m * cp / g]])
-        btd = g + ddg                       # d/dt beta_theta
-        h_t = -m * sp * (btd * g - bt * dg) / (g * g)
+        g, dg, ddg, G, bt, sp, cp, h = _fields(p, y[0], y[1], m)
+        gg, hh, msp, mcp = g * g, h * h, m * sp, m * cp
+        F0, F1, F2 = mcp, 1.0 - m * dg * sp / g, msp / g
+        h_t = -msp * ((g + ddg) * g - bt * dg) / gg   # (g + ddg) = beta_theta'
         h_p = -m * bt * cp / g
-        # DR = (dF h - F grad(h)) / h^2, columns (t, phi), theta column zero
-        DR = np.empty((3, 3))
-        DR[:, 0] = (dF[:, 0] * h - F * h_t) / (h * h)
-        DR[:, 1] = (dF[:, 1] * h - F * h_p) / (h * h)
-        DR[:, 2] = 0.0
-        out = np.empty(9)
-        out[:3] = F / h
-        out[3:6] = DR @ y[3:6]
-        out[6:9] = DR @ y[6:9]
-        return out
+        # DR = (dF h - F grad(h)) / h^2 in the columns (t, phi), with dF the
+        # Jacobian of F; the theta column of both is zero
+        R00, R01 = -F0 * h_t / hh, (-msp * h - F0 * h_p) / hh
+        R10 = (-msp * (ddg * g - dg * dg) / gg * h - F1 * h_t) / hh
+        R11 = (-m * dg * cp / g * h - F1 * h_p) / hh
+        R20 = (-msp * dg / gg * h - F2 * h_t) / hh
+        R21 = (mcp / g * h - F2 * h_p) / hh
+        y3, y4, y6, y7 = y[3], y[4], y[6], y[7]
+        return (F0 / h, F1 / h, F2 / h,
+                R00 * y3 + R01 * y4, R10 * y3 + R11 * y4, R20 * y3 + R21 * y4,
+                R00 * y6 + R01 * y7, R10 * y6 + R11 * y7, R20 * y6 + R21 * y7)
     return rhs
 
 
@@ -125,6 +123,7 @@ class SymplecticPath:
     descriptor: str
     det_defect: float
     states: np.ndarray | None = None
+    nfev: int = 0                 # right-hand side calls of the run
 
     def __len__(self):
         return len(self.times)
@@ -140,15 +139,20 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
                          descriptor: str = "") -> SymplecticPath:
     """Integrate the 9-dim linearized Reeb system and project to Psi.
 
-    Raises FrameError when max |det Psi - 1| exceeds the symplectic
-    tolerance, which indicates integrator failure rather than geometry.
+    The run is numerics.dop853 with scipy's error weights on every
+    component: phi stays bounded on the closed orbits integrated here, and
+    theta feeds back into nothing. Raises FrameError when the step size
+    collapses, or when max |det Psi - 1| exceeds the symplectic tolerance;
+    either indicates integrator failure rather than geometry.
     """
     tau = np.linspace(0.0, T, n_out)
-    sol = solve_ivp(linearized_rhs(p, m), (0.0, T), np.asarray(z0, float),
-                    method="DOP853", t_eval=tau, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise FrameError(f"linearized integration failed: {sol.message}")
-    Psi = chi_project(p, m, sol.y)
+    try:
+        run = dop853(linearized_rhs(p, m), 0.0, z0, T, tau, rtol=rtol,
+                     atol=atol)
+    except StepSizeError as exc:
+        raise FrameError(f"linearized integration failed: {exc}") from exc
+    states = run.y.T
+    Psi = chi_project(p, m, states)
     det = Psi[:, 0, 0] * Psi[:, 1, 1] - Psi[:, 0, 1] * Psi[:, 1, 0]
     defect = float(np.max(np.abs(det - 1.0)))
     if defect > SYMPLECTIC_TOL:
@@ -156,7 +160,7 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
                          f"{SYMPLECTIC_TOL}")
     return SymplecticPath(times=tau, matrices=Psi, m=m,
                           descriptor=descriptor, det_defect=defect,
-                          states=sol.y)
+                          states=states, nfev=run.nfev)
 
 
 # -- winding ---------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Grid-plus-golden-section extremum search, bracketed root finding by
 bisection and by safeguarded Newton steps, cached Gauss-Legendre nodes, and
-the DOP853 stepper that the direct flow integrates with. Everything here is
-deterministic: fixed grids, fixed iteration budgets, ties broken toward
+the DOP853 stepper that every ODE of the package integrates with: the
+flow, its level sections and the linearized flow behind the
+Conley-Zehnder indices. The stepper's stage sums are straight-line
+functions generated once per (tableau row, state length). Everything here
+is deterministic: fixed grids, fixed iteration budgets, ties broken toward
 smaller abscissae.
 """
 from __future__ import annotations
@@ -13,7 +16,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -176,11 +178,29 @@ _B = _nonzero(_dop.B)
 _E5, _E3 = _nonzero(_dop.E5), _nonzero(_dop.E3)
 
 
-def _combine(y, h, rule, K):
-    """y + h * sum_j c_j K_j over the nonzero (j, c_j) of rule, in floats."""
+@lru_cache(maxsize=None)
+def _kernel(rule, n: int):
+    """y + h * sum_j c_j K_j over the nonzero (j, c_j) of rule, for states
+    of length n, as one generated function kernel(y, h, K) -> tuple.
+
+    The code is straight-line: every component is written out, and so is
+    its sum over j, left to right with the coefficients as repr floats.
+    That is the order and rounding of a plain sum from 0, which is what
+    sum(map(mul, coef, col)) computes up to Python 3.11, so a kernel agrees
+    with that loop bitwise, up to the sign of a zero sum.
+    """
     idx, coef = rule
-    return [yi + h * sum(map(mul, coef, col))
-            for yi, col in zip(y, zip(*[K[j] for j in idx]))]
+    lines = ["def kernel(y, h, K):",
+             "    " + "".join(f"y{i}, " for i in range(n)) + "= y"]
+    lines += ["    " + "".join(f"k{j}_{i}, " for i in range(n)) + f"= K[{j}]"
+              for j in idx]
+    terms = [" + ".join(f"{c!r} * k{j}_{i}" for j, c in zip(idx, coef))
+             for i in range(n)]
+    lines.append("    return (" + "".join(f"y{i} + h * ({terms[i]}), "
+                                         for i in range(n)) + ")")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 def _dense(rec, step, s, n):
@@ -201,6 +221,10 @@ def _dense(rec, step, s, n):
     return y + y_old[step]
 
 
+class StepSizeError(RuntimeError):
+    """The DOP853 step size fell below the spacing of floats at t."""
+
+
 @dataclass(frozen=True)
 class OdeRun:
     """One DOP853 run: y[k] is the state at t[k] for each t_eval point the
@@ -219,11 +243,12 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
            direction: float = 0.0) -> OdeRun:
     """Integrate y' = fun(t, y) from t0 to t1 (either direction) by DOP853.
 
-    fun takes a list of floats and returns a sequence of floats. The error
-    weight of component i is atol + rtol * max(|y_i|, |y_new_i|), scipy's,
-    except for the components listed in angles, which get atol + rtol * pi:
-    an angle that grows without bound would otherwise loosen its own
-    tolerance as it grows. t_eval points must be ordered from t0 toward t1;
+    fun takes a sequence of floats and returns one. The error weight of
+    component i is atol + rtol * max(|y_i|, |y_new_i|), scipy's, except for
+    the components listed in angles, which get atol + rtol * pi: an angle
+    that grows without bound would otherwise loosen its own tolerance as it
+    grows. A step size that falls below ten float spacings of t raises
+    StepSizeError. t_eval points must be ordered from t0 toward t1;
     the steps that contain them are kept and their dense output is
     evaluated in one numpy pass at the end. event(t, y), when given, is
     terminal: the run stops at the first root of event along the step's
@@ -246,7 +271,9 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
         return [w if w is not None else atol + rtol * max(abs(a), abs(b))
                 for w, a, b in zip(weights, ya, yb)]
 
-    zero = [0.0] * n
+    zero = (0.0,) * n
+    stages = [(_C[s], _kernel(_A[s], n)) for s in range(1, _STAGES)]
+    advance, e5_sum, e3_sum = (_kernel(rule, n) for rule in (_B, _E5, _E3))
     t, f = t0, fun(t0, y)
     h_abs = _initial_step(fun, t0, y, f, t1, d, scale(y, y))
     nfev = 2
@@ -258,21 +285,21 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
         rejected = False
         while True:
             if h_abs < min_step:
-                raise RuntimeError(f"dop853: step size below {min_step:.3g} "
-                                   f"at t = {t!r}")
+                raise StepSizeError(f"dop853: step size below "
+                                    f"{min_step:.3g} at t = {t!r}")
             t_new = t + d * h_abs
             if d * (t_new - t1) > 0.0:
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
             K = [f]
-            for s in range(1, _STAGES):
-                K.append(fun(t + _C[s] * h, _combine(y, h, _A[s], K)))
-            y_new = _combine(y, h, _B, K)
+            for c, stage in stages:
+                K.append(fun(t + c * h, stage(y, h, K)))
+            y_new = advance(y, h, K)
             K.append(fun(t_new, y_new))
             nfev += _STAGES
             sc = scale(y, y_new)
-            e5, e3 = _combine(zero, 1.0, _E5, K), _combine(zero, 1.0, _E3, K)
+            e5, e3 = e5_sum(zero, 1.0, K), e3_sum(zero, 1.0, K)
             n5 = sum((e / w) ** 2 for e, w in zip(e5, sc))
             n3 = sum((e / w) ** 2 for e, w in zip(e3, sc))
             err = (0.0 if n5 == 0.0 and n3 == 0.0 else
@@ -318,8 +345,9 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
 def _step_row(fun, t, h, y, y_new, K):
     """One row for _dense: the step from (t, y) to y_new, with the three
     dense-output stages appended to its stages K."""
+    n = len(y)
     for s in range(_STAGES + 1, _EXTENDED):
-        K.append(fun(t + _C[s] * h, _combine(y, h, _A[s], K)))
+        K.append(fun(t + _C[s] * h, _kernel(_A[s], n)(y, h, K)))
     row = [t, h, *y, *y_new]
     for k in K:
         row.extend(k)

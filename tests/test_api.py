@@ -124,3 +124,11 @@ def test_no_unused_imports():
         unused += [f"{stem}: {name}" for name in _imported(tree)
                    if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_one_ode_path():
+    # every ODE runs on numerics.dop853; scipy's solve_ivp is a test oracle
+    users = [stem for stem, tree in _modules().items()
+             if "solve_ivp" in _imported(tree)
+             or "solve_ivp" in _references(tree)]
+    assert not users, f"modules that use solve_ivp: {users}"

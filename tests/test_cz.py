@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
+from magflow import cz
 from magflow.contact import ContactPrimitiveError, beta_theta, reeb_factor
 from magflow.cz import (
     FrameError,
@@ -28,12 +30,14 @@ from magflow.cz import (
     integrate_linearized,
     latitude_cz,
     latitude_deviation,
+    linearized_rhs,
     path_deviation,
     winding_interval,
 )
 from magflow.flow import band_state, flow_rhs
+from magflow.numerics import StepSizeError
 from magflow.profiles import make_ellipsoid, make_sphere
-from magflow.reduced import birkhoff_action
+from magflow.reduced import birkhoff_action, find_latitude
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +229,59 @@ class TestLinearizedPath:
         path = integrate_linearized(sphere, 0.0, z0, 8.0 * np.pi, n_out=9)
         with pytest.raises(FrameError):
             cz_index(path)
+
+    @staticmethod
+    def _scipy_path(p, m, z0, T, n_out=4097):
+        # the oracle: scipy's DOP853 with the same tolerances and samples
+        tau = np.linspace(0.0, T, n_out)
+        sol = solve_ivp(linearized_rhs(p, m), (0.0, T), z0, method="DOP853",
+                        t_eval=tau, rtol=1e-12, atol=1e-12)
+        assert sol.success
+        return SymplecticPath(times=tau, matrices=chi_project(p, m, sol.y),
+                              m=m, descriptor="scipy", det_defect=0.0)
+
+    @pytest.mark.parametrize("case", ["upper", "lower", "band"])
+    def test_matches_scipy_dop853(self, ellipsoid, case):
+        if case == "band":
+            m = 0.8
+            T = birkhoff_action(ellipsoid, m, 0.45).reeb_period
+            z0 = frame_state(ellipsoid, m, *band_state(ellipsoid, m, 0.45))
+        else:
+            lat = find_latitude(ellipsoid, 0.8, case)
+            m, T = lat.m_t0, 2.0 * lat.reeb_period
+            z0 = frame_state(ellipsoid, m, lat.t0, lat.sign * np.pi / 2.0)
+        path = integrate_linearized(ellipsoid, m, z0, T)
+        want = self._scipy_path(ellipsoid, m, z0, T)
+        assert np.max(np.abs(path.matrices - want.matrices)) <= 1e-11
+        got, ref = cz_index(path), cz_index(want)
+        assert got.index == ref.index and got.degenerate == ref.degenerate
+        assert got.interval.lo == pytest.approx(ref.interval.lo, abs=1e-12)
+        assert got.interval.hi == pytest.approx(ref.interval.hi, abs=1e-12)
+
+    def test_nfev_counts_every_call(self, ellipsoid, monkeypatch):
+        calls = []
+
+        def counted(p, m):
+            rhs = linearized_rhs(p, m)
+            return lambda tau, y: calls.append(tau) or rhs(tau, y)
+        monkeypatch.setattr(cz, "linearized_rhs", counted)
+        z0 = frame_state(ellipsoid, 0.8, 1.0, 0.4)
+        path = integrate_linearized(ellipsoid, 0.8, z0, 0.5)
+        assert path.nfev == len(calls) > 0
+
+    def test_step_size_collapse_is_a_frame_error(self, sphere, monkeypatch):
+        # a right-hand side that turns NaN: every step is rejected until
+        # the step size falls below the spacing of floats
+        def poisoned(p, m):
+            rhs = linearized_rhs(p, m)
+            return lambda tau, y: (rhs(tau, y) if tau < 0.25
+                                   else (float("nan"),) * 9)
+        monkeypatch.setattr(cz, "linearized_rhs", poisoned)
+        z0 = frame_state(sphere, 0.5, 1.0, 0.3)
+        with pytest.raises(FrameError, match="linearized integration "
+                                             "failed") as info:
+            integrate_linearized(sphere, 0.5, z0, 1.0)
+        assert isinstance(info.value.__cause__, StepSizeError)
 
 
 class TestResolutionCheck:

@@ -2,11 +2,21 @@
 exact solutions of linear ODEs."""
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magflow.numerics import (
     GOLDEN,
+    _A,
+    _B,
+    _E3,
+    _E5,
+    _EXTENDED,
+    _kernel,
     bisect_root,
     dop853,
     gauss_nodes,
@@ -155,3 +165,40 @@ class TestDop853:
     def test_empty_span(self):
         run = dop853(lambda t, y: (1.0,), 2.0, (3.0,), 2.0, [2.0, 2.0])
         assert run.y.tolist() == [[3.0], [3.0]] and run.nfev == 0
+
+
+# every tableau row the stepper sums: the stages after the first, the
+# dense-output stages, the solution and the two error estimates
+_ROWS = [_A[s] for s in range(1, _EXTENDED)] + [_B, _E5, _E3]
+
+
+def _reference_combine(y, h, rule, K):
+    """y + h * sum_j c_j K_j over the nonzero terms, added left to right
+    from 0 as sum(map(mul, coef, col)) does up to Python 3.11; from 3.12
+    sum() compensates float sums, so the reference spells the plain one."""
+    idx, coef = rule
+    return [yi + h * reduce(add, map(mul, coef, col), 0)
+            for yi, col in zip(y, zip(*[K[j] for j in idx]))]
+
+
+_FLOATS = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(range(len(_ROWS))), st.sampled_from([3, 4, 9]),
+           st.data())
+    def test_matches_reference_sum(self, row, n, data):
+        # bitwise, up to the sign of zero: == treats 0.0 and -0.0 alike
+        rule = _ROWS[row]
+        vec = st.lists(_FLOATS, min_size=n, max_size=n)
+        y, h = data.draw(vec), data.draw(_FLOATS)
+        K = data.draw(st.lists(vec, min_size=max(rule[0]) + 1,
+                               max_size=max(rule[0]) + 1))
+        got = _kernel(rule, n)(y, h, K)
+        assert type(got) is tuple and len(got) == n
+        assert list(got) == _reference_combine(y, h, rule, K)
+
+    def test_built_once_per_row_and_length(self):
+        assert _kernel(_B, 5) is _kernel(_B, 5)
+        assert _kernel(_B, 5) is not _kernel(_B, 6)

@@ -154,20 +154,23 @@ class TestEllipsoid:
         assert rep.passed, "\n".join(rep.lines())
         fd_check(p, np.linspace(0.2, p.ell - 0.2, 41), 1e-7)
 
-    @pytest.mark.parametrize("ratio", [0.5, 1.3, 2.0, 4.0])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.3, 2.0, 4.0])
     def test_point_jet_matches_jet(self, ratio):
         # Taylor tables against the spline's own evaluation, within 4 ulp
-        # of 1 (every column is O(1)): 2e5 random points, every knot, and
-        # points 1e-12 outside [0, ell]
+        # of 1 (every column is O(1)), and the closed-form sphere (ratio 1)
+        # bitwise: 2e5 random points, every knot, and points 1e-12 outside
+        # [0, ell]
         p = make_ellipsoid(ratio)
-        k = p._sp.k
+        sphere = isinstance(p, SphereProfile)
+        knots = [] if sphere else np.unique(p._sp.t[p._sp.k:-p._sp.k])
         t = np.concatenate([
             np.random.default_rng(int(10 * ratio)).uniform(0.0, p.ell, 200000),
-            np.unique(p._sp.t[k:-k]), [-1e-12, p.ell + 1e-12]])
+            knots, [-1e-12, p.ell + 1e-12]])
         want = np.column_stack(p.jet(t, 1))
         at = p.point_jet()
         got = np.array([at(ti) for ti in t.tolist()])
-        assert np.max(np.abs(got - want)) <= 4 * np.spacing(1.0)
+        tol = 0.0 if sphere else 4 * np.spacing(1.0)
+        assert np.max(np.abs(got - want)) <= tol
 
     def test_make_ellipsoid_unit_ratio_is_sphere(self):
         assert isinstance(make_ellipsoid(1.0), SphereProfile)
