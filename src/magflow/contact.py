@@ -25,6 +25,8 @@ import numpy as np
 from .numerics import grid_sup
 from .profiles import ProfileFunction
 
+SUP_GRID = 4096  # interior points of the m_gamma and min_curvature scans
+
 
 class ContactPrimitiveError(RuntimeError):
     """Raised when a run requires h > 0 but the primitive fails positivity."""
@@ -52,15 +54,16 @@ def beta_ratio(p: ProfileFunction, t):
     return out if out.ndim else float(out)
 
 
-def _m_gamma_argmax(p: ProfileFunction, n: int = 4096):
+def _m_gamma_argmax(p: ProfileFunction):
     f = lambda t: np.abs(beta_ratio(p, t))
-    t_star, val = grid_sup(f, 0.0, p.ell, n=n, endpoint_values=(0.0, 0.0))
+    t_star, val = grid_sup(f, 0.0, p.ell, n=SUP_GRID,
+                           endpoint_values=(0.0, 0.0))
     return float(val), float(t_star)
 
 
-def m_gamma(p: ProfileFunction, n: int = 4096) -> float:
+def m_gamma(p: ProfileFunction) -> float:
     """sup |beta_theta|/gamma by dense grid scan plus golden refinement."""
-    return _m_gamma_argmax(p, n=n)[0]
+    return _m_gamma_argmax(p)[0]
 
 
 def m_plus_minus(mg: float, inf_f: float = 1.0):
@@ -80,14 +83,14 @@ def magnetic_curvature(p: ProfileFunction, m: float, t):
     return m * m * np.asarray(p.curvature(t)) + 1.0
 
 
-def min_curvature(p: ProfileFunction, n: int = 4096) -> float:
+def min_curvature(p: ProfileFunction) -> float:
     """min K over [0, ell], cached on the profile (immutable after build)."""
     cached = getattr(p, "_min_curvature", None)
     if cached is None:
         K0 = float(p.curvature(0.0))
         K1 = float(p.curvature(p.ell))
         _, neg = grid_sup(lambda t: -np.asarray(p.curvature(t)), 0.0, p.ell,
-                          n=n, endpoint_values=(-K0, -K1))
+                          n=SUP_GRID, endpoint_values=(-K0, -K1))
         cached = -neg
         p._min_curvature = cached
     return cached
@@ -141,9 +144,9 @@ class ContactBoundsReport:
         return out
 
 
-def contact_interval(p: ProfileFunction, n: int = 4096) -> ContactBoundsReport:
+def contact_interval(p: ProfileFunction) -> ContactBoundsReport:
     """Certified contact report: intervals from the m_gamma quadratic."""
-    mg, t_star = _m_gamma_argmax(p, n=n)
+    mg, t_star = _m_gamma_argmax(p)
     thr = km_positive_threshold(p)
     if mg < 2.0:
         return ContactBoundsReport(mg, t_star, None, None,
@@ -153,6 +156,6 @@ def contact_interval(p: ProfileFunction, n: int = 4096) -> ContactBoundsReport:
                                ((0.0, lo), (hi, np.inf)), thr)
 
 
-def h_min(p: ProfileFunction, m: float, n: int = 4096) -> float:
+def h_min(p: ProfileFunction, m: float) -> float:
     """Certified lower bound m^2 + 1 - m * m_gamma for h over the unit bundle."""
-    return reeb_factor(m, m_gamma(p, n=n), 1.0, 1.0)
+    return reeb_factor(m, m_gamma(p), 1.0, 1.0)

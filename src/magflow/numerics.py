@@ -222,7 +222,8 @@ def _dense(rec, step, s, n):
 
 
 class StepSizeError(RuntimeError):
-    """The DOP853 step size fell below the spacing of floats at t."""
+    """The DOP853 step size fell below the spacing of floats at t, or the
+    right-hand side is not finite at an accepted state."""
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,9 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     the components listed in angles, which get atol + rtol * pi: an angle
     that grows without bound would otherwise loosen its own tolerance as it
     grows. A step size that falls below ten float spacings of t raises
-    StepSizeError. t_eval points must be ordered from t0 toward t1;
+    StepSizeError, naming the first non-finite stage value of the rejected
+    steps; a right-hand side that is not finite at an accepted state raises
+    it at once. t_eval points must be ordered from t0 toward t1;
     the steps that contain them are kept and their dense output is
     evaluated in one numpy pass at the end. event(t, y), when given, is
     terminal: the run stops at the first root of event along the step's
@@ -275,6 +278,7 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     stages = [(_C[s], _kernel(_A[s], n)) for s in range(1, _STAGES)]
     advance, e5_sum, e3_sum = (_kernel(rule, n) for rule in (_B, _E5, _E3))
     t, f = t0, fun(t0, y)
+    _nonfinite([f], t, 0.0)
     h_abs = _initial_step(fun, t0, y, f, t1, d, scale(y, y))
     nfev = 2
     g = event(t0, y) if event is not None else None
@@ -282,11 +286,11 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     while d * (t - t1) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(h_abs, min_step)
-        rejected = False
+        rejected, nonfinite = False, ""
         while True:
             if h_abs < min_step:
-                raise StepSizeError(f"dop853: step size below "
-                                    f"{min_step:.3g} at t = {t!r}")
+                raise StepSizeError(f"dop853: step size below {min_step:.3g}"
+                                    f" at t = {t!r}{nonfinite}")
             t_new = t + d * h_abs
             if d * (t_new - t1) > 0.0:
                 t_new = t1
@@ -309,6 +313,8 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
                                                      0.9 * err ** -0.125)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
+            if not math.isfinite(err):
+                nonfinite = nonfinite or _nonfinite(K, t, h)
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
         row = None
@@ -340,6 +346,23 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     step = np.repeat(np.arange(len(counts)), counts)
     s = np.array(t_eval[:done])
     return OdeRun(s, _dense(rec, step, s, n), t, tuple(y), nfev, terminated)
+
+
+def _nonfinite(K, t, h):
+    """Where the first non-finite value among the stages K of a step from t
+    by h lies, as a clause of a StepSizeError message, empty if none. A
+    non-finite first stage, the right-hand side at the accepted state, is
+    raised at once: no step size can mend it."""
+    for s, k in enumerate(K):
+        for i, x in enumerate(k):
+            if not math.isfinite(x):
+                where = f"component {i} = {x!r} at t = {t + _C[s] * h!r}"
+                if s == 0:
+                    raise StepSizeError(f"dop853: right-hand side not finite"
+                                        f" at an accepted state, {where}")
+                return f"; rejected steps met a non-finite right-hand side, " \
+                       f"first {where}"
+    return ""
 
 
 def _step_row(fun, t, h, y, y_new, K):

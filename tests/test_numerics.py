@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from magflow.numerics import (
     GOLDEN,
+    StepSizeError,
     _A,
     _B,
     _E3,
@@ -161,6 +162,45 @@ class TestDop853:
             run = dop853(fun, 0.0, (1000.0,), 50.0, angles=angles)
             err[angles] = abs(run.y_end[0] - 1000.0 - np.sin(50.0))
         assert err[(0,)] < 1e-12 < 1e-11 < err[()]
+
+    def test_nan_at_t0_raises_at_once(self):
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return (1.0, float("nan"))
+        with pytest.raises(StepSizeError, match=r"not finite at an accepted "
+                                                r"state, component 1 = nan "
+                                                r"at t = 0\.0"):
+            dop853(fun, 0.0, (1.0, 2.0), 1.0)
+        assert len(calls) <= 1
+
+    def test_nan_at_an_accepted_state_raises_at_once(self):
+        # the last stage of a step, at its end, is not in the error
+        # estimate: call 14 (initial slope, step probe, 12 per step) is the
+        # last of the first step, which is accepted; the second step's
+        # first trial is rejected and raises
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return (float("nan") if len(calls) == 14 else -y[0],)
+        with pytest.raises(StepSizeError, match="not finite at an accepted "
+                                                "state, component 0 = nan") \
+                as info:
+            dop853(fun, 0.0, (1.0,), 1.0)
+        assert str(info.value).endswith(f"t = {calls[13]!r}")
+        assert len(calls) == 14 + 12
+
+    def test_collapse_names_the_nonfinite_stage(self):
+        # NaN past t = 0.25: steps are rejected until h collapses below the
+        # spacing of floats just short of 0.25
+        def fun(t, y):
+            return (float("nan") if t >= 0.25 else -y[0],)
+        with pytest.raises(StepSizeError, match=r"step size below .* "
+                           r"non-finite right-hand side, first component 0 "
+                           r"= nan at t = 0\.25"):
+            dop853(fun, 0.0, (1.0,), 1.0)
 
     def test_empty_span(self):
         run = dop853(lambda t, y: (1.0,), 2.0, (3.0,), 2.0, [2.0, 2.0])

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from magflow.profiles import (
     EllipsoidProfile,
@@ -41,6 +43,56 @@ def fd_check(p, t, tol):
     assert np.max(np.abs(fd1 - p.dgamma(t))) < tol
     assert np.max(np.abs(fd2 - p.ddgamma(t))) < tol
     assert np.max(np.abs(fdG - p.gamma(t))) < tol
+
+
+def check_point_jet(p, seed, extra=()):
+    """point_jet against jet(t, 1) on 2e5 random points, the points extra
+    and points 1e-12 outside [0, ell]: within 4 ulp of 1, since every
+    column is O(1), and bitwise on the closed-form sphere."""
+    t = np.concatenate([
+        np.random.default_rng(seed).uniform(0.0, p.ell, 200000),
+        extra, [-1e-12, p.ell + 1e-12]])
+    want = np.column_stack(p.jet(t, 1))
+    at = p.point_jet()
+    got = np.array([at(ti) for ti in t.tolist()])
+    tol = 0.0 if isinstance(p, SphereProfile) else 4 * np.spacing(1.0)
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def collar_oracle(p, s):
+    """(gamma, gamma', gamma'', Gamma) of a stretched profile at s in its
+    collar, from first principles: F(t) = s inverted by brentq, the chain
+    rule through F, and Gamma from an adaptive quadrature of the weighted
+    area."""
+    base, bump, c, C = p.base, p.bump, p.center, p.C
+    w = bump.half_width
+    t = brentq(lambda t: t + 2 * C * (float(bump.cumulative(t - c)) + 0.5)
+               - s, c - w, c + w, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    g, dg, ddg, G = (float(v) for v in base.jet(t, 2))
+    dF = 1.0 + 2 * C * float(bump.density(t - c))
+    ddF = 2 * C * float(bump.ddensity(t - c))
+    swept, _ = quad(lambda u: float(base.gamma(u)) * float(bump.density(u - c)),
+                    c - w, t, epsabs=1e-16, epsrel=1e-14, limit=200)
+    return g, dg / dF, ddg / dF**2 - dg * ddF / dF**3, G + 2 * C * swept
+
+
+# quad reaches the roundoff floor of the weighted area before epsabs
+_QUAD_ROUNDOFF = "ignore::scipy.integrate.IntegrationWarning"
+
+
+def check_collar(p, seed, n=40):
+    """The tabulated collar against collar_oracle at random points and at
+    points crowding both seams."""
+    lo, hi = p._s_lo, p._s_hi
+    edge = np.geomspace(1e-9, 1e-2, 8)
+    s = np.concatenate([np.random.default_rng(seed).uniform(lo, hi, n),
+                        lo + edge, hi - edge])
+    want = np.array([collar_oracle(p, si) for si in s])
+    got = np.column_stack(p.jet(s, 2))
+    err = np.max(np.abs(got - want), axis=0)
+    assert err[0] <= 1e-13 and err[3] <= 1e-13, err
+    assert err[1] <= 1e-10, err
+    assert err[2] <= 1e-8 * np.max(np.abs(want[:, 2])), err
 
 
 _SAMPLES = np.linspace(0, np.pi, 201)
@@ -76,9 +128,10 @@ def test_scalar_and_array_agree(build):
         for a, b in zip(p.jet(float(t[k]), 3), jet):
             assert np.ndim(a) == 0
             assert float(a) == pytest.approx(b[k], rel=1e-14, abs=1e-14)
-    # the flow's point evaluator returns floats; the base class wraps jet
+    # the flow's point evaluator returns floats; on the spindle the points
+    # cover both round caps and the collar
     at = p.point_jet()
-    for k in (0, 4, len(t) - 1):
+    for k in range(len(t)):
         got = at(float(t[k]))
         assert all(type(v) is float for v in got)
         assert got == pytest.approx((jet[0][k], jet[1][k], jet[4][k]),
@@ -156,21 +209,12 @@ class TestEllipsoid:
 
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.3, 2.0, 4.0])
     def test_point_jet_matches_jet(self, ratio):
-        # Taylor tables against the spline's own evaluation, within 4 ulp
-        # of 1 (every column is O(1)), and the closed-form sphere (ratio 1)
-        # bitwise: 2e5 random points, every knot, and points 1e-12 outside
-        # [0, ell]
+        # Taylor tables against the spline's own evaluation at every knot
+        # too; ratio 1 is the closed-form sphere
         p = make_ellipsoid(ratio)
-        sphere = isinstance(p, SphereProfile)
-        knots = [] if sphere else np.unique(p._sp.t[p._sp.k:-p._sp.k])
-        t = np.concatenate([
-            np.random.default_rng(int(10 * ratio)).uniform(0.0, p.ell, 200000),
-            knots, [-1e-12, p.ell + 1e-12]])
-        want = np.column_stack(p.jet(t, 1))
-        at = p.point_jet()
-        got = np.array([at(ti) for ti in t.tolist()])
-        tol = 0.0 if sphere else 4 * np.spacing(1.0)
-        assert np.max(np.abs(got - want)) <= tol
+        sp = None if isinstance(p, SphereProfile) else p._table.sp
+        check_point_jet(p, int(10 * ratio),
+                        [] if sp is None else np.unique(sp.t[sp.k:-sp.k]))
 
     def test_make_ellipsoid_unit_ratio_is_sphere(self):
         assert isinstance(make_ellipsoid(1.0), SphereProfile)
@@ -232,16 +276,50 @@ class TestStretch:
     def test_inverse_roundtrip_and_smoothness(self):
         C = 0.25
         p = StretchedProfile(self.base, C, self.bump, self.center)
-        s = np.linspace(0, p.ell, 769)
-        t = p._G(s)
-        F = t + 2 * C * (self.bump.cumulative(t - self.center) + 0.5)
-        mid = (s > p._s_lo) & (s < p._s_hi)
-        assert np.max(np.abs(F[mid] - s[mid])) < 1e-12
         # derivative fields stay consistent across the collar seams
         seam = np.array([p._s_lo - 1e-3, p._s_lo + 1e-3,
                          p._s_hi - 1e-3, p._s_hi + 1e-3])
         fd_check(p, np.concatenate([seam, np.linspace(0.3, p.ell - 0.3, 31)]),
                  2e-6)
+
+    def test_bump_keeps_precision_at_its_edges(self):
+        # R + 1/2 is the mass of rho left of x, tiny near the left edge
+        w = self.bump.half_width
+        for x in -w + w * np.geomspace(1e-3, 1.0, 7):
+            mass, _ = quad(self.bump.density, -w, x, epsabs=0.0,
+                           epsrel=1e-13)
+            assert float(self.bump.cumulative(x)) + 0.5 == pytest.approx(
+                mass, rel=1e-12)
+            assert float(self.bump.cumulative(-x)) == -float(
+                self.bump.cumulative(x))
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_spindle(0.07, 0.2),
+        lambda: make_spindle(0.8 / 11, 0.2),
+        lambda: make_negative_action(0.1, 0.9)[0],
+    ], ids=["spindle", "bigm", "negative-action"])
+    @pytest.mark.filterwarnings(_QUAD_ROUNDOFF)
+    def test_collar_against_inversion_oracle(self, build):
+        check_collar(build(), 13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.03, 0.3), st.floats(0.05, 0.5))
+    @pytest.mark.filterwarnings(_QUAD_ROUNDOFF)
+    def test_spindle_collars_against_inversion_oracle(self, delta, eps):
+        check_collar(make_spindle(delta, eps), 17, n=16)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_spindle(0.07, 0.2),
+        lambda: make_negative_action(0.1, 0.9)[0],
+    ], ids=["spindle", "negative-action"])
+    def test_point_jet_matches_jet(self, build):
+        # the base's point_jet in the rigid zones, the collar's Taylor table
+        # between them: every collar knot, both seams and 1e-12 around them
+        p = build()
+        sp = p._collar.sp
+        seams = np.array([p._s_lo, p._s_hi])
+        check_point_jet(p, 3, np.concatenate([
+            np.unique(sp.t[sp.k:-sp.k]), seams - 1e-12, seams + 1e-12]))
 
     def test_normalize_stretch(self):
         p = normalize_stretch(self.base, self.bump)
