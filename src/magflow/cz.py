@@ -51,8 +51,8 @@ class FrameError(RuntimeError):
 # -- pointwise frame data --------------------------------------------------------
 
 
-def _fields(p: ProfileFunction, t, phi, m: float):
-    g, dg, ddg, G = map(float, p.jet(t, 2))
+def _fields(jet, t, phi, m: float):
+    g, dg, ddg, G = jet(t)
     if g <= 0.0:
         raise ContactPrimitiveError(f"frame evaluated at a pole: t = {t}")
     bt = G + dg
@@ -67,7 +67,7 @@ def _fields(p: ProfileFunction, t, phi, m: float):
 def frame_state(p: ProfileFunction, m: float, t0: float, phi0: float,
                 theta0: float = 0.0) -> np.ndarray:
     """Initial 9-vector (base point, Y1, Y2) with chi(Y_i)(0) = e_i."""
-    g, dg, ddg, G, bt, sp, cp, h = _fields(p, t0, phi0, m)
+    g, dg, ddg, G, bt, sp, cp, h = _fields(p.point_jet(), t0, phi0, m)
     rh = np.sqrt(h)
     H = np.array([-sp, (bt - dg) * cp / g, cp / g]) / rh
     X = np.array([cp, (bt - dg) * sp / g - m, sp / g]) / rh
@@ -76,8 +76,10 @@ def frame_state(p: ProfileFunction, m: float, t0: float, phi0: float,
 
 def linearized_rhs(p: ProfileFunction, m: float):
     """Reeb field and its exact linearization on (z, Y1, Y2), in floats."""
+    jet = p.point_jet()
+
     def rhs(tau, y):
-        g, dg, ddg, G, bt, sp, cp, h = _fields(p, y[0], y[1], m)
+        g, dg, ddg, G, bt, sp, cp, h = _fields(jet, y[0], y[1], m)
         gg, hh, msp, mcp = g * g, h * h, m * sp, m * cp
         F0, F1, F2 = mcp, 1.0 - m * dg * sp / g, msp / g
         h_t = -msp * ((g + ddg) * g - bt * dg) / gg   # (g + ddg) = beta_theta'

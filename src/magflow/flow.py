@@ -40,7 +40,7 @@ def flow_rhs(jet, m: float):
     """The generator for strength m, on a profile read through
     jet = p.point_jet()."""
     def rhs(s, y):
-        g, dg, _ = jet(y[0])
+        g, dg, _, _ = jet(y[0])
         sp, cp = math.sin(y[1]), math.cos(y[1])
         return (m * cp, 1.0 - m * dg * sp / g, m * sp / g)
     return rhs
@@ -106,7 +106,7 @@ def band_state(p: ProfileFunction, m: float, I: float,
     """State at the band midpoint of level I with t increasing (or not)."""
     tp = turning_points(p, m, I)
     t_mid = 0.5 * (tp.t_minus + tp.t_plus)
-    g, G = map(float, p.jet(t_mid, 0))
+    g, _, _, G = p.point_jet()(t_mid)
     sp = (I + G) / (m * g)
     if not (-1.0 < sp < 1.0):
         raise ValueError(f"level I = {I} has no interior point at t = {t_mid}")
@@ -117,7 +117,7 @@ def band_state(p: ProfileFunction, m: float, I: float,
 def _augmented_rhs(jet, m: float):
     """Flow rhs with a running integral of h appended."""
     def rhs(s, y):
-        g, dg, G = jet(y[0])
+        g, dg, _, G = jet(y[0])
         sp, cp = math.sin(y[1]), math.cos(y[1])
         return (m * cp, 1.0 - m * dg * sp / g, m * sp / g,
                 reeb_factor(m, G + dg, sp, g))

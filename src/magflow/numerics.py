@@ -24,6 +24,9 @@ from scipy.optimize import brentq
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 BISECT_MAX_ITER = 200
 NEWTON_MAX_ITER = 100
+# grid_sup's tie width: the refined values of mirror maxima differ by up to
+# about 100 ulp of the largest
+SUP_TIE_RTOL = 1e-12
 
 
 @lru_cache(maxsize=32)
@@ -68,7 +71,9 @@ def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
     endpoint_values, when given, stand in for f at a and b (useful when f is
     defined there only as a limit). The top_k interior local maxima of the
     grid values are each refined to xtol in the abscissa with scalar calls
-    of f. Returns (argmax, sup).
+    of f. Returns (argmax, sup): sup is the largest refined value, and
+    argmax the smallest abscissa whose value ties it within SUP_TIE_RTOL,
+    so mirror maxima that differ by roundoff report the same abscissa.
     """
     t = np.linspace(a, b, n + 2)[1:-1]
     v = np.asarray(f(t), dtype=float)
@@ -78,17 +83,16 @@ def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
     if idx.size == 0:
         idx = np.array([int(np.argmax(v))])
     order = np.argsort(-v[idx], kind="stable")
-    best_x, best_v = None, -np.inf
+    found = []
     for i in idx[order[:top_k]]:
         lo = t[i - 1] if i > 0 else a
         hi = t[i + 1] if i < t.size - 1 else b
-        x, fx = golden_max(lambda s: float(f(s)), lo, hi, tol=xtol)
-        if fx > best_v:
-            best_x, best_v = x, fx
-    for te, ve in zip((a, b), endpoint_values):
-        if ve is not None and ve > best_v:
-            best_x, best_v = te, ve
-    return best_x, best_v
+        found.append(golden_max(lambda s: float(f(s)), lo, hi, tol=xtol))
+    found += [(te, ve) for te, ve in zip((a, b), endpoint_values)
+              if ve is not None]
+    best = max(fx for _, fx in found)
+    floor = best - SUP_TIE_RTOL * max(1.0, abs(best))
+    return min(x for x, fx in found if fx >= floor), best
 
 
 def bisect_root(f, a: float, b: float, tol: float = 1e-10):

@@ -18,21 +18,25 @@ Profiles are evaluated through one method, jet(t, order), which returns
 (gamma, gamma', ..., gamma^(order), Gamma) from a single evaluation and is
 vectorized over numpy arrays; gamma, dgamma, ddgamma, dddgamma, Gamma and
 curvature are views of it. point_jet() returns a scalar evaluator of
-(gamma, gamma', Gamma) for the flow's right-hand sides, which agrees with
-jet to a few ulp. The kinds without a closed form, the ellipsoid and the
-collar of a stretched profile, sample their exact jets once at build and
-interpolate them with one _ColumnSpline, so no evaluation solves or
-inverts anything. Evaluation does not clamp or raise outside
-[0, ell]; callers that integrate ODEs may probe a few ulps past the ends and
-receive the natural smooth extension of the representation.
+(gamma, gamma', gamma'', Gamma) on Python floats, built once per profile
+and cached on it, which agrees with jet(t, 2) to a few ulp; the flows,
+the linearized flow and the Newton polishes read the profile through it.
+The kinds without a closed form, the ellipsoid and the collar of a
+stretched profile, sample their exact jets once at build and interpolate
+them with one _ColumnSpline, so no evaluation solves or inverts anything.
+Evaluation does not clamp or raise outside [0, ell]; callers that
+integrate ODEs may probe a few ulps past the ends and receive the natural
+smooth extension of the representation.
 """
 from __future__ import annotations
 
 import json
 import math
+import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -45,6 +49,7 @@ from .numerics import gauss_nodes
 _POLE_BAND = 1e-3
 _TABLE_CELLS = 4096     # cells of the grid a tabulated kind samples on
 _VALIDATE_CELLS = 2048  # cells of validate's grid
+_BLOCK_BITS = 8         # a point jet fills its Taylor table 256 cells at a time
 
 
 class ProfileFunction:
@@ -64,16 +69,25 @@ class ProfileFunction:
         raise NotImplementedError
 
     def point_jet(self):
-        """A float -> (gamma, gamma', Gamma) callable for one point at a time.
+        """A float -> (gamma, gamma', gamma'', Gamma) callable for one point
+        at a time, built on the first call and cached on the profile
+        (immutable after build) as _point_jet.
 
-        The flow's right-hand sides call it on Python floats. It agrees with
-        jet(t, 1) to a few ulp; any table a subclass builds for it lives as
-        long as the callable does. Of the builtin kinds only sampled
-        profiles use this wrapper of jet.
+        The flows' right-hand sides, the linearized flow and the Newton
+        polishes call it on Python floats. It agrees with jet(t, 2) to a
+        few ulp of each column's largest value.
         """
+        at = getattr(self, "_point_jet", None)
+        if at is None:
+            at = self._point_jet = self._build_point_jet()
+        return at
+
+    def _build_point_jet(self):
+        """The evaluator point_jet caches; of the builtin kinds only sampled
+        profiles use this wrapper of jet."""
         def at(t):
-            g, dg, G = self.jet(t, 1)
-            return float(g), float(dg), float(G)
+            g, dg, ddg, G = self.jet(t, 2)
+            return float(g), float(dg), float(ddg), float(G)
         return at
 
     def gamma(self, t):
@@ -139,16 +153,16 @@ class SphereProfile(ProfileFunction):
         # antiderivative with Gamma(0) = -1
         return (*derivs, -1.0 + a**2 * (1.0 - cos))
 
-    def point_jet(self):
-        """jet(t, 1) with math in place of numpy: the same operations in
+    def _build_point_jet(self):
+        """jet(t, 2) with math in place of numpy: the same operations in
         the same order, so equal to jet bitwise wherever numpy's scalar sin
         and cos round as the C library's do."""
         a, a2 = self.radius, self.radius**2
 
         def at(t):
             u = t / a
-            cos = math.cos(u)
-            return a * math.sin(u), cos, -1.0 + a2 * (1.0 - cos)
+            sin, cos = math.sin(u), math.cos(u)
+            return a * sin, cos, -sin / a, -1.0 + a2 * (1.0 - cos)
         return at
 
     def gamma_integral(self) -> float:
@@ -174,44 +188,57 @@ class _ColumnSpline:
         return (*derivs, v[..., 3])
 
     def point_jet(self):
-        """Columns (gamma, gamma', Gamma) of the spline as local Taylor
-        polynomials about the midpoint of each knot interval, found by
-        bisection and summed by Horner's rule.
+        """The four columns of the spline as local Taylor polynomials about
+        the midpoint of each knot interval, found by bisection on the knots
+        and summed by Horner's rule.
 
         The value at each midpoint comes from de Boor's recursion on the
         coefficients less the interval's first one, which are O(h) small,
-        so it is rounded once; the derivatives come from the spline. The
-        table (about 4096 x 18 doubles, 0.6 MB as an array; a list of
-        Python floats would take four times that) is built on each call.
+        so it is rounded once; the derivatives come from the spline. Each
+        interval takes 24 doubles, highest power first, read by one
+        struct unpack from an array('d') per block of 2**_BLOCK_BITS
+        intervals (49 kB). A block is filled on its first read: the
+        linearized flow on a latitude reads one of the 16, where a whole
+        table would hold 0.79 MB for every profile that is read at one
+        point. The knots are a list (0.13 MB), and each call rounds the
+        midpoint 0.5 * (x[i] + x[i + 1]) as numpy rounds it in the fill.
         """
-        sp, k, cols = self.sp, self.sp.k, [0, 1, 3]
-        x = np.unique(sp.t[k:-k])
-        left = np.searchsorted(sp.t, x[:-1], side="right") - 1
-        mid = 0.5 * (x[:-1] + x[1:])
-        base = sp.c[left - k][:, cols]
-        e = [sp.c[left - k + j][:, cols] - base for j in range(k + 1)]
-        knot = [sp.t[left + o][:, None] for o in range(-k, k + 1)]
-        for r in range(1, k + 1):
-            for j in range(k, r - 1, -1):
-                w = (mid[:, None] - knot[j]) / (knot[k + 1 + j - r] - knot[j])
-                e[j] = e[j - 1] + w * (e[j] - e[j - 1])
-        value = base + e[k]
-        del e, knot                     # before the table, to bound the peak
-        table = np.empty((len(mid), len(cols), k + 1))  # highest power first
-        for r in range(1, k + 1):
-            table[:, :, k - r] = sp(mid, nu=r)[:, cols] / math.factorial(r)
-        table[:, :, k] = value
-        coef = array("d")
-        coef.frombytes(memoryview(table).cast("B"))
-        inner, mid = x[1:-1].tolist(), mid.tolist()
+        sp, k = self.sp, self.sp.k
+        knots = np.unique(sp.t[k:-k]).tolist()
+        last = len(knots) - 1
+        bits, size = _BLOCK_BITS, 1 << _BLOCK_BITS
+        blocks = [None] * -(-last // size)
+        unpack = struct.Struct("24d").unpack_from
+
+        def fill(b):
+            xb = np.array(knots[b * size:(b + 1) * size + 1])
+            left = np.searchsorted(sp.t, xb[:-1], side="right") - 1
+            mid = 0.5 * (xb[:-1] + xb[1:])
+            base = sp.c[left - k]
+            e = [sp.c[left - k + j] - base for j in range(k + 1)]
+            knot = [sp.t[left + o][:, None] for o in range(-k, k + 1)]
+            for r in range(1, k + 1):
+                for j in range(k, r - 1, -1):
+                    w = ((mid[:, None] - knot[j])
+                         / (knot[k + 1 + j - r] - knot[j]))
+                    e[j] = e[j - 1] + w * (e[j] - e[j - 1])
+            table = np.empty((len(mid), 4, k + 1))
+            for r in range(1, k + 1):
+                table[:, :, k - r] = sp(mid, nu=r) / math.factorial(r)
+            table[:, :, k] = base + e[k]
+            blocks[b] = coef = array("d", table.tobytes())
+            return coef
 
         def at(t):
-            i = bisect_right(inner, t)
+            i = bisect_right(knots, t, 1, last) - 1
             (g5, g4, g3, g2, g1, g0, d5, d4, d3, d2, d1, d0,
-             G5, G4, G3, G2, G1, G0) = coef[18 * i:18 * i + 18]
-            u = t - mid[i]
+             c5, c4, c3, c2, c1, c0,
+             G5, G4, G3, G2, G1, G0) = unpack(
+                 blocks[i >> bits] or fill(i >> bits), 192 * (i & size - 1))
+            u = t - 0.5 * (knots[i] + knots[i + 1])
             return (((((g5 * u + g4) * u + g3) * u + g2) * u + g1) * u + g0,
                     ((((d5 * u + d4) * u + d3) * u + d2) * u + d1) * u + d0,
+                    ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0,
                     ((((G5 * u + G4) * u + G3) * u + G2) * u + G1) * u + G0)
         return at
 
@@ -270,7 +297,7 @@ class EllipsoidProfile(ProfileFunction):
         d3 = np.where(t > self.ell - _POLE_BAND, self.pole_curvature, d3)
         return (*jet[:3], d3, jet[4])
 
-    def point_jet(self):
+    def _build_point_jet(self):
         return self._table.point_jet()
 
     def gamma_integral(self) -> float:
@@ -372,17 +399,25 @@ class StretchBump:
         return {"half_width": self.half_width, "exponent": self.exponent}
 
 
+@lru_cache(maxsize=1)
 def _collar_area(base: ProfileFunction, bump: StretchBump, center: float):
     """The collar grid, uniform in the base parameter t over the bump's
     support, and the weighted area P(t), the integral of gamma_base rho from
-    its start to each point by 6-point Gauss quadrature on every cell."""
+    its start to each point by 6-point Gauss quadrature on every cell.
+
+    normalize_stretch needs P to choose C, and the StretchedProfile it then
+    builds needs the same P: the one-entry cache, keyed by the identity of
+    base and bump, serves the second call. Its arrays are read-only.
+    """
     w = bump.half_width
     t = np.linspace(center - w, center + w, _TABLE_CELLS + 1)
     x, wq = gauss_nodes(6)
     tt = t[:-1, None] + np.diff(t)[:, None] * x[None, :]
     f = np.asarray(base.gamma(tt)) * np.asarray(bump.density(tt - center))
     dP = (np.diff(t)[:, None] * wq[None, :] * f).sum(axis=1)
-    return t, np.concatenate(([0.0], np.cumsum(dP)))
+    P = np.concatenate(([0.0], np.cumsum(dP)))
+    t.flags.writeable = P.flags.writeable = False
+    return t, P
 
 
 class StretchedProfile(ProfileFunction):
@@ -441,7 +476,7 @@ class StretchedProfile(ProfileFunction):
             past, 2.0 * self.C * self.weighted_area, 0.0)
         return tuple(jet)
 
-    def point_jet(self):
+    def _build_point_jet(self):
         """The base's point_jet in the rigid zones and the collar's Taylor
         table between them."""
         base, collar = self.base.point_jet(), self._collar.point_jet()
@@ -453,8 +488,8 @@ class StretchedProfile(ProfileFunction):
                 return base(s)
             if s < hi:
                 return collar(s)
-            g, dg, G = base(s - shift)
-            return g, dg, G + lift
+            g, dg, ddg, G = base(s - shift)
+            return g, dg, ddg, G + lift
         return at
 
     def gamma_integral(self) -> float:

@@ -25,7 +25,7 @@ of I with a monotone envelope piece. Both envelopes and their slopes are
 tabulated once per (profile, m) from one jet evaluation, and cached on the
 profile with the invariant range and the two latitudes they give. The
 extrema and the crossings of a level are each bracketed between two table
-entries and polished by Newton's method on the same jet.
+entries and polished by Newton's method on the profile's point jet.
 
 All band integrals use Gauss-Chebyshev nodes on [t_minus, t_plus], whose
 weight 1 / sqrt((t - t_minus)(t_plus - t)) absorbs both inverse
@@ -53,6 +53,7 @@ from . import contact
 
 LATITUDE_BAND = 1e-6          # exclusion band around the pole values +-1
 LEVEL_BAND = 1e-3             # share of the invariant range padded at each end
+_EPS = float(np.finfo(float).eps)   # np.finfo costs microseconds per call
 
 
 class LevelRangeError(ValueError):
@@ -135,16 +136,17 @@ def _envelopes(p: ProfileFunction, m: float):
     t = np.linspace(0.0, p.ell, ENVELOPE_GRID + 2)
     g, dg, G = p.jet(t[1:-1], 1)
     # |m gamma'| = gamma <= max gamma at the root: the rounding error there
-    ftol = 8.0 * np.finfo(float).eps * float(np.max(g))
+    ftol = 8.0 * _EPS * float(np.max(g))
+    jet = p.point_jet()
     pieces, ext = {}, {}
     for name, sg in (("upper", 1), ("lower", -1)):
         def fdf(s, sg=sg):
-            gs, dgs, ddgs, _ = map(float, p.jet(s, 2))
+            gs, dgs, ddgs, _ = jet(s)
             return sg * m * dgs - gs, sg * m * ddgs - dgs
 
         t_ext = _one_root(fdf, t, np.r_[sg * m, sg * m * dg - g, -sg * m],
                           ftol, f"{name} envelope slope")
-        g_ext, G_ext = map(float, p.jet(t_ext, 0))
+        g_ext, _, _, G_ext = jet(t_ext)
         I_ext = sg * m * g_ext - G_ext
         ext[name] = t_ext, I_ext
         # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name,
@@ -197,14 +199,14 @@ def _crossing(p: ProfileFunction, m: float, I: float, piece: _Piece) -> float:
     Newton's method runs on the envelope, whose derivative +-m gamma' -
     gamma comes from the same jet as its value.
     """
-    sg = piece.sign
+    sg, jet = piece.sign, p.point_jet()
 
     def fdf(t):
-        g, dg, G = map(float, p.jet(t, 1))
+        g, dg, _, G = jet(t)
         return sg * m * g - G - I, sg * m * dg - g
 
     # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error of f
-    ftol = 8.0 * np.finfo(float).eps * (1.0 + abs(I))
+    ftol = 8.0 * _EPS * (1.0 + abs(I))
     return _one_root(fdf, piece.t, piece.I - I, ftol,
                      f"envelope piece minus I = {I}")
 
@@ -368,7 +370,7 @@ def latitude_action(p: ProfileFunction, t0: float) -> LatitudeOrbit:
     sign(gamma'), and its normalized action is (gamma^2 - gamma' Gamma) /
     gamma'^2, negative exactly when gamma' Gamma > gamma^2.
     """
-    g, dg, G = map(float, p.jet(t0, 1))
+    g, dg, _, G = p.point_jet()(float(t0))
     if abs(dg) < 1e-8:
         raise ValueError(f"equator-degenerate latitude at t0 = {t0}: "
                          f"gamma'({t0}) = {dg:.3g}")

@@ -24,7 +24,12 @@ from magflow.contact import (
     magnetic_curvature,
     min_curvature,
 )
-from magflow.profiles import make_ellipsoid, make_sphere, make_spindle
+from magflow.profiles import (
+    make_ellipsoid,
+    make_sphere,
+    make_spindle,
+    parse_profile_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +101,19 @@ class TestIntervalQuadratic:
         d = rep.to_dict()
         assert d["m_gamma"] == rep.m_gamma
         assert any("certified" in ln for ln in rep.lines())
+
+
+class TestMirrorTies:
+    @pytest.mark.parametrize("spec", ["spindle:0.0727272727:0.2",
+                                      "ellipsoid:1.5"])
+    def test_t_star_on_the_near_half(self, spec):
+        # profiles symmetric about their equator attain m_gamma twice, at
+        # values that differ by roundoff; t_star is the smaller abscissa
+        p = parse_profile_spec(spec)
+        rep = contact_interval(p)
+        assert rep.t_star < 0.5 * p.ell
+        mirror = abs(beta_ratio(p, p.ell - rep.t_star))
+        assert mirror == pytest.approx(rep.m_gamma, rel=1e-9)
 
 
 class TestMagneticCurvature:

@@ -34,10 +34,16 @@ from magflow.cz import (
     path_deviation,
     winding_interval,
 )
-from magflow.flow import band_state, flow_rhs
+from magflow.contact import min_curvature
+from magflow.flow import band_state, flow_rhs, integrate, level_average_ode
 from magflow.numerics import StepSizeError
-from magflow.profiles import make_ellipsoid, make_sphere
-from magflow.reduced import birkhoff_action, find_latitude
+from magflow.profiles import make_ellipsoid, make_sphere, parse_profile_spec
+from magflow.reduced import (
+    birkhoff_action,
+    find_latitude,
+    regular_levels,
+    turning_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +404,30 @@ class TestConvexityReport:
         lines = rep.lines()
         assert len(lines) == 4
         assert "holds" in lines[-1]
+
+
+class TestScalarReads:
+    @pytest.mark.parametrize("spec, m", [
+        ("sphere", 0.8), ("ellipsoid:1.3", 0.8),
+        ("spindle:0.07:0.2", 0.04),   # contact certified for m < 0.0503
+    ])
+    def test_no_scalar_jet_in_the_flows(self, spec, m, monkeypatch):
+        # the flows, the linearized flow and the turning points read the
+        # profile pointwise through point_jet alone; the per-profile
+        # min_curvature cache, whose refinement needs gamma''', is warmed
+        p = parse_profile_spec(spec)
+        min_curvature(p)
+        jet, scalar = p.jet, []
+
+        def counted(t, order=1):
+            if np.ndim(t) == 0:
+                scalar.append((t, order))
+            return jet(t, order)
+        monkeypatch.setattr(p, "jet", counted)
+        I = float(regular_levels(p, m, 5)[1])
+        turning_points(p, m, I)
+        level_average_ode(p, m, I)
+        state = band_state(p, m, I)
+        integrate(p, m, state, 5.0, n_out=11)
+        integrate_linearized(p, m, frame_state(p, m, *state), 1.0, n_out=65)
+        assert scalar == []

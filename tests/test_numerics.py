@@ -80,6 +80,18 @@ class TestGridSup:
         x, v = grid_sup(f, 0.0, 1.0, n=128, endpoint_values=(2.0, None))
         assert x == 0.0 and v == 2.0
 
+    def test_mirror_tie_takes_smaller_abscissa(self):
+        # twin humps whose refined maxima differ by roundoff: the sup is
+        # the larger value, its abscissa the smaller one of the pair
+        for lift in (0.0, 1e-15, -1e-15):
+            f = lambda t, lift=lift: (np.exp(-40 * (t - 0.3) ** 2)
+                                      + (1.0 + lift)
+                                      * np.exp(-40 * (t - 0.7) ** 2))
+            x, v = grid_sup(f, 0.0, 1.0, n=256)
+            assert x < 0.5
+            assert v >= float(f(x)) >= v - 1e-12
+            assert v >= float(f(1.0 - x)) >= v - 1e-12
+
     def test_monotone_no_interior_max(self):
         x, v = grid_sup(lambda t: np.asarray(t), 0.0, 1.0, n=64)
         assert v == pytest.approx(1.0, abs=1e-2)

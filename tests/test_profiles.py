@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from magflow import profiles
 from magflow.profiles import (
     EllipsoidProfile,
     SphereProfile,
@@ -46,17 +47,19 @@ def fd_check(p, t, tol):
 
 
 def check_point_jet(p, seed, extra=()):
-    """point_jet against jet(t, 1) on 2e5 random points, the points extra
-    and points 1e-12 outside [0, ell]: within 4 ulp of 1, since every
-    column is O(1), and bitwise on the closed-form sphere."""
+    """point_jet against jet(t, 2) on 2e5 random points, the points extra
+    and points 1e-12 outside [0, ell]: within 4 ulp of each column's scale,
+    1 for gamma, gamma' and Gamma, which are O(1), and max |gamma''| for
+    gamma''; bitwise on the closed-form sphere."""
     t = np.concatenate([
         np.random.default_rng(seed).uniform(0.0, p.ell, 200000),
         extra, [-1e-12, p.ell + 1e-12]])
-    want = np.column_stack(p.jet(t, 1))
+    want = np.column_stack(p.jet(t, 2))
     at = p.point_jet()
     got = np.array([at(ti) for ti in t.tolist()])
+    scale = np.array([1.0, 1.0, np.max(np.abs(want[:, 2])), 1.0])
     tol = 0.0 if isinstance(p, SphereProfile) else 4 * np.spacing(1.0)
-    assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(got - want) / scale) <= tol
 
 
 def collar_oracle(p, s):
@@ -128,14 +131,18 @@ def test_scalar_and_array_agree(build):
         for a, b in zip(p.jet(float(t[k]), 3), jet):
             assert np.ndim(a) == 0
             assert float(a) == pytest.approx(b[k], rel=1e-14, abs=1e-14)
-    # the flow's point evaluator returns floats; on the spindle the points
-    # cover both round caps and the collar
+    # the point evaluator returns floats, and is built once per profile;
+    # on the spindle the points cover both round caps and the collar
     at = p.point_jet()
+    assert p.point_jet() is at
+    ddg_scale = float(np.max(np.abs(jet[2])))
     for k in range(len(t)):
-        got = at(float(t[k]))
+        g, dg, ddg, G = got = at(float(t[k]))
         assert all(type(v) is float for v in got)
-        assert got == pytest.approx((jet[0][k], jet[1][k], jet[4][k]),
-                                    rel=1e-14, abs=1e-14)
+        assert (g, dg, G) == pytest.approx((jet[0][k], jet[1][k], jet[4][k]),
+                                           rel=1e-14, abs=1e-14)
+        assert ddg == pytest.approx(jet[2][k], rel=1e-14,
+                                    abs=1e-14 * ddg_scale)
     if isinstance(p, EllipsoidProfile):
         # the third derivative is pinned to its exact pole limit
         assert jet[3][0] == jet[3][1] == -p.pole_curvature
@@ -320,6 +327,14 @@ class TestStretch:
         seams = np.array([p._s_lo, p._s_hi])
         check_point_jet(p, 3, np.concatenate([
             np.unique(sp.t[sp.k:-sp.k]), seams - 1e-12, seams + 1e-12]))
+
+    def test_collar_area_once_per_build(self):
+        # normalize_stretch's quadrature serves the constructor it calls
+        profiles._collar_area.cache_clear()
+        make_spindle(0.07, 0.2)
+        assert profiles._collar_area.cache_info().misses == 1
+        t, P = profiles._collar_area(self.base, self.bump, self.center)
+        assert not (t.flags.writeable or P.flags.writeable)
 
     def test_normalize_stretch(self):
         p = normalize_stretch(self.base, self.bump)
