@@ -278,7 +278,11 @@ class KnotPolyline:
         mid_p, mid_q = P[:-1] + 0.5 * u, Q[:-1] + 0.5 * v
         tree_q = cKDTree(mid_q)
         slack = 0.5 * (np.max(quat_norm(u)) + np.max(quat_norm(v)))
+        # best, the pruning radius, starts at the closest midpoints; the
+        # result is the least segment distance evaluated, which can exceed
+        # that seed by roundoff when the polygons nearly coincide
         best = float(np.min(tree_q.query(mid_p)[0]))
+        least = np.inf
         for lo in range(0, len(mid_p), _ROWS):
             pairs = cKDTree(mid_p[lo:lo + _ROWS]).sparse_distance_matrix(
                 tree_q, best + slack, output_type="ndarray")
@@ -288,9 +292,10 @@ class KnotPolyline:
             lean = np.abs(_dot(m, u[i])) + np.abs(_dot(m, v[j]))
             keep = gap - lean <= best * best + _EPS4 * (gap + lean)
             i, j = i[keep], j[keep]
-            best = min(best, float(np.min(
-                _segment_distance(P[i], u[i], Q[j], v[j]), initial=best)))
-        return best
+            least = min(least, float(np.min(
+                _segment_distance(P[i], u[i], Q[j], v[j]), initial=least)))
+            best = min(best, least)
+        return least
 
     def to_json_list(self):
         return [[float(c) for c in row] for row in self.points]

@@ -1,13 +1,13 @@
 """Small numerical helpers shared across modules.
 
 Grid-plus-golden-section extremum search, bracketed root finding by
-bisection and by safeguarded Newton steps, cached Gauss-Legendre nodes, and
-the DOP853 stepper that every ODE of the package integrates with: the
-flow, its level sections and the linearized flow behind the
-Conley-Zehnder indices. The stepper's stage sums are straight-line
-functions generated once per (tableau row, state length). Everything here
-is deterministic: fixed grids, fixed iteration budgets, ties broken toward
-smaller abscissae.
+safeguarded Newton steps, cached Gauss-Legendre nodes, and the DOP853
+stepper that every ODE of the package integrates with: the flow, its
+level sections and the linearized flow behind the Conley-Zehnder
+indices. The stepper's stage sums are straight-line functions generated
+once per (tableau row, state length). Everything here is deterministic:
+fixed grids, fixed iteration budgets, ties broken toward smaller
+abscissae.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-BISECT_MAX_ITER = 200
 NEWTON_MAX_ITER = 100
 # grid_sup's tie width: the refined values of mirror maxima differ by up to
 # about 100 ulp of the largest
@@ -93,33 +92,6 @@ def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
     best = max(fx for _, fx in found)
     floor = best - SUP_TIE_RTOL * max(1.0, abs(best))
     return min(x for x, fx in found if fx >= floor), best
-
-
-def bisect_root(f, a: float, b: float, tol: float = 1e-10):
-    """Plain bisection; f(a) and f(b) must have opposite signs.
-
-    Raises RuntimeError when the bracket is still wider than tol after
-    BISECT_MAX_ITER halvings (only possible for tol below the spacing of
-    floats near the root).
-    """
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisect_root: no sign change on bracket")
-    for _ in range(BISECT_MAX_ITER):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) < tol:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    raise RuntimeError(f"bisect_root: bracket [{a!r}, {b!r}] still wider "
-                       f"than tol = {tol} after {BISECT_MAX_ITER} halvings")
 
 
 def newton_root(fdf, a: float, b: float, fa: float, fb: float,

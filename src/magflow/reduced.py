@@ -44,15 +44,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .numerics import bisect_root, newton_root
+from .numerics import newton_root
 from .profiles import ProfileFunction
 from . import contact
 
 LATITUDE_BAND = 1e-6          # exclusion band around the pole values +-1
 LEVEL_BAND = 1e-3             # share of the invariant range padded at each end
+POLE_GAP = 1e-3               # closure brackets keep this far from +-1
 _EPS = float(np.finfo(float).eps)   # np.finfo costs microseconds per call
 
 
@@ -502,15 +505,28 @@ def orbit_closure(level: ReducedLevel, q_max: int = 64,
 
 def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                       q_max: int = 8, tol: float = 1e-9) -> list:
-    """Levels whose winding is a low rational p/q, by scan plus bisection.
+    """Levels whose winding is a low rational p/q, by scan plus Brent's method.
 
-    Returns (level, ClosureInfo) pairs with the level re-solved by
-    bisection to tol in I and kept only when q * winding lies within
-    1e-6 q of p, the tolerance of orbit_closure; consumed by period scans.
+    Returns (level, ClosureInfo) pairs: exact hits at the regular levels,
+    and the roots of q * winding - p between consecutive bracket nodes,
+    solved by brentq to tol in I and kept only when q * winding lies
+    within 1e-6 q of p, the tolerance of orbit_closure; consumed by period
+    scans. Across I = +-1 the winding jumps by exactly 1, and within about
+    1e-4 of a pole the quadrature's winding is wrong, so no bracket spans
+    a pole: the nodes are the regular levels at least POLE_GAP from +-1,
+    plus the levels at POLE_GAP on either side of each pole that lie
+    inside the grid. Quadratures are memoized by I within the call.
     """
+    level = cache(partial(birkhoff_action, p, m))
     levels = regular_levels(p, m, n_levels)
-    data = [birkhoff_action(p, m, float(I)) for I in levels]
-    wind = np.array([d.winding for d in data])
+    gap_ends = [pole + side * POLE_GAP for pole in (-1.0, 1.0)
+                for side in (-1.0, 1.0)]
+    nodes = sorted([I for I in map(float, levels)
+                    if abs(abs(I) - 1.0) >= POLE_GAP]
+                   + [I for I in gap_ends
+                      if np.any(levels < I) and np.any(levels > I)])
+    brackets = [(a, b) for a, b in zip(nodes, nodes[1:])
+                if not a < -1.0 < b and not a < 1.0 < b]
     found = {}
 
     def register(lv, q, pi):
@@ -524,28 +540,22 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                 winding=lv.winding))
 
     for q in range(1, q_max + 1):
-        qw = q * wind
         # exact hits at scan nodes (flat winding needs no bracketing)
-        for k in range(len(levels)):
-            if abs(qw[k] - round(qw[k])) < 1e-7 * q:
-                register(data[k], q, int(round(qw[k])))
-        for k in range(len(levels) - 1):
-            w0, w1 = qw[k], qw[k + 1]
+        for I in map(float, levels):
+            lv = level(I)
+            qw = q * lv.winding
+            if abs(qw - round(qw)) < 1e-7 * q:
+                register(lv, q, int(round(qw)))
+        for a, b in brackets:
+            w0, w1 = q * level(a).winding, q * level(b).winding
             lo_i, hi_i = int(np.floor(min(w0, w1))), int(np.ceil(max(w0, w1)))
             for pi in range(lo_i, hi_i + 1):
                 if (w0 - pi) * (w1 - pi) >= 0.0:
                     continue
                 if any(fr == Fraction(pi, q) for fr, _ in found):
                     continue
-                f = lambda I: q * birkhoff_action(p, m, I).winding - pi
-                try:
-                    I_star = bisect_root(f, float(levels[k]),
-                                         float(levels[k + 1]), tol=tol)
-                    lv = birkhoff_action(p, m, I_star)
-                except ValueError:
-                    continue
-                # the bracket may straddle the winding jump at I = +-1, onto
-                # which bisection converges without closing the orbit
+                lv = level(brentq(lambda I: q * level(I).winding - pi, a, b,
+                                  xtol=tol))
                 if abs(q * lv.winding - pi) <= 1e-6 * q:
                     register(lv, q, pi)
     return list(found.values())

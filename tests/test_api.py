@@ -26,7 +26,7 @@ ALLOWED_UNCALLED = {
     "rotation_matrix": "the covering map S^3 -> SO(3), the reference that "
                        "quat_from_rotation inverts",
     "orbit_closure": "closure of a single level, the reference for the "
-                     "closures rational_closures bisects",
+                     "closures rational_closures solves for",
 }
 
 

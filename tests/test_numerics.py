@@ -18,7 +18,6 @@ from magflow.numerics import (
     _E5,
     _EXTENDED,
     _kernel,
-    bisect_root,
     dop853,
     gauss_nodes,
     golden_max,
@@ -98,20 +97,6 @@ class TestGridSup:
 
 
 class TestRoots:
-    def test_bisect_root(self):
-        r = bisect_root(lambda t: t**3 - 2.0, 0.0, 2.0, tol=1e-12)
-        assert r == pytest.approx(2.0 ** (1 / 3), abs=1e-10)
-
-    def test_bisect_unconverged_raises(self):
-        # no float bracket around the jump at 1/3 is narrower than tol = 0
-        step = lambda t: -1.0 if t < 1.0 / 3.0 else 1.0
-        with pytest.raises(RuntimeError):
-            bisect_root(step, 0.0, 1.0, tol=0.0)
-
-    def test_bisect_requires_bracket(self):
-        with pytest.raises(ValueError):
-            bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
-
     def test_newton_root(self):
         fdf = lambda t: (t**3 - 2.0, 3.0 * t * t)
         r = newton_root(fdf, 0.0, 2.0, -2.0, 6.0)

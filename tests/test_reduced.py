@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from magflow import reduced
 from magflow.contact import contact_interval, h_min
 from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
                               parse_profile_spec)
@@ -24,6 +25,7 @@ from magflow.reduced import (
     LATITUDE_BAND,
     LEVEL_BAND,
     LevelRangeError,
+    POLE_GAP,
     SCAN_HEADER,
     I_hat,
     I_range,
@@ -392,15 +394,74 @@ class TestClosures:
             assert c.contractible   # q + p = 3 + 1 even on the mixed band
             assert lev.winding == pytest.approx(c.p / c.q, abs=1e-8)
 
-    def test_bisection_onto_winding_jump_is_not_a_closure(self):
-        # the winding jumps at I = +-1; a bracket straddling the jump
-        # bisects onto I ~ +-0.999994, where q * w misses p by 1.4e-5
-        p = make_ellipsoid(2.0)
-        found = rational_closures(p, 1.0021, n_levels=11, q_max=5)
+    def test_no_quadrature_at_the_winding_jump(self, monkeypatch):
+        # the winding jumps by 1 at I = +-1, and within about 1e-4 of it
+        # the quadrature's winding is wrong; no bracket comes nearer than
+        # POLE_GAP, so the orbits pair costs its 11 levels, the 4 gap ends
+        # and the brentq iterates, and no quadrature fails
+        calls, raised = [], []
+
+        def guarded(*args, **kwargs):
+            calls.append(args)
+            try:
+                return birkhoff_action(*args, **kwargs)
+            except ValueError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(reduced, "birkhoff_action", guarded)
+        found = rational_closures(make_ellipsoid(2.0), 1.0021, n_levels=11,
+                                  q_max=5)
+        assert len(calls) <= 40 and not raised
         assert found
         for lev, c in found:
             assert abs(c.q * lev.winding - c.p) <= 1e-6 * c.q
             assert abs(abs(lev.I) - 1.0) > 1e-5
+
+    def test_no_closure_in_the_pole_layer(self):
+        # within 1e-4 of I = 1 the quadrature's winding on ellipsoid:4 at
+        # m = 1 runs up through 1/2, which the true winding (about 0.49662
+        # there) never reaches; 3/2 just past the pole is a real closure
+        found = rational_closures(make_ellipsoid(4.0), 1.0, n_levels=41,
+                                  q_max=6)
+        assert all(abs(abs(lev.I) - 1.0) >= POLE_GAP for lev, _ in found)
+        assert not [c for _, c in found if (c.q, abs(c.p)) == (2, 1)]
+        for sign in (1, -1):
+            hit = [lev for lev, c in found if (c.q, c.p) == (2, 3 * sign)]
+            assert len(hit) == 1
+            assert hit[0].I == pytest.approx(sign * 1.0014361, abs=1e-7)
+
+    # (p, q, I) with I > 0 of criterion 9's four (ratio, m) pairs at 41
+    # levels and q <= 6; each set also holds 0/1 at I = 0 and the mirror
+    # (-p, q, -I) of every entry
+    FROZEN = {
+        (2.0, 1.0): [(1, 6, 0.986100559), (6, 5, 1.066859895),
+                     (5, 4, 1.178312843)],
+        (4.0, 0.5): [(1, 6, 0.968037039), (1, 5, 0.981118464),
+                     (1, 4, 0.997896389), (4, 3, 1.022191681),
+                     (7, 5, 1.040464011), (3, 2, 1.068172468)],
+        (4.0, 1.0): [(1, 6, 0.796067008), (1, 5, 0.829882291),
+                     (1, 4, 0.870449430), (1, 3, 0.922638262),
+                     (2, 5, 0.956723888), (3, 2, 1.001436104),
+                     (8, 5, 1.042774812), (5, 3, 1.069967734),
+                     (7, 4, 1.104604265), (9, 5, 1.126063110),
+                     (11, 6, 1.140744715)],
+        (3.0, 0.8): [(1, 6, 0.907549714), (1, 5, 0.941091042),
+                     (1, 4, 0.983886315), (4, 3, 1.045339335),
+                     (7, 5, 1.091226284), (3, 2, 1.160575944)],
+    }
+
+    @pytest.mark.parametrize("ratio, m", list(FROZEN))
+    def test_criterion_9_closures_frozen(self, ratio, m):
+        want = sorted([(0, 1, 0.0)] + [e for p, q, I in self.FROZEN[ratio, m]
+                                       for e in ((p, q, I), (-p, q, -I))],
+                      key=lambda e: e[2])
+        got = sorted(((c.p, c.q, lev.I) for lev, c in rational_closures(
+            make_ellipsoid(ratio), m, n_levels=41, q_max=6)),
+            key=lambda e: e[2])
+        assert [e[:2] for e in got] == [e[:2] for e in want]
+        for (_, _, I), (_, _, I_want) in zip(got, want):
+            assert I == pytest.approx(I_want, abs=1e-7)
 
 
 class TestVerdict:
