@@ -32,11 +32,6 @@ class ContactPrimitiveError(RuntimeError):
     """Raised when a run requires h > 0 but the primitive fails positivity."""
 
 
-def beta_theta(p: ProfileFunction, t):
-    _, dg, G = p.jet(t, 1)
-    return G + dg
-
-
 def reeb_factor(m: float, beta_theta, sin_phi, gamma):
     """h = m^2 + 1 - m beta_theta sin(phi) / gamma, the Reeb rescaling.
 
@@ -66,9 +61,9 @@ def m_gamma(p: ProfileFunction) -> float:
     return _m_gamma_argmax(p)[0]
 
 
-def m_plus_minus(mg: float, inf_f: float = 1.0):
-    """Roots of m^2 - mg m + inf_f; None when the discriminant is negative."""
-    disc = mg * mg - 4.0 * inf_f
+def m_plus_minus(mg: float):
+    """Roots of m^2 - mg m + 1; None when the discriminant is negative."""
+    disc = mg * mg - 4.0
     if disc < 0.0:
         return None
     r = np.sqrt(disc)
@@ -117,9 +112,6 @@ class ContactBoundsReport:
     m_plus: float | None
     certified_intervals: tuple
     km_positive_threshold: float
-
-    def contains(self, m: float) -> bool:
-        return any(lo < m < hi for lo, hi in self.certified_intervals)
 
     def to_dict(self):
         return {"m_gamma": self.m_gamma, "t_star": self.t_star,

@@ -41,6 +41,10 @@ from .flow import band_state
 
 DEGENERACY_TOL = 1e-6
 SYMPLECTIC_TOL = 1e-5
+LINEARIZED_RTOL = 1e-12       # tolerances of integrate_linearized
+LINEARIZED_ATOL = 1e-12
+PATH_SAMPLES = 4097           # samples of Psi over one closed-orbit run
+DEVIATION_SAMPLES = 8193      # samples of latitude_deviation's run
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -64,14 +68,15 @@ def _fields(jet, t, phi, m: float):
     return g, dg, ddg, G, bt, sp, cp, h
 
 
-def frame_state(p: ProfileFunction, m: float, t0: float, phi0: float,
-                theta0: float = 0.0) -> np.ndarray:
-    """Initial 9-vector (base point, Y1, Y2) with chi(Y_i)(0) = e_i."""
+def frame_state(p: ProfileFunction, m: float, t0: float,
+                phi0: float) -> np.ndarray:
+    """Initial 9-vector (base point at theta = 0, Y1, Y2) with chi(Y_i)(0)
+    = e_i."""
     g, dg, ddg, G, bt, sp, cp, h = _fields(p.point_jet(), t0, phi0, m)
     rh = np.sqrt(h)
     H = np.array([-sp, (bt - dg) * cp / g, cp / g]) / rh
     X = np.array([cp, (bt - dg) * sp / g - m, sp / g]) / rh
-    return np.concatenate([[t0, phi0, theta0], H, X])
+    return np.concatenate([[t0, phi0, 0.0], H, X])
 
 
 def linearized_rhs(p: ProfileFunction, m: float):
@@ -127,17 +132,9 @@ class SymplecticPath:
     states: np.ndarray | None = None
     nfev: int = 0                 # right-hand side calls of the run
 
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def T(self) -> float:
-        return float(self.times[-1])
-
 
 def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
-                         n_out: int = 4097, rtol: float = 1e-12,
-                         atol: float = 1e-12,
+                         n_out: int = PATH_SAMPLES,
                          descriptor: str = "") -> SymplecticPath:
     """Integrate the 9-dim linearized Reeb system and project to Psi.
 
@@ -149,8 +146,8 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
     """
     tau = np.linspace(0.0, T, n_out)
     try:
-        run = dop853(linearized_rhs(p, m), 0.0, z0, T, tau, rtol=rtol,
-                     atol=atol)
+        run = dop853(linearized_rhs(p, m), 0.0, z0, T, tau,
+                     rtol=LINEARIZED_RTOL, atol=LINEARIZED_ATOL)
     except StepSizeError as exc:
         raise FrameError(f"linearized integration failed: {exc}") from exc
     states = run.y.T
@@ -230,21 +227,20 @@ def winding_interval(path: SymplecticPath) -> WindingInterval:
     return WindingInterval(w_lo, w_hi, float(u_lo), float(u_hi))
 
 
-def index_from_interval(lo: float, hi: float,
-                        tol: float = DEGENERACY_TOL) -> tuple:
+def index_from_interval(lo: float, hi: float) -> tuple:
     """(index, degenerate) from a winding interval of length < 1/2.
 
-    Integer endpoints within tol flag degeneracy and are nudged just below
-    the integer, implementing the lower-limit convention for degenerate
-    return maps.
+    Integer endpoints within DEGENERACY_TOL flag degeneracy and are nudged
+    just below the integer, implementing the lower-limit convention for
+    degenerate return maps.
     """
     degenerate = False
     out = []
     for x in (lo, hi):
         r = round(x)
-        if abs(x - r) <= tol:
+        if abs(x - r) <= DEGENERACY_TOL:
             degenerate = True
-            x = r - tol
+            x = r - DEGENERACY_TOL
         out.append(x)
     lo2, hi2 = out
     k = int(np.floor(hi2))
@@ -259,15 +255,10 @@ class CZResult:
     degenerate: bool
     interval: WindingInterval
 
-    def to_dict(self):
-        return {"index": self.index, "degenerate": self.degenerate,
-                "interval": [self.interval.lo, self.interval.hi]}
 
-
-def cz_index(path: SymplecticPath,
-             tol: float = DEGENERACY_TOL) -> CZResult:
+def cz_index(path: SymplecticPath) -> CZResult:
     iv = winding_interval(path)
-    idx, deg = index_from_interval(iv.lo, iv.hi, tol=tol)
+    idx, deg = index_from_interval(iv.lo, iv.hi)
     return CZResult(index=idx, degenerate=deg, interval=iv)
 
 
@@ -277,7 +268,7 @@ def cz_index(path: SymplecticPath,
 def _latitude_path(p: ProfileFunction, lat: LatitudeOrbit, T: float,
                    n_out: int, descriptor: str) -> SymplecticPath:
     """Linearized run along the latitude circle at its own strength m_t0."""
-    z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0, 0.0)
+    z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0)
     return integrate_linearized(p, lat.m_t0, z0, T, n_out=n_out,
                                 descriptor=descriptor)
 
@@ -292,20 +283,9 @@ class OrbitIndexReport:
     det_defect: float
     predicted_turns: float | None = None
 
-    def to_dict(self):
-        d = {"descriptor": self.descriptor, "covers": self.covers,
-             "contractible": self.contractible,
-             "reeb_period": self.reeb_period,
-             "det_defect": self.det_defect}
-        d.update(self.result.to_dict())
-        if self.predicted_turns is not None:
-            d["predicted_turns"] = self.predicted_turns
-        return d
 
-
-def latitude_cz(p: ProfileFunction, m: float,
-                latitude: LatitudeOrbit | None = None, covers: int = 2,
-                side: str = "upper", n_out: int = 4097) -> OrbitIndexReport:
+def latitude_cz(p: ProfileFunction, m: float, covers: int = 2,
+                side: str = "upper") -> OrbitIndexReport:
     """Index data for a latitude orbit traversed covers times.
 
     Latitude circles are simple loops, so only even covers give
@@ -313,9 +293,9 @@ def latitude_cz(p: ProfileFunction, m: float,
     transverse rotation admits the closed form sqrt(K_m) gamma / m turns
     per cover, reported as predicted_turns.
     """
-    lat = latitude if latitude is not None else find_latitude(p, m, side)
+    lat = find_latitude(p, m, side)
     T = covers * lat.reeb_period
-    path = _latitude_path(p, lat, T, n_out,
+    path = _latitude_path(p, lat, T, PATH_SAMPLES,
                           f"latitude t0={lat.t0:.6g} x{covers}")
     res = cz_index(path)
     turns = covers * np.sqrt(lat.curvature_m) * lat.gamma_t0 / lat.m_t0
@@ -326,20 +306,18 @@ def latitude_cz(p: ProfileFunction, m: float,
                             predicted_turns=float(turns))
 
 
-def cz_fiber(p: ProfileFunction, covers: int = 2,
-             t0: float | None = None, n_out: int = 4097) -> OrbitIndexReport:
-    """Index data for the m = 0 fiber rotation over a point.
+def cz_fiber(p: ProfileFunction, covers: int = 2) -> OrbitIndexReport:
+    """Index data for the m = 0 fiber rotation over the point t0 = ell / 2.
 
     At m = 0 the generator is the pure fiber rotation with h = 1, every
     fiber is a closed Reeb orbit of period 2 pi, and the linearization is
     the identity on the base, so Psi is a rigid rotation: the winding
     interval collapses to [covers, covers].
     """
-    if t0 is None:
-        t0 = 0.5 * p.ell
+    t0 = 0.5 * p.ell
     T = covers * 2.0 * np.pi
-    z0 = frame_state(p, 0.0, float(t0), 0.0, 0.0)
-    path = integrate_linearized(p, 0.0, z0, T, n_out=n_out,
+    z0 = frame_state(p, 0.0, t0, 0.0)
+    path = integrate_linearized(p, 0.0, z0, T,
                                 descriptor=f"fiber t0={t0:.6g} x{covers}")
     res = cz_index(path)
     return OrbitIndexReport(descriptor=path.descriptor, covers=covers,
@@ -375,11 +353,12 @@ def path_deviation(path: SymplecticPath) -> float:
     return float(np.max(sv[:, 0]))
 
 
-def latitude_deviation(p: ProfileFunction, m: float, side: str = "upper",
-                       n_out: int = 8193) -> float:
-    """Deviation sup along one cover of the latitude orbit at strength m."""
-    lat = find_latitude(p, m, side)
-    return path_deviation(_latitude_path(p, lat, lat.reeb_period, n_out,
+def latitude_deviation(p: ProfileFunction, m: float) -> float:
+    """Deviation sup along one cover of the upper latitude orbit at
+    strength m."""
+    lat = find_latitude(p, m, "upper")
+    return path_deviation(_latitude_path(p, lat, lat.reeb_period,
+                                         DEVIATION_SAMPLES,
                                          "latitude deviation"))
 
 
@@ -395,12 +374,6 @@ class ConvexityReport:
     rhs: float                   # 1 - rho_sup_empirical
     verdict: bool
     candidates: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"m": self.m, "T0_estimate": self.T0_estimate,
-                "rho_sup_empirical": self.rho_sup_empirical,
-                "lhs": self.lhs, "rhs": self.rhs, "verdict": self.verdict,
-                "candidates": self.candidates}
 
     def lines(self):
         out = [f"T0 estimate (min contractible Reeb period) = "
@@ -432,8 +405,8 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
         lat = find_latitude(p, m, side)
         candidates.append({"kind": f"latitude-{side}", "covers": 2,
                            "T": 2.0 * lat.reeb_period})
-        rho_paths.append(_latitude_path(p, lat, lat.reeb_period, 4097,
-                                        f"latitude-{side}"))
+        rho_paths.append(_latitude_path(p, lat, lat.reeb_period,
+                                        PATH_SAMPLES, f"latitude-{side}"))
     closures = rational_closures(p, m, n_levels=n_levels)
     closures.sort(key=lambda lc: lc[1].q * lc[0].reeb_period)
     for level, info in closures:
@@ -443,9 +416,9 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
                            "covers": full.q,
                            "T": full.q * level.reeb_period})
     for level, info in closures[:rho_orbits]:
-        z0 = frame_state(p, m, *band_state(p, m, level.I))
+        z0 = frame_state(p, m, *band_state(p, m, level.I)[:2])
         rho_paths.append(integrate_linearized(
-            p, m, z0, level.reeb_period, n_out=4097,
+            p, m, z0, level.reeb_period,
             descriptor=f"level I={level.I:.6g}"))
     T0 = min(c["T"] for c in candidates)
     rho = max(path_deviation(path) for path in rho_paths)

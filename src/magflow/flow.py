@@ -34,6 +34,8 @@ from .reduced import I_hat, birkhoff_action, turning_points
 
 POLE_GUARD = 1e-6  # terminate when gamma < POLE_GUARD * ell
 ANGLES = (1, 2)    # phi and theta, the components with a fixed error weight
+LEVEL_RTOL = 1e-12  # tolerances of level_average_ode's runs
+LEVEL_ATOL = 1e-12
 
 
 def flow_rhs(jet, m: float):
@@ -61,10 +63,6 @@ class Trajectory:
     def I_drift(self) -> float:
         """Max deviation of the invariant from its initial value."""
         return float(np.max(np.abs(self.I_hat - self.I_hat[0])))
-
-    @property
-    def state0(self) -> np.ndarray:
-        return np.array([self.t[0], self.phi[0], self.theta[0]])
 
     def csv_lines(self) -> list:
         out = ["s,t,phi,theta,I_hat"]
@@ -138,8 +136,7 @@ class OdeLevel:
         return self.theta_advance / (2.0 * np.pi)
 
 
-def level_average_ode(p: ProfileFunction, m: float, I: float,
-                      rtol: float = 1e-12, atol: float = 1e-12) -> OdeLevel:
+def level_average_ode(p: ProfileFunction, m: float, I: float) -> OdeLevel:
     """Measure one reduced period by a section event on t = t_mid.
 
     Independent of the band quadrature except for the span estimate, which
@@ -154,13 +151,15 @@ def level_average_ode(p: ProfileFunction, m: float, I: float,
 
     # move off the section first so the terminal event cannot fire at s = 0
     s_leg = 1e-2 * span
-    leg = dop853(rhs, 0.0, y0, s_leg, rtol=rtol, atol=atol, angles=ANGLES)
+    leg = dop853(rhs, 0.0, y0, s_leg, rtol=LEVEL_RTOL, atol=LEVEL_ATOL,
+                 angles=ANGLES)
 
     def section(s, y):
         return y[0] - t_mid
 
-    sol = dop853(rhs, s_leg, leg.y_end, span, rtol=rtol, atol=atol,
-                 angles=ANGLES, event=section, direction=1.0)
+    sol = dop853(rhs, s_leg, leg.y_end, span, rtol=LEVEL_RTOL,
+                 atol=LEVEL_ATOL, angles=ANGLES, event=section,
+                 direction=1.0)
     if not sol.terminated:
         raise RuntimeError(f"no reduced period found within span {span}")
     P, yP = sol.t_end, sol.y_end

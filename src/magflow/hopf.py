@@ -35,6 +35,8 @@ from scipy.spatial import cKDTree
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
 UNIT_TOL = 1e-12
+HESSIAN_STEP = 1e-4     # central-difference step of hessian_convexity
+LIFT_CLOSE_TOL = 1e-6   # |U_end -+ U_0| below which a lift closes
 
 
 # -- quaternion algebra ----------------------------------------------------------
@@ -194,17 +196,17 @@ class HessianScan:
     n_samples: int
 
 
-def hessian_convexity(rho, n_samples: int, seed: int = 0,
-                      fd_h: float = 1e-4) -> HessianScan:
+def hessian_convexity(rho, n_samples: int, seed: int = 0) -> HessianScan:
     """Minimal eigenvalue of the Hessian of Q_rho over surface samples.
 
     Points are sampled on {Q_rho = 1}; the 4x4 Hessian is built by central
-    second differences with step fd_h. Positive definiteness everywhere is
-    the convexity criterion for the star-shaped hypersurface.
+    second differences with step HESSIAN_STEP. Positive definiteness
+    everywhere is the convexity criterion for the star-shaped hypersurface.
     """
     rng = np.random.default_rng(seed)
     best = np.inf
     arg = None
+    fd_h = HESSIAN_STEP
     eye = np.eye(4)
     for _ in range(int(n_samples)):
         u = rng.normal(size=4)
@@ -296,9 +298,6 @@ class KnotPolyline:
                 _segment_distance(P[i], u[i], Q[j], v[j]), initial=least)))
             best = min(best, least)
         return least
-
-    def to_json_list(self):
-        return [[float(c) for c in row] for row in self.points]
 
 
 def _segment_distance(a, u, c, v):
@@ -482,9 +481,6 @@ class AntipodalLinkReport:
     lk: int | None
     even: bool | None
 
-    def to_dict(self):
-        return {"disjoint": self.disjoint, "lk": self.lk, "even": self.even}
-
 
 def antipodal_link_parity(k: KnotPolyline) -> AntipodalLinkReport:
     """Linking of a knot with its pointwise antipode, plus the parity bit.
@@ -509,14 +505,8 @@ class LiftResult:
     closed_after_one: bool | None  # None when the input path is not closed
     min_step_alignment: float
 
-    @property
-    def closed_after_two(self) -> bool | None:
-        if self.closed_after_one is None:
-            return None
-        return True                # deck transformation has order two
 
-
-def lift_path(x: np.ndarray, v: np.ndarray, tol: float = 1e-6) -> LiftResult:
+def lift_path(x: np.ndarray, v: np.ndarray) -> LiftResult:
     """Continuous lift of a frame path (x_k, v_k) through the double cover.
 
     Each orthonormal frame determines the rotation B = [x | v | x x v] =
@@ -551,8 +541,8 @@ def lift_path(x: np.ndarray, v: np.ndarray, tol: float = 1e-6) -> LiftResult:
     closed = None
     if (np.linalg.norm(x[0] - x[-1]) < 1e-9
             and np.linalg.norm(v[0] - v[-1]) < 1e-9):
-        closed = bool(np.linalg.norm(U[-1] - U[0]) < tol)
-        if not closed and np.linalg.norm(U[-1] + U[0]) >= tol:
+        closed = bool(np.linalg.norm(U[-1] - U[0]) < LIFT_CLOSE_TOL)
+        if not closed and np.linalg.norm(U[-1] + U[0]) >= LIFT_CLOSE_TOL:
             raise RuntimeError("closed frame path lifted to a non-closed, "
                                "non-antipodal endpoint")
     return LiftResult(U=U, max_residual=res, closed_after_one=closed,

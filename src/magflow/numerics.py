@@ -22,7 +22,10 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_MAX_ITER = 200
 NEWTON_MAX_ITER = 100
+SUP_TOP_K = 5           # grid maxima that grid_sup refines
+SUP_XTOL = 1e-9         # and the abscissa tolerance it refines them to
 # grid_sup's tie width: the refined values of mirror maxima differ by up to
 # about 100 ulp of the largest
 SUP_TIE_RTOL = 1e-12
@@ -35,16 +38,16 @@ def gauss_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def golden_max(f, a: float, b: float, tol: float = 1e-9, max_iter: int = 200):
+def golden_max(f, a: float, b: float, tol: float = 1e-9):
     """Golden-section maximization of a unimodal f on [a, b].
 
     Raises RuntimeError when the bracket is still wider than tol after
-    max_iter reductions.
+    GOLDEN_MAX_ITER reductions.
     """
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a < tol:
             break
         if f1 < f2:
@@ -57,22 +60,24 @@ def golden_max(f, a: float, b: float, tol: float = 1e-9, max_iter: int = 200):
             f1 = f(x1)
     if not b - a < tol:
         raise RuntimeError(f"golden_max: bracket [{a!r}, {b!r}] still wider "
-                           f"than tol = {tol} after {max_iter} reductions")
+                           f"than tol = {tol} after {GOLDEN_MAX_ITER} "
+                           f"reductions")
     xm = 0.5 * (a + b)
     return xm, f(xm)
 
 
-def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
-             xtol: float = 1e-9, endpoint_values=(None, None)):
+def grid_sup(f, a: float, b: float, n: int = 4096,
+             endpoint_values=(None, None)):
     """Supremum of f on [a, b] by dense grid plus golden-section refinement.
 
     f must accept numpy arrays. The grid is uniform over the open interval;
     endpoint_values, when given, stand in for f at a and b (useful when f is
-    defined there only as a limit). The top_k interior local maxima of the
-    grid values are each refined to xtol in the abscissa with scalar calls
-    of f. Returns (argmax, sup): sup is the largest refined value, and
-    argmax the smallest abscissa whose value ties it within SUP_TIE_RTOL,
-    so mirror maxima that differ by roundoff report the same abscissa.
+    defined there only as a limit). The SUP_TOP_K interior local maxima of
+    the grid values are each refined to SUP_XTOL in the abscissa with
+    scalar calls of f. Returns (argmax, sup): sup is the largest refined
+    value, and argmax the smallest abscissa whose value ties it within
+    SUP_TIE_RTOL, so mirror maxima that differ by roundoff report the same
+    abscissa.
     """
     t = np.linspace(a, b, n + 2)[1:-1]
     v = np.asarray(f(t), dtype=float)
@@ -83,10 +88,11 @@ def grid_sup(f, a: float, b: float, n: int = 4096, top_k: int = 5,
         idx = np.array([int(np.argmax(v))])
     order = np.argsort(-v[idx], kind="stable")
     found = []
-    for i in idx[order[:top_k]]:
+    for i in idx[order[:SUP_TOP_K]]:
         lo = t[i - 1] if i > 0 else a
         hi = t[i + 1] if i < t.size - 1 else b
-        found.append(golden_max(lambda s: float(f(s)), lo, hi, tol=xtol))
+        found.append(golden_max(lambda s: float(f(s)), lo, hi,
+                                tol=SUP_XTOL))
     found += [(te, ve) for te, ve in zip((a, b), endpoint_values)
               if ve is not None]
     best = max(fx for _, fx in found)

@@ -16,8 +16,9 @@ K = -gamma''/gamma, extended to the poles by the limit -gamma'''/gamma'.
 
 Profiles are evaluated through one method, jet(t, order), which returns
 (gamma, gamma', ..., gamma^(order), Gamma) from a single evaluation and is
-vectorized over numpy arrays; gamma, dgamma, ddgamma, dddgamma, Gamma and
-curvature are views of it. point_jet() returns a scalar evaluator of
+vectorized over numpy arrays; a caller that needs one field reads it from
+the jet. gamma and curvature are the two views of it that the package
+reads. point_jet() returns a scalar evaluator of
 (gamma, gamma', gamma'', Gamma) on Python floats, built once per profile
 and cached on it, which agrees with jet(t, 2) to a few ulp; the flows,
 the linearized flow and the Newton polishes read the profile through it.
@@ -93,18 +94,6 @@ class ProfileFunction:
     def gamma(self, t):
         return self.jet(t, 0)[0]
 
-    def dgamma(self, t):
-        return self.jet(t, 1)[1]
-
-    def ddgamma(self, t):
-        return self.jet(t, 2)[2]
-
-    def dddgamma(self, t):
-        return self.jet(t, 3)[3]
-
-    def Gamma(self, t):
-        return self.jet(t, 0)[-1]
-
     def curvature(self, t):
         """Gauss curvature K = -gamma''/gamma, pole limit -gamma'''/gamma'."""
         g, dg, ddg, dddg, _ = self.jet(t, 3)
@@ -117,9 +106,6 @@ class ProfileFunction:
     def gamma_integral(self) -> float:
         """Integral of gamma over [0, ell] (equals 2 when normalized)."""
         raise NotImplementedError
-
-    def area(self) -> float:
-        return 2.0 * np.pi * self.gamma_integral()
 
     # -- serialization ------------------------------------------------------
 
@@ -503,8 +489,9 @@ class StretchedProfile(ProfileFunction):
 # -- constructors -------------------------------------------------------------
 
 
-def make_sphere(radius: float = 1.0) -> SphereProfile:
-    return SphereProfile(radius)
+def make_sphere() -> SphereProfile:
+    """The unit sphere, the normalized closed-form profile."""
+    return SphereProfile(1.0)
 
 
 def make_ellipsoid(ratio: float) -> ProfileFunction:
@@ -553,7 +540,7 @@ def make_spindle(delta: float, eps: float) -> ProfileFunction:
     |Gamma + gamma'| / gamma large: past the collar Gamma has absorbed
     almost all of the area while gamma stays below a, so the ratio at the
     delta-latitude already exceeds (1 - eps)/delta - delta. The cap radius
-    and collar length are attached as cap_radius and collar_C.
+    is attached as cap_radius; the collar length is the profile's own C.
     """
     if not (0.0 < delta < np.pi / 2):
         raise ValueError("need 0 < delta < pi/2")
@@ -570,7 +557,6 @@ def make_spindle(delta: float, eps: float) -> ProfileFunction:
     w = apex - delta  # collar leaves [0, delta] and [ell - delta, ell] intact
     prof = normalize_stretch(base, StretchBump(w), center=apex)
     prof.cap_radius = a
-    prof.collar_C = prof.C
     return prof
 
 

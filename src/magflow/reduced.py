@@ -56,6 +56,11 @@ from . import contact
 LATITUDE_BAND = 1e-6          # exclusion band around the pole values +-1
 LEVEL_BAND = 1e-3             # share of the invariant range padded at each end
 POLE_GAP = 1e-3               # closure brackets keep this far from +-1
+QUAD_NODES = 64               # first Gauss-Chebyshev rule of birkhoff_action
+QUAD_RTOL = 1e-10             # its self-consistency under node doubling
+CLOSURE_TOL = 1e-6            # |q winding - p| per reduced period at closure
+CLOSURE_Q_MAX = 64            # orbit_closure's largest number of periods
+CLOSURE_XTOL = 1e-9           # brentq's tolerance in I for a closure level
 _EPS = float(np.finfo(float).eps)   # np.finfo costs microseconds per call
 
 
@@ -81,10 +86,6 @@ class IRange:
     I_max: float
     argmin_t: float       # where the lower envelope attains its minimum
     argmax_t: float
-
-    def to_dict(self):
-        return {"I_min": self.I_min, "I_max": self.I_max,
-                "argmin_t": self.argmin_t, "argmax_t": self.argmax_t}
 
 
 ENVELOPE_GRID = 4096          # interior points of the envelope table
@@ -190,10 +191,6 @@ class TurningPoints:
     t_plus: float
     branch_minus: str      # "upper" or "lower": which envelope is touched
     branch_plus: str
-
-    @property
-    def width(self) -> float:
-        return self.t_plus - self.t_minus
 
 
 def _crossing(p: ProfileFunction, m: float, I: float, piece: _Piece) -> float:
@@ -304,17 +301,17 @@ class ReducedLevel:
         return ",".join("%.12g" % c for c in cols)
 
 
-def birkhoff_action(p: ProfileFunction, m: float, I: float,
-                    n_nodes: int = 64, rtol: float = 1e-10) -> ReducedLevel:
-    """Quadrature of one level, doubling nodes until self-consistent."""
+def birkhoff_action(p: ProfileFunction, m: float, I: float) -> ReducedLevel:
+    """Quadrature of one level, doubling nodes from QUAD_NODES until two
+    rules agree to QUAD_RTOL."""
     tp = turning_points(p, m, I)
     prev = None
     cur = None
-    for n in (n_nodes, 2 * n_nodes, 4 * n_nodes, 8 * n_nodes):
+    for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES, 8 * QUAD_NODES):
         cur = _band_integrals(p, m, I, tp, n)
         if prev is not None:
-            ok_s = abs(cur[0] - prev[0]) <= rtol * max(abs(cur[0]), 1e-30)
-            ok_h = abs(cur[2] - prev[2]) <= rtol * max(abs(cur[2]), 1e-30)
+            ok_s = abs(cur[0] - prev[0]) <= QUAD_RTOL * max(abs(cur[0]), 1e-30)
+            ok_h = abs(cur[2] - prev[2]) <= QUAD_RTOL * max(abs(cur[2]), 1e-30)
             if ok_s and ok_h:
                 break
         prev = cur
@@ -359,12 +356,6 @@ class LatitudeOrbit:
         """h is constant on the circle and equal to the action."""
         return self.action * self.s_period
 
-    def to_dict(self):
-        return {"t0": self.t0, "sign": self.sign, "m": self.m_t0,
-                "action": self.action, "I_value": self.I_value,
-                "curvature_m": self.curvature_m,
-                "s_half_limit": self.s_half_limit}
-
 
 def latitude_action(p: ProfileFunction, t0: float) -> LatitudeOrbit:
     """Latitude data at t0 from profile jets alone.
@@ -390,13 +381,12 @@ def latitude_action(p: ProfileFunction, t0: float) -> LatitudeOrbit:
 def latitudes(p: ProfileFunction, m: float) -> list:
     """The two latitude orbits at strength m: roots of m gamma' = +- gamma.
 
-    They sit at the extrema of the envelopes, argmax_t and argmin_t of the
-    cached invariant range. The upper one (gamma' > 0) comes first, which
-    sorts the list by t0: slope_+ + slope_- = -2 gamma < 0, so the lower
-    slope is still negative where the upper one vanishes.
+    They are find_latitude's upper and lower latitudes, with its
+    consistency check. The upper one (gamma' > 0) comes first, which sorts
+    the list by t0: slope_+ + slope_- = -2 gamma < 0, so the lower slope is
+    still negative where the upper one vanishes.
     """
-    rng = I_range(p, m)
-    return [latitude_action(p, rng.argmax_t), latitude_action(p, rng.argmin_t)]
+    return [find_latitude(p, m, "upper"), find_latitude(p, m, "lower")]
 
 
 def find_latitude(p: ProfileFunction, m: float, side: str) -> LatitudeOrbit:
@@ -467,10 +457,6 @@ class ClosureInfo:
     contractible: bool
     winding: float
 
-    def to_dict(self):
-        return {"q": self.q, "p": self.p,
-                "contractible": self.contractible, "winding": self.winding}
-
 
 def pole_band(I: float) -> int:
     """Branch regime indicator: 1 on the mixed band -1 < I < 1, else 0."""
@@ -489,13 +475,13 @@ def closure_parity(q: int, p: int, I: float) -> bool:
     return (q * pole_band(I) + p) % 2 == 0
 
 
-def orbit_closure(level: ReducedLevel, q_max: int = 64,
-                  tol: float = 1e-6) -> ClosureInfo | None:
-    """Smallest q <= q_max making q * winding integral to tol."""
+def orbit_closure(level: ReducedLevel) -> ClosureInfo | None:
+    """Smallest q <= CLOSURE_Q_MAX making q * winding integral to
+    CLOSURE_TOL per period."""
     w = level.winding
-    for q in range(1, q_max + 1):
+    for q in range(1, CLOSURE_Q_MAX + 1):
         pq = round(q * w)
-        if abs(q * w - pq) < tol * q:
+        if abs(q * w - pq) < CLOSURE_TOL * q:
             return ClosureInfo(q=q, p=int(pq),
                                contractible=closure_parity(q, int(pq),
                                                            level.I),
@@ -504,17 +490,17 @@ def orbit_closure(level: ReducedLevel, q_max: int = 64,
 
 
 def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
-                      q_max: int = 8, tol: float = 1e-9) -> list:
+                      q_max: int = 8) -> list:
     """Levels whose winding is a low rational p/q, by scan plus Brent's method.
 
     Returns (level, ClosureInfo) pairs: exact hits at the regular levels,
     and the roots of q * winding - p between consecutive bracket nodes,
-    solved by brentq to tol in I and kept only when q * winding lies
-    within 1e-6 q of p, the tolerance of orbit_closure; consumed by period
-    scans. Across I = +-1 the winding jumps by exactly 1, and within about
-    1e-4 of a pole the quadrature's winding is wrong, so no bracket spans
-    a pole: the nodes are the regular levels at least POLE_GAP from +-1,
-    plus the levels at POLE_GAP on either side of each pole that lie
+    solved by brentq to CLOSURE_XTOL in I and kept only when q * winding
+    lies within CLOSURE_TOL q of p, as orbit_closure requires; consumed by
+    period scans. Across I = +-1 the winding jumps by exactly 1, and within
+    about 1e-4 of a pole the quadrature's winding is wrong, so no bracket
+    spans a pole: the nodes are the regular levels at least POLE_GAP from
+    +-1, plus the levels at POLE_GAP on either side of each pole that lie
     inside the grid. Quadratures are memoized by I within the call.
     """
     level = cache(partial(birkhoff_action, p, m))
@@ -555,8 +541,8 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                 if any(fr == Fraction(pi, q) for fr, _ in found):
                     continue
                 lv = level(brentq(lambda I: q * level(I).winding - pi, a, b,
-                                  xtol=tol))
-                if abs(q * lv.winding - pi) <= 1e-6 * q:
+                                  xtol=CLOSURE_XTOL))
+                if abs(q * lv.winding - pi) <= CLOSURE_TOL * q:
                     register(lv, q, pi)
     return list(found.values())
 

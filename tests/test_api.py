@@ -3,16 +3,23 @@
 Every name exported by the package must have a caller in the package
 itself, outside its own definition, or a recorded reason to stay public.
 Every module-level function, class and constant must be exported or read
-somewhere in the package outside its own definition. No module may import
-a name it never uses. The checks read the source with ast, so they need
-nothing beyond the standard library.
+somewhere in the package outside its own definition. A function's own
+parameters are not uses: a parameter that shares a module-level name
+reads the argument, not that name. Every public method and property of a
+package class must be read as an attribute in the package outside its
+own definition, and every defaulted parameter of a public module-level
+function, method or constructor must be passed by some call in the
+package or in perfbench/; a knob that no caller sets is a module
+constant. No module may import a name it never uses. The checks read the
+source with ast, so they need nothing beyond the standard library.
 """
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "magflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "magflow"
 
 # exported without a caller in the package, each with its reason to stay
 ALLOWED_UNCALLED = {
@@ -29,6 +36,17 @@ ALLOWED_UNCALLED = {
                      "closures rational_closures solves for",
 }
 
+# public methods that nothing in the package reads, each with its reason
+ALLOWED_UNREAD = {
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+
+# defaulted parameters that no call in the package or perfbench passes
+ALLOWED_UNPASSED = {
+    "cli.main(argv)": "the console entry point, called without arguments; "
+                      "tests pass argv through it",
+}
+
 
 def _modules() -> dict:
     return {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -41,22 +59,48 @@ def _exports(init: ast.Module) -> list:
             for alias in node.names]
 
 
-def _references(tree: ast.AST, skip: str | None = None) -> set:
-    """Names read in tree, bare or as attributes, outside the definition
-    of skip."""
-    out = set()
-    stack = [tree]
+def _params(fn) -> set:
+    a = fn.args
+    return {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg) if x is not None}
+
+
+def _reads(tree: ast.AST) -> dict:
+    """Name -> one entry per read of it in tree, (the function and class
+    definitions that enclose the read, whether it is an attribute read). A
+    bare name that is a parameter of an enclosing function reads that
+    parameter, not the module-level name, and is left out."""
+    out = {}
+    stack = [(tree, (), frozenset())]
     while stack:
-        node = stack.pop()
+        node, inside, params = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)) and node.name == skip:
+                             ast.Lambda)):
+            if not isinstance(node, ast.Lambda):
+                inside += (node,)
+            # defaults, annotations and decorators are read outside
+            body = node.body if isinstance(node.body, list) else [node.body]
+            outer = [node.args, *getattr(node, "decorator_list", []),
+                     *filter(None, [getattr(node, "returns", None)])]
+            stack += [(n, inside, params) for n in outer]
+            stack += [(n, inside, params | _params(node)) for n in body]
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ClassDef):
+            inside += (node,)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in params:
+                out.setdefault(node.id, []).append((inside, False))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            out.setdefault(node.attr, []).append((inside, True))
+        stack += [(n, inside, params) for n in ast.iter_child_nodes(node)]
     return out
+
+
+def _read_outside(name: str, reads: list) -> bool:
+    """Whether name is read somewhere outside a definition of that name."""
+    return any(all(d.name != name for d in inside)
+               for r in reads for inside, _ in r.get(name, ()))
 
 
 def _definitions(tree: ast.Module) -> list:
@@ -85,12 +129,83 @@ def _imported(tree: ast.Module) -> list:
     return out
 
 
+def _callables(mods: dict):
+    """(label, callee name, def, bound) of every public module-level
+    function, public method or property, and constructor; bound when the
+    first parameter is self."""
+    for stem, tree in mods.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_"):
+                yield f"{stem}.{node.name}", node.name, node, False
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    if fn.name == "__init__":
+                        yield f"{stem}.{node.name}", node.name, fn, True
+                    elif not fn.name.startswith("_"):
+                        yield (f"{stem}.{node.name}.{fn.name}", fn.name, fn,
+                               True)
+
+
+def _calls(trees) -> dict:
+    """Callee name -> for each call of it, (positional arguments before
+    any starred one, starred, keywords, double-starred)."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            star = [isinstance(a, ast.Starred) for a in node.args]
+            out.setdefault(name, []).append((
+                star.index(True) if any(star) else len(star), any(star),
+                {k.arg for k in node.keywords},
+                any(k.arg is None for k in node.keywords)))
+    return out
+
+
+def _unpassed_defaults() -> list:
+    mods = _modules()
+    mods.pop("__init__")
+    calls = _calls([*mods.values(),
+                    *(ast.parse(path.read_text(), filename=str(path))
+                      for path in sorted((ROOT / "perfbench").glob("*.py")))])
+    out = []
+    for label, name, fn, bound in _callables(mods):
+        a = fn.args
+        positional = [x.arg for x in (*a.posonlyargs, *a.args)][int(bound):]
+        defaulted = list(enumerate(positional))[len(positional)
+                                                - len(a.defaults):]
+        defaulted += [(None, x.arg) for x, d in zip(a.kwonlyargs,
+                                                    a.kw_defaults)
+                      if d is not None]
+        for i, param in defaulted:
+            if not any(param in kw or dstar
+                       or (i is not None and (i < npos or star))
+                       for npos, star, kw, dstar in calls.get(name, ())):
+                out.append(f"{label}({param})")
+    return out
+
+
 def _uncalled_exports() -> list:
     mods = _modules()
     init = mods.pop("__init__")
+    reads = [_reads(tree) for tree in mods.values()]
     return [name for name in _exports(init)
-            if not any(name in _references(tree, skip=name)
-                       for tree in mods.values())]
+            if not _read_outside(name, reads)]
+
+
+def _unread_methods() -> list:
+    mods = _modules()
+    reads = [_reads(tree) for tree in mods.values()]
+    return [label for label, name, fn, bound in _callables(mods)
+            if bound and fn.name != "__init__"
+            and not any(attr and fn not in inside
+                        for r in reads for inside, attr in r.get(name, ()))]
 
 
 def test_every_export_has_a_package_caller():
@@ -99,19 +214,32 @@ def test_every_export_has_a_package_caller():
                          f"{uncalled}"
 
 
+def test_every_method_has_a_package_reader():
+    unread = [n for n in _unread_methods() if n not in ALLOWED_UNREAD]
+    assert not unread, f"methods never read in the package: {unread}"
+
+
+def test_every_default_is_passed_somewhere():
+    unpassed = [n for n in _unpassed_defaults() if n not in ALLOWED_UNPASSED]
+    assert not unpassed, f"defaulted parameters no call passes; make them " \
+                         f"module constants: {unpassed}"
+
+
 def test_allow_list_is_current():
-    # an entry that gained a caller, or lost its export, is stale
+    # an entry that gained a caller, a reader or a passing call, or whose
+    # name is gone, is stale
     assert set(ALLOWED_UNCALLED) <= set(_uncalled_exports())
+    assert set(ALLOWED_UNREAD) <= set(_unread_methods())
+    assert set(ALLOWED_UNPASSED) <= set(_unpassed_defaults())
 
 
 def test_every_definition_is_exported_or_used():
     mods = _modules()
     exported = set(_exports(mods.pop("__init__")))
+    reads = [_reads(tree) for tree in mods.values()]
     dead = [f"{stem}.{name}" for stem, tree in mods.items()
             for name in _definitions(tree)
-            if name not in exported
-            and not any(name in _references(other, skip=name)
-                        for other in mods.values())]
+            if name not in exported and not _read_outside(name, reads)]
     assert not dead, f"neither exported nor used in the package: {dead}"
 
 
@@ -120,7 +248,7 @@ def test_no_unused_imports():
     for stem, tree in _modules().items():
         if stem == "__init__":
             continue
-        used = _references(tree)
+        used = _reads(tree)
         unused += [f"{stem}: {name}" for name in _imported(tree)
                    if name not in used]
     assert not unused, f"imported but never used: {unused}"
@@ -130,5 +258,5 @@ def test_one_ode_path():
     # every ODE runs on numerics.dop853; scipy's solve_ivp is a test oracle
     users = [stem for stem, tree in _modules().items()
              if "solve_ivp" in _imported(tree)
-             or "solve_ivp" in _references(tree)]
+             or "solve_ivp" in _reads(tree)]
     assert not users, f"modules that use solve_ivp: {users}"

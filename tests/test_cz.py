@@ -11,13 +11,15 @@ brute-force winding over 4096 directions.
 """
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from magflow import cz
-from magflow.contact import ContactPrimitiveError, beta_theta, reeb_factor
+from magflow.contact import ContactPrimitiveError, reeb_factor
 from magflow.cz import (
     FrameError,
     SymplecticPath,
@@ -200,8 +202,8 @@ class TestCoframe:
             for k in range(n):
                 states[3:6, k] = flow_rhs(jet, m)(0.0, states[:3, k])
             Psi = chi_project(ellipsoid, m, states)
-            rh = np.sqrt(reeb_factor(m, beta_theta(ellipsoid, t),
-                                     np.sin(phi), ellipsoid.gamma(t)))
+            g, dg, G = ellipsoid.jet(t, 1)
+            rh = np.sqrt(reeb_factor(m, G + dg, np.sin(phi), g))
             assert np.max(np.abs(Psi[:, 0, 0])) < 1e-12
             assert np.max(np.abs(Psi[:, 1, 0] - rh * m)) < 1e-12
 
@@ -220,7 +222,8 @@ class TestLinearizedPath:
         # the level family direction is fixed by the one-period return map,
         # so the interval floor sits at an integer and the path is degenerate
         lev = birkhoff_action(ellipsoid, 0.8, 0.45)
-        z0 = frame_state(ellipsoid, 0.8, *band_state(ellipsoid, 0.8, 0.45))
+        z0 = frame_state(ellipsoid, 0.8,
+                         *band_state(ellipsoid, 0.8, 0.45)[:2])
         path = integrate_linearized(ellipsoid, 0.8, z0, lev.reeb_period,
                                     descriptor="band return")
         assert path.det_defect < 1e-6
@@ -251,7 +254,8 @@ class TestLinearizedPath:
         if case == "band":
             m = 0.8
             T = birkhoff_action(ellipsoid, m, 0.45).reeb_period
-            z0 = frame_state(ellipsoid, m, *band_state(ellipsoid, m, 0.45))
+            z0 = frame_state(ellipsoid, m,
+                             *band_state(ellipsoid, m, 0.45)[:2])
         else:
             lat = find_latitude(ellipsoid, 0.8, case)
             m, T = lat.m_t0, 2.0 * lat.reeb_period
@@ -397,7 +401,7 @@ class TestConvexityReport:
     def test_report_serialization(self, sphere):
         rep = dynamical_convexity_report(sphere, 0.05, n_levels=5,
                                          rho_orbits=1)
-        d = rep.to_dict()
+        d = asdict(rep)
         for key in ("m", "T0_estimate", "rho_sup_empirical", "lhs", "rhs",
                     "verdict", "candidates"):
             assert key in d
@@ -429,5 +433,6 @@ class TestScalarReads:
         level_average_ode(p, m, I)
         state = band_state(p, m, I)
         integrate(p, m, state, 5.0, n_out=11)
-        integrate_linearized(p, m, frame_state(p, m, *state), 1.0, n_out=65)
+        integrate_linearized(p, m, frame_state(p, m, *state[:2]), 1.0,
+                             n_out=65)
         assert scalar == []

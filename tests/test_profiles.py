@@ -38,12 +38,13 @@ def fd_check(p, t, tol):
     """Central-difference consistency of the derivative chain at points t."""
     h = 1e-5
     t = np.asarray(t)
-    fd1 = (p.gamma(t + h) - p.gamma(t - h)) / (2 * h)
-    fd2 = (p.dgamma(t + h) - p.dgamma(t - h)) / (2 * h)
-    fdG = (p.Gamma(t + h) - p.Gamma(t - h)) / (2 * h)
-    assert np.max(np.abs(fd1 - p.dgamma(t))) < tol
-    assert np.max(np.abs(fd2 - p.ddgamma(t))) < tol
-    assert np.max(np.abs(fdG - p.gamma(t))) < tol
+    lo, mid, hi = (p.jet(s, 2) for s in (t - h, t, t + h))
+    fd1 = (hi[0] - lo[0]) / (2 * h)
+    fd2 = (hi[1] - lo[1]) / (2 * h)
+    fdG = (hi[-1] - lo[-1]) / (2 * h)
+    assert np.max(np.abs(fd1 - mid[1])) < tol
+    assert np.max(np.abs(fd2 - mid[2])) < tol
+    assert np.max(np.abs(fdG - mid[0])) < tol
 
 
 def check_point_jet(p, seed, extra=()):
@@ -112,16 +113,15 @@ def test_scalar_and_array_agree(build):
     # pole-band points exercise the pole limits of the curvature
     t = np.concatenate([[0.0, 1e-4], np.linspace(0.1, p.ell - 0.1, 7),
                         [p.ell - 1e-4, p.ell]])
-    views = (p.gamma, p.dgamma, p.ddgamma, p.dddgamma, p.Gamma, p.curvature)
-    for f in views:
+    fields = [lambda s, k=k: p.jet(s, 3)[k] for k in range(5)]
+    for f in (*fields, p.gamma, p.curvature):
         arr = np.asarray(f(t))
         scal = np.array([float(f(float(ti))) for ti in t])
         assert np.allclose(arr, scal, atol=1e-14)
-    # the jet carries every view, and lower orders are its prefixes
+    # the jet carries the gamma view, and lower orders are its prefixes
     jet = p.jet(t, 3)
     assert len(jet) == 5
-    for got, f in zip(jet, views[:5]):
-        assert np.array_equal(got, f(t))
+    assert np.array_equal(jet[0], p.gamma(t))
     for order in range(3):
         low = p.jet(t, order)
         assert len(low) == order + 2
@@ -154,18 +154,20 @@ class TestSphere:
         p = SphereProfile(1.0)
         t = np.linspace(0, np.pi, 101)
         assert np.allclose(p.gamma(t), np.sin(t), atol=1e-15)
-        assert np.allclose(p.Gamma(t), -np.cos(t), atol=1e-15)
+        assert np.allclose(p.jet(t, 0)[-1], -np.cos(t), atol=1e-15)
         assert np.allclose(p.curvature(t), 1.0, atol=1e-12)
-        assert abs(p.area() - 4 * np.pi) < 1e-12
+        assert abs(2.0 * np.pi * p.gamma_integral() - 4 * np.pi) < 1e-12
         assert p.ell == pytest.approx(np.pi)
 
     def test_endpoint_jets(self):
         p = SphereProfile(1.0)
-        assert p.dgamma(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert p.dgamma(p.ell) == pytest.approx(-1.0, abs=1e-15)
-        assert abs(p.ddgamma(0.0)) < 1e-15
-        assert p.Gamma(0.0) == pytest.approx(-1.0)
-        assert p.Gamma(p.ell) == pytest.approx(1.0)
+        _, d0, dd0, G0 = p.jet(0.0, 2)
+        _, d1, _, G1 = p.jet(p.ell, 2)
+        assert d0 == pytest.approx(1.0, abs=1e-15)
+        assert d1 == pytest.approx(-1.0, abs=1e-15)
+        assert abs(dd0) < 1e-15
+        assert G0 == pytest.approx(-1.0)
+        assert G1 == pytest.approx(1.0)
 
     def test_validate(self):
         rep = validate(make_sphere())
@@ -185,8 +187,9 @@ class TestEllipsoid:
         t = np.linspace(0, np.pi, 257)
         assert abs(e.ell - np.pi) < 1e-10
         assert np.max(np.abs(e.gamma(t) - s.gamma(t))) < 1e-10
-        assert np.max(np.abs(e.dgamma(t) - s.dgamma(t))) < 1e-9
-        assert np.max(np.abs(e.Gamma(t) - s.Gamma(t))) < 1e-10
+        (_, de, Ge), (_, ds, Gs) = e.jet(t, 1), s.jet(t, 1)
+        assert np.max(np.abs(de - ds)) < 1e-9
+        assert np.max(np.abs(Ge - Gs)) < 1e-10
         assert np.max(np.abs(e.curvature(t) - 1.0)) < 1e-7
 
     @pytest.mark.parametrize("ratio", [0.5, 2.0, 4.0])
@@ -202,7 +205,7 @@ class TestEllipsoid:
         # equator: gamma max equals the scale factor, slope zero
         mid = 0.5 * p.ell
         assert p.gamma(mid) == pytest.approx(scale, rel=1e-10)
-        assert abs(p.dgamma(mid)) < 1e-10
+        assert abs(p.jet(mid, 1)[1]) < 1e-10
         assert p.curvature(mid) == pytest.approx(1.0 / (ratio**2 * scale**2),
                                                  rel=1e-8)
         assert p.curvature(0.0) == pytest.approx(ratio**2 / scale**2, rel=1e-8)
@@ -233,8 +236,9 @@ class TestSplineProfile:
         p = SplineProfile(t, np.sin(t))
         tt = np.linspace(0, np.pi, 997)
         assert np.max(np.abs(p.gamma(tt) - np.sin(tt))) < 1e-10
-        assert np.max(np.abs(p.dgamma(tt) - np.cos(tt))) < 1e-8
-        assert np.max(np.abs(p.Gamma(tt) + np.cos(tt))) < 1e-10
+        _, dg, G = p.jet(tt, 1)
+        assert np.max(np.abs(dg - np.cos(tt))) < 1e-8
+        assert np.max(np.abs(G + np.cos(tt))) < 1e-10
         assert validate(p).passed
 
     def test_bad_samples_rejected(self):
@@ -271,7 +275,8 @@ class TestStretch:
         right = np.linspace(self.center + 0.5 + 2 * C, p.ell, 50)
         assert np.max(np.abs(p.gamma(left) - self.base.gamma(left))) < 1e-14
         assert np.max(np.abs(p.gamma(right) - self.base.gamma(right - 2 * C))) < 1e-14
-        assert np.max(np.abs(p.Gamma(left) - self.base.Gamma(left))) < 1e-14
+        assert np.max(np.abs(p.jet(left, 0)[-1]
+                             - self.base.jet(left, 0)[-1])) < 1e-14
 
     def test_area_affine_in_C(self):
         vals = [StretchedProfile(self.base, C, self.bump,
@@ -357,7 +362,7 @@ class TestConstructions:
         assert np.max(np.abs(p.gamma(t) - a * np.sin(t / a))) < 1e-13
         tr = p.ell - t
         assert np.max(np.abs(p.gamma(tr) - a * np.sin(t / a))) < 1e-12
-        assert p.collar_C > 1.0  # tiny caps need a long collar
+        assert p.C > 1.0  # tiny caps need a long collar
 
     def test_spindle_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -371,7 +376,7 @@ class TestConstructions:
         a = p.cap_radius
         assert t_lat == delta
         assert validate(p).passed
-        assert float(p.dgamma(delta)) < -eps
+        assert float(p.jet(delta, 1)[1]) < -eps
         t = np.linspace(0, delta, 20)
         assert np.max(np.abs(p.gamma(t) - a * np.sin(t / a))) < 1e-13
 
