@@ -389,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--state", required=True, help="t0,phi0,theta0")
     s.add_argument("--horizon", type=float, required=True,
                    help="arclength time to integrate")
-    s.add_argument("--n-out", type=int, dest="n_out", default=2001)
-    s.add_argument("--rtol", type=float, default=1e-12)
-    s.add_argument("--atol", type=float, default=1e-14)
+    s.add_argument("--n-out", type=int, dest="n_out", default=flow.N_OUT)
+    s.add_argument("--rtol", type=float, default=flow.RTOL)
+    s.add_argument("--atol", type=float, default=flow.ATOL)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_flow_trace)
 

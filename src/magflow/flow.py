@@ -34,6 +34,9 @@ from .reduced import I_hat, birkhoff_action, turning_points
 
 POLE_GUARD = 1e-6  # terminate when gamma < POLE_GUARD * ell
 ANGLES = (1, 2)    # phi and theta, the components with a fixed error weight
+N_OUT = 2001       # samples of an integrate run, and flow trace's --n-out
+RTOL = 1e-12       # integrate's tolerances, and flow trace's --rtol, --atol
+ATOL = 1e-14
 LEVEL_RTOL = 1e-12  # tolerances of level_average_ode's runs
 LEVEL_ATOL = 1e-12
 
@@ -74,8 +77,8 @@ class Trajectory:
 
 
 def integrate(p: ProfileFunction, m: float, state0, s_max: float,
-              n_out: int = 2001, rtol: float = 1e-12,
-              atol: float = 1e-14) -> Trajectory:
+              n_out: int = N_OUT, rtol: float = RTOL,
+              atol: float = ATOL) -> Trajectory:
     """Integrate the flow for time s_max (may be negative).
 
     Terminates early with pole_terminated when the trajectory enters the

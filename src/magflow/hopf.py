@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
@@ -275,6 +274,7 @@ class KnotPolyline:
         see. Rows go _ROWS at a time: on knots that are about equidistant,
         such as a torus knot and its antipode, every segment has dozens of
         candidates."""
+        from scipy.spatial import cKDTree
         P, Q = self.points, other.points
         u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
         mid_p, mid_q = P[:-1] + 0.5 * u, Q[:-1] + 0.5 * v
@@ -366,6 +366,7 @@ def _viewing_frame() -> np.ndarray:
 
 def _choose_pole(points: np.ndarray) -> np.ndarray:
     """Point of S^3 far from every input point (seeded, deterministic)."""
+    from scipy.spatial import cKDTree
     rng = np.random.default_rng(_POLE_SEED)
     cands = rng.normal(size=(512, 4))
     cands /= np.linalg.norm(cands, axis=1)[:, None]
@@ -408,6 +409,7 @@ def _gauss_double_sum(X: np.ndarray, Y: np.ndarray) -> float:
     An orientation within 64 eps scale^2 of zero, a height gap within its
     roundoff margin or two counts that disagree raise RuntimeError.
     """
+    from scipy.spatial import cKDTree
     frame = _viewing_frame()
     P, Q = X @ frame, Y @ frame           # plane coordinates, then height
     a, c = P[:-1], Q[:-1]

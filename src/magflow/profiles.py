@@ -24,7 +24,10 @@ and cached on it, which agrees with jet(t, 2) to a few ulp; the flows,
 the linearized flow and the Newton polishes read the profile through it.
 The kinds without a closed form, the ellipsoid and the collar of a
 stretched profile, sample their exact jets once at build and interpolate
-them with one _ColumnSpline, so no evaluation solves or inverts anything.
+them with one _ColumnSpline, a quintic spline fitted in numpy and held as
+Taylor polynomials, so no evaluation solves or inverts anything and no
+builtin kind loads scipy. The samples kind fits with scipy's
+make_interp_spline, imported when the first one is built.
 Evaluation does not clamp or raise outside [0, ell]; callers that
 integrate ODEs may probe a few ulps past the ends and receive the natural
 smooth extension of the representation.
@@ -40,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .numerics import gauss_nodes
 
@@ -158,61 +160,172 @@ class SphereProfile(ProfileFunction):
         return {"kind": "sphere", "radius": self.radius}
 
 
-class _ColumnSpline:
-    """A vector quintic spline through exact samples of the columns (gamma,
-    gamma', gamma'', Gamma), evaluated as a jet whose gamma''' is the
-    derivative of the gamma'' column, or as a Taylor table."""
+def _bsplines(t, x, left):
+    """The B-splines of degree r = 0 .. 5 on the knots t numbered left - r
+    .. left at the points x, left[i] being the knot interval of x[i]:
+    entry r has shape (r + 1, len(x)). De Boor's recursion (BSPLVB of A
+    Practical Guide to Splines), vectorized over the points."""
+    w = t[left + np.arange(-4, 6)[:, None]]    # t[left - 4 .. left + 5]
+    right, back = w[5:] - x, x - w[4::-1]      # t[left+1+q] - x, x - t[left-q]
+    out = [np.ones((1, len(x)))]
+    for r in range(5):
+        dr, dl = right[:r + 1], back[r::-1]
+        term = out[-1] / (dr + dl)
+        b = np.zeros((r + 2, len(x)))
+        b[:-1] = dr * term
+        b[1:] += dl * term
+        out.append(b)
+    return out
 
-    def __init__(self, t, columns):
-        self.sp = make_interp_spline(t, columns, k=5)
+
+def _eliminate(a):
+    """a[:, b:] after Gauss-Jordan elimination without pivoting on the
+    leading b x b blocks of the stack a, of shape (b, w, m), in place."""
+    b = a.shape[0]
+    for p in range(b):
+        row = a[p] / a[p, p]
+        a -= a[:, p, None] * row
+        a[p] = row
+    return a[:, b:]
+
+
+def _cyclic_reduction(lo, di, up, rhs):
+    """x with lo_k x_(k-1) + di_k x_k + up_k x_(k+1) = rhs_k, blocks k on
+    the last axis, lo_0 = up_(m-1) = 0. Each level solves all odd block
+    rows at once for their unknowns in terms of their neighbours, recurses
+    on the even rows, a system half the size, and recovers the odd
+    unknowns. No pivoting: the pivots are ratios of principal minors of
+    the first system, positive when it is totally positive, as a
+    collocation matrix is."""
+    b, m = di.shape[0], di.shape[-1]
+    if m == 1:
+        return _eliminate(np.concatenate([di, rhs], axis=1))
+    odd, even = slice(1, None, 2), slice(0, None, 2)
+    # odd row j: x_(2j+1) = s_rhs - s_lo x_2j - s_up x_(2j+2)
+    s = _eliminate(np.concatenate([di[..., odd], lo[..., odd], up[..., odd],
+                                   rhs[..., odd]], axis=1))
+    # the even rows as [lo | di | up | rhs] after the substitution
+    lo, up = lo[..., even], up[..., even]
+    n_even, n_odd = lo.shape[-1], s.shape[-1]
+    red = np.concatenate([np.zeros_like(lo), di[..., even], np.zeros_like(up),
+                          rhs[..., even]], axis=1)
+    left = np.einsum("ijm,jkm->ikm", lo[..., 1:], s[..., :n_even - 1])
+    red[:, :2 * b, 1:] -= left[:, :2 * b]
+    red[:, 3 * b:, 1:] -= left[:, 2 * b:]
+    right = np.einsum("ijm,jkm->ikm", up[..., :n_odd], s)
+    red[:, b:3 * b, :n_odd] -= right[:, :2 * b]
+    red[:, 3 * b:, :n_odd] -= right[:, 2 * b:]
+    del left, right                    # not held through the recursion
+    x_even = _cyclic_reduction(red[:, :b], red[:, b:2 * b],
+                               red[:, 2 * b:3 * b], red[:, 3 * b:])
+    x = np.empty(x_even.shape[:-1] + (m,))
+    x[..., even] = x_even
+    x[..., odd] = s[:, 2 * b:] - np.einsum("ijm,jkm->ikm", s[:, :b],
+                                           x_even[..., :n_odd])
+    # the odd rows that have an even row after them
+    x[..., 1:-1:2] -= np.einsum("ijm,jkm->ikm", s[:, b:2 * b, :n_even - 1],
+                                x_even[..., 1:])
+    return x
+
+
+def _quintic_fit(x, columns):
+    """Knots, coefficients (a row per point) and _bsplines at x[:-1] of the
+    not-a-knot quintic spline through columns at x: make_interp_spline(x,
+    columns, k=5) in numpy, with scipy's knots. Collocation row i holds
+    the splines left - 5 .. left at x[i], within the three blocks of four
+    columns around its block of four rows: a block tridiagonal system,
+    padded with unit rows. The end rows are unit rows too, since the
+    spline's end values are its end coefficients."""
+    if not np.all(np.diff(x) > 0.0):
+        raise ValueError("spline sample points must increase strictly")
+    n, k, blocks = len(x), columns.shape[1], -(-len(x) // 4)
+    t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
+    i = np.arange(n - 1)
+    left = np.clip(i + 3, 5, n - 1)
+    splines = _bsplines(t, x[:-1], left)
+    band = np.zeros((4, 12, blocks))    # [row in block, column, block]
+    i, left = i[1:], left[1:]
+    band[i % 4, left - 1 - 4 * (i // 4) + np.arange(6)[:, None],
+         i // 4] = splines[5][:, 1:]
+    unit = np.r_[0, n - 1:4 * blocks]
+    band[unit % 4, 4 + unit % 4, unit // 4] = 1.0
+    rhs = np.zeros((4 * blocks, k))
+    rhs[:n] = columns
+    coef = _cyclic_reduction(band[:, :4], band[:, 4:8], band[:, 8:],
+                             rhs.reshape(blocks, 4, k).transpose(1, 2, 0))
+    coef = coef.transpose(1, 2, 0).reshape(k, 4 * blocks)[:, :n].T
+    return t, coef, splines
+
+
+class _ColumnSpline:
+    """The quintic spline of _quintic_fit through exact samples of the
+    columns (gamma, gamma', gamma'', Gamma) at the points x, held as each
+    knot interval's Taylor polynomials about its left end. gamma''' is the
+    derivative of the gamma'' polynomial. Past x[0] and x[-1] the end
+    intervals' polynomials extend the spline, as scipy's BSpline does.
+
+    The coefficient of u^(5 - 2 pair - parity) of column j on interval i
+    sits at [parity, pair, j, i], so that jet gathers one (2, 3, 4, ...)
+    block per call and sums it by Estrin's scheme.
+    """
+
+    def __init__(self, x, columns):
+        n = len(x)
+        t, d, splines = _quintic_fit(x, columns)
+        self.knots = np.concatenate([x[:1], x[3:-3], x[-1:]])
+        self._inner = self.knots[1:-1]
+        # coefficient r at the left ends x[0], x[3], .., x[-4]: derivative r
+        # over r!, its B-spline coefficients d the scaled differences of
+        # those of derivative r - 1, weighed by the splines of degree 5 - r,
+        # whose last one starts at the interval's left end: 0 there, r < 5
+        ends = np.r_[0, 3:n - 3]
+        self._table = table = np.empty((2, 3, 4, len(ends)))
+        d = d.T
+        for r in range(6):
+            if r:
+                d = (6 - r) * np.diff(d, axis=1) / (t[6:n + 6 - r] - t[r:n])
+            w = splines[5 - r][:max(5 - r, 1), ends] / math.factorial(r)
+            value = table[(5 - r) % 2, (5 - r) // 2]
+            np.multiply(w[0], d[:, :len(ends)], out=value)
+            for q in range(1, len(w)):
+                value += w[q] * d[:, q:q + len(ends)]
 
     def jet(self, t, order: int):
-        v = self.sp(t)
-        derivs = [v[..., k] for k in range(min(order, 2) + 1)]
+        i = self._inner.searchsorted(t, "right")
+        u = t - self.knots.take(i)
+        c = self._table.take(i, axis=3)
+        third = ()
         if order == 3:
-            derivs.append(self.sp(t, nu=1)[..., 2])
-        return (*derivs, v[..., 3])
+            a = c[:, :, 2]
+            d3 = 5.0 * a[0, 0]
+            for k, ak in ((4, a[1, 0]), (3, a[0, 1]), (2, a[1, 1]),
+                          (1, a[0, 2])):
+                d3 = d3 * u + k * ak
+            third = (d3,)
+        v = c[0] * u                   # Estrin: a_odd u + a_even, then in u^2
+        v += c[1]
+        u *= u
+        jet = v[0] * u
+        jet += v[1]
+        jet *= u
+        jet += v[2]
+        return (*jet[:min(order, 2) + 1], *third, jet[3])
 
     def point_jet(self):
-        """The four columns of the spline as local Taylor polynomials about
-        the midpoint of each knot interval, found by bisection on the knots
-        and summed by Horner's rule.
-
-        The value at each midpoint comes from de Boor's recursion on the
-        coefficients less the interval's first one, which are O(h) small,
-        so it is rounded once; the derivatives come from the spline. Each
-        interval takes 24 doubles, highest power first, read by one
-        struct unpack from an array('d') per block of 2**_BLOCK_BITS
-        intervals (49 kB). A block is filled on its first read: the
-        linearized flow on a latitude reads one of the 16, where a whole
-        table would hold 0.79 MB for every profile that is read at one
-        point. The knots are a list (0.13 MB), and each call rounds the
-        midpoint 0.5 * (x[i] + x[i + 1]) as numpy rounds it in the fill.
-        """
-        sp, k = self.sp, self.sp.k
-        knots = np.unique(sp.t[k:-k]).tolist()
+        """The table one interval at a time, found by bisection on the knots
+        (a list, 0.13 MB): 24 doubles, column by column and highest power
+        first, summed by Horner's rule, from an array('d') per block of
+        2**_BLOCK_BITS intervals (49 kB) copied from the table on its first
+        read; the linearized flow on a latitude reads one of the 16."""
+        table, knots = self._table, self.knots.tolist()
         last = len(knots) - 1
         bits, size = _BLOCK_BITS, 1 << _BLOCK_BITS
         blocks = [None] * -(-last // size)
         unpack = struct.Struct("24d").unpack_from
 
         def fill(b):
-            xb = np.array(knots[b * size:(b + 1) * size + 1])
-            left = np.searchsorted(sp.t, xb[:-1], side="right") - 1
-            mid = 0.5 * (xb[:-1] + xb[1:])
-            base = sp.c[left - k]
-            e = [sp.c[left - k + j] - base for j in range(k + 1)]
-            knot = [sp.t[left + o][:, None] for o in range(-k, k + 1)]
-            for r in range(1, k + 1):
-                for j in range(k, r - 1, -1):
-                    w = ((mid[:, None] - knot[j])
-                         / (knot[k + 1 + j - r] - knot[j]))
-                    e[j] = e[j - 1] + w * (e[j] - e[j - 1])
-            table = np.empty((len(mid), 4, k + 1))
-            for r in range(1, k + 1):
-                table[:, :, k - r] = sp(mid, nu=r) / math.factorial(r)
-            table[:, :, k] = base + e[k]
-            blocks[b] = coef = array("d", table.tobytes())
+            part = table[..., b * size:(b + 1) * size].transpose(3, 2, 1, 0)
+            blocks[b] = coef = array("d", part.tobytes())
             return coef
 
         def at(t):
@@ -221,7 +334,7 @@ class _ColumnSpline:
              c5, c4, c3, c2, c1, c0,
              G5, G4, G3, G2, G1, G0) = unpack(
                  blocks[i >> bits] or fill(i >> bits), 192 * (i & size - 1))
-            u = t - 0.5 * (knots[i] + knots[i + 1])
+            u = t - knots[i]
             return (((((g5 * u + g4) * u + g3) * u + g2) * u + g1) * u + g0,
                     ((((d5 * u + d4) * u + d3) * u + d2) * u + d1) * u + d0,
                     ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0,
@@ -251,16 +364,17 @@ class EllipsoidProfile(ProfileFunction):
         x, w = gauss_nodes(10)
         # cumulative t(u) and I(u) = integral gamma_raw dt over each u-cell
         uu = u[:-1, None] + np.diff(u)[:, None] * x[None, :]
-        sp = np.sqrt(np.cos(uu) ** 2 + rho**2 * np.sin(uu) ** 2)
+        sin_uu = np.sin(uu)
+        sp = np.sqrt(np.cos(uu) ** 2 + rho**2 * sin_uu ** 2)
         dcell_t = np.diff(u)[:, None] * w[None, :] * sp
-        dcell_I = dcell_t * np.sin(uu)
+        dcell_I = dcell_t * sin_uu
         t_raw = np.concatenate(([0.0], np.cumsum(dcell_t.sum(axis=1))))
         I_raw = np.concatenate(([0.0], np.cumsum(dcell_I.sum(axis=1))))
         # raw jets from the parametrization gamma_raw(u) = sin u
-        spu = np.sqrt(np.cos(u) ** 2 + rho**2 * np.sin(u) ** 2)
-        g_raw = np.sin(u)
-        dg = np.cos(u) / spu
-        ddg_raw = -np.sin(u) * (spu**2 + np.cos(u) ** 2 * (rho**2 - 1.0)) / spu**4
+        g_raw, cos_u = np.sin(u), np.cos(u)
+        spu = np.sqrt(cos_u ** 2 + rho**2 * g_raw ** 2)
+        dg = cos_u / spu
+        ddg_raw = -g_raw * (spu**2 + cos_u ** 2 * (rho**2 - 1.0)) / spu**4
         # rescale t -> s*t so that integral gamma = 2
         s = np.sqrt(2.0 / I_raw[-1])
         t = s * t_raw
@@ -319,6 +433,7 @@ class SplineProfile(ProfileFunction):
         if end_conditions is None:
             end_conditions = ([(1, 1.0), (2, 0.0)], [(1, -1.0), (2, 0.0)])
         self._end_conditions = end_conditions
+        from scipy.interpolate import make_interp_spline
         sp = make_interp_spline(t, g, k=5, bc_type=end_conditions)
         self._sp_derivs = [sp] + [sp.derivative(k) for k in (1, 2, 3)]
         self._sp_Gam = sp.antiderivative()

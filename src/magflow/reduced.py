@@ -47,7 +47,6 @@ from fractions import Fraction
 from functools import cache, partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numerics import newton_root
 from .profiles import ProfileFunction
@@ -503,6 +502,7 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
     +-1, plus the levels at POLE_GAP on either side of each pole that lie
     inside the grid. Quadratures are memoized by I within the call.
     """
+    from scipy.optimize import brentq
     level = cache(partial(birkhoff_action, p, m))
     levels = regular_levels(p, m, n_levels)
     gap_ends = [pole + side * POLE_GAP for pole in (-1.0, 1.0)

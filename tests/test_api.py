@@ -11,11 +11,16 @@ own definition, and every defaulted parameter of a public module-level
 function, method or constructor must be passed by some call in the
 package or in perfbench/; a knob that no caller sets is a module
 constant. No module may import a name it never uses. The checks read the
-source with ast, so they need nothing beyond the standard library.
+source with ast, so they need nothing beyond the standard library. scipy
+is loaded only by the functions that still need it: none of them runs
+when the package is imported or builds and evaluates a builtin profile.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,3 +265,78 @@ def test_one_ode_path():
              if "solve_ivp" in _imported(tree)
              or "solve_ivp" in _reads(tree)]
     assert not users, f"modules that use solve_ivp: {users}"
+
+
+# scipy names the package imports, each inside the functions listed, or
+# inside any function when None
+DEFERRED_SCIPY = {
+    "make_interp_spline": {"profiles.SplineProfile.__init__"},
+    "brentq": None,
+    "cKDTree": None,
+}
+
+
+def _scipy_imports(tree: ast.Module, stem: str) -> list:
+    """(enclosing definitions, name, inside a function) of every name
+    imported from scipy in tree."""
+    out = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,), in_function
+                      or not isinstance(child, ast.ClassDef))
+                continue
+            names = []
+            if isinstance(child, ast.ImportFrom):
+                if (child.module or "").split(".")[0] == "scipy":
+                    names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names
+                         if alias.name.split(".")[0] == "scipy"]
+            out.extend((".".join(scope), name, in_function) for name in names)
+            visit(child, scope, in_function)
+
+    visit(tree, (stem,), False)
+    return out
+
+
+def test_scipy_imports_are_deferred():
+    found = [imp for stem, tree in _modules().items()
+             for imp in _scipy_imports(tree, stem)]
+    assert found
+    for scope, name, in_function in found:
+        assert in_function, f"{scope} imports {name} at load time"
+        assert name in DEFERRED_SCIPY, f"{scope} imports scipy's {name}"
+        allowed = DEFERRED_SCIPY[name]
+        assert allowed is None or scope in allowed, (
+            f"{scope} imports {name}, which only {sorted(allowed)} may")
+
+
+_NO_SCIPY = """
+import sys
+import magflow.cli
+from magflow import contact, flow, profiles, reduced
+for spec in ("ellipsoid:1.5", "spindle:0.07:0.2"):
+    p = profiles.parse_profile_spec(spec)
+    assert profiles.validate(p).passed
+    contact.contact_interval(p)
+    reduced.action_scan(p, 0.8, n_levels=10)
+    p.point_jet()(0.5 * p.ell)
+    traj = flow.integrate(p, 0.8, (0.5 * p.ell, 0.4, 0.0), 10.0)
+    assert not traj.pole_terminated
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_and_builtin_profiles_load_no_scipy():
+    # a fresh process: import, the tabulated builds, their jets, bounds and
+    # scans, and a flow run that meets no event
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY],
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "[]", run.stdout

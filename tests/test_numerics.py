@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magflow import numerics
 from magflow.numerics import (
     GOLDEN,
     StepSizeError,
@@ -219,6 +220,23 @@ def _reference_combine(y, h, rule, K):
 
 
 _FLOATS = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+class TestTableau:
+    def test_equals_scipy_value_for_value(self):
+        # the constants against scipy's arrays, zeros included, with ==;
+        # scipy is only the oracle here
+        from scipy.integrate._ivp import dop853_coefficients as dop
+        assert (numerics._STAGES, numerics._EXTENDED) == (
+            dop.N_STAGES, dop.N_STAGES_EXTENDED)
+        assert list(numerics._C) == dop.C.tolist()
+        for s, row in enumerate(numerics._A_ROWS):
+            assert list(row) == dop.A[s, :s].tolist()
+            assert not np.any(dop.A[s, s:])
+        assert list(numerics._A_ROWS[numerics._STAGES]) == dop.B.tolist()
+        assert list(numerics._E3_ROW) == dop.E3.tolist()
+        assert list(numerics._E5_ROW) == dop.E5.tolist()
+        assert numerics._D.tolist() == dop.D.tolist()
 
 
 class TestKernels:

@@ -222,12 +222,82 @@ class TestEllipsoid:
         # Taylor tables against the spline's own evaluation at every knot
         # too; ratio 1 is the closed-form sphere
         p = make_ellipsoid(ratio)
-        sp = None if isinstance(p, SphereProfile) else p._table.sp
         check_point_jet(p, int(10 * ratio),
-                        [] if sp is None else np.unique(sp.t[sp.k:-sp.k]))
+                        [] if isinstance(p, SphereProfile) else p._table.knots)
 
     def test_make_ellipsoid_unit_ratio_is_sphere(self):
         assert isinstance(make_ellipsoid(1.0), SphereProfile)
+
+
+class TestColumnSpline:
+    """The numpy quintic fit behind the tabulated kinds, and the Taylor
+    table that both jets read, against scipy's make_interp_spline on the
+    same samples: the one oracle outside the table itself."""
+
+    @staticmethod
+    def fitted(build, monkeypatch):
+        """The profile build() makes, and the samples of its spline."""
+        seen, fit = [], profiles._ColumnSpline.__init__
+
+        def spy(self, x, columns):
+            seen.append((x, columns))
+            fit(self, x, columns)
+        monkeypatch.setattr(profiles._ColumnSpline, "__init__", spy)
+        return build(), seen[-1]
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_ellipsoid(0.5),
+        lambda: make_ellipsoid(1.3),
+        lambda: make_ellipsoid(4.0),
+        lambda: make_spindle(0.07, 0.2),
+        lambda: make_negative_action(0.1, 0.9)[0],
+    ], ids=["ellipsoid-0.5", "ellipsoid-1.3", "ellipsoid-4", "spindle",
+            "negative-action"])
+    def test_jet_matches_scipy(self, build, monkeypatch):
+        # every knot, every cell midpoint, random points and points 1e-12
+        # outside both ends, within 16 eps of each column's largest value;
+        # gamma''' differentiates the gamma'' column, so its bound is that
+        # column's over the shortest knot interval
+        from scipy.interpolate import make_interp_spline
+        p, (x, columns) = self.fitted(build, monkeypatch)
+        spline = p._table if isinstance(p, EllipsoidProfile) else p._collar
+        sp = make_interp_spline(x, columns, k=5)
+        knots = spline.knots
+        t = np.concatenate([
+            knots, 0.5 * (knots[:-1] + knots[1:]),
+            np.random.default_rng(5).uniform(x[0], x[-1], 2000),
+            [x[0] - 1e-12, x[-1] + 1e-12]])
+        g, dg, ddg, dddg, G = spline.jet(t, 3)
+        bound = 16 * np.spacing(1.0) * np.max(np.abs(columns), axis=0)
+        assert np.all(np.abs(np.column_stack([g, dg, ddg, G]) - sp(t))
+                      <= bound)
+        assert np.all(np.abs(dddg - sp(t, nu=1)[:, 2])
+                      <= bound[2] / np.min(np.diff(knots)))
+
+    @pytest.mark.parametrize("residue", range(4))
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 74), st.integers(0, 2**32 - 1))
+    def test_fit_matches_scipy_on_random_grids(self, residue, fours, seed):
+        # 8 to 299 points with every alignment of the last block of four
+        # collocation rows, spacings within a factor 2 of each other and
+        # values in [-1, 1]: knots equal, coefficients within 16 eps of
+        # each column's largest
+        from scipy.interpolate import make_interp_spline
+        rng = np.random.default_rng(seed)
+        n = 4 * fours + residue
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, n - 1))])
+        y = rng.uniform(-1.0, 1.0, (n, 4))
+        t, c, _ = profiles._quintic_fit(x, y)
+        sp = make_interp_spline(x, y, k=5)
+        assert np.array_equal(t, sp.t)
+        assert np.all(np.abs(c - sp.c)
+                      <= 16 * np.spacing(1.0) * np.max(np.abs(sp.c), axis=0))
+
+    def test_samples_must_increase(self):
+        x = np.linspace(0.0, 1.0, 20)
+        x[7] = x[6]
+        with pytest.raises(ValueError):
+            profiles._quintic_fit(x, np.ones((20, 4)))
 
 
 class TestSplineProfile:
@@ -328,10 +398,9 @@ class TestStretch:
         # the base's point_jet in the rigid zones, the collar's Taylor table
         # between them: every collar knot, both seams and 1e-12 around them
         p = build()
-        sp = p._collar.sp
         seams = np.array([p._s_lo, p._s_hi])
         check_point_jet(p, 3, np.concatenate([
-            np.unique(sp.t[sp.k:-sp.k]), seams - 1e-12, seams + 1e-12]))
+            p._collar.knots, seams - 1e-12, seams + 1e-12]))
 
     def test_collar_area_once_per_build(self):
         # normalize_stretch's quadrature serves the constructor it calls
