@@ -14,7 +14,8 @@ advances and time-averaged actions measured on trajectories must reproduce
 the quadrature values.
 
 Trajectories are integrated by numerics.dop853 on Python floats, with the
-profile read through p.point_jet(). Angles are stored unwrapped, and the
+profile read through p.point_jet(2), the reader of (gamma, gamma') alone;
+the level sections also read Gamma. Angles are stored unwrapped, and the
 error weight of phi and theta is fixed at atol + rtol * pi: with scipy's
 weight atol + rtol * |y| the tolerance on phi loosens as phi grows (about
 2 rad per unit s on band orbits), and the invariant drifts linearly in s
@@ -43,9 +44,9 @@ LEVEL_ATOL = 1e-12
 
 def flow_rhs(jet, m: float):
     """The generator for strength m, on a profile read through
-    jet = p.point_jet()."""
+    jet = p.point_jet(2), the (gamma, gamma') prefix reader."""
     def rhs(s, y):
-        g, dg, _, _ = jet(y[0])
+        g, dg = jet(y[0])
         sp, cp = math.sin(y[1]), math.cos(y[1])
         return (m * cp, 1.0 - m * dg * sp / g, m * sp / g)
     return rhs
@@ -84,7 +85,7 @@ def integrate(p: ProfileFunction, m: float, state0, s_max: float,
     Terminates early with pole_terminated when the trajectory enters the
     guard band around either pole, which regular initial data never does.
     """
-    jet, ell = p.point_jet(), p.ell
+    jet, ell = p.point_jet(2), p.ell
     guard = POLE_GUARD * ell
 
     def pole_event(s, y):

@@ -4,18 +4,24 @@ Grid-plus-golden-section extremum search, bracketed root finding by
 safeguarded Newton steps, cached Gauss-Legendre nodes, and the DOP853
 stepper that every ODE of the package integrates with: the flow, its
 level sections and the linearized flow behind the Conley-Zehnder
-indices. The stepper's stage sums are straight-line functions generated
-once per (tableau row, state length). Everything here is deterministic:
-fixed grids, fixed iteration budgets, ties broken toward smaller
-abscissae.
+indices. The stepper's trial step (stages, solution, error norms) is one
+straight-line function generated once per (state length, angle set), a
+dense-output stage sum one per (tableau row, state length); _sum spells
+every sum left to right, so results do not depend on the Python version,
+and tracebacks show the generated lines. Everything here is
+deterministic: fixed grids, fixed iteration budgets, ties broken toward
+smaller abscissae.
 """
 from __future__ import annotations
 
+import linecache
 import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import count
+from operator import add
 
 import numpy as np
 
@@ -229,29 +235,83 @@ _B = _A[_STAGES]
 _E5, _E3 = _nonzero(_E5_ROW), _nonzero(_E3_ROW)
 
 
+def _sum(rule, i):
+    """sum_j c_j K_j[i] over the nonzero (j, c_j) of rule as source text,
+    left to right, coefficients as repr floats, K_j[i] the local k{j}_{i}:
+    the order and rounding of a plain sum from 0, so bitwise that loop's up
+    to the sign of a zero sum. The one spelling of _kernel's and _step's."""
+    idx, coef = rule
+    return " + ".join(f"{c!r} * k{j}_{i}" for j, c in zip(idx, coef))
+
+
+def _unpack(name, prefix, n):
+    return "    " + "".join(f"{prefix}{i}, " for i in range(n)) + f"= {name}"
+
+
+_generated = count()
+
+
+@lru_cache(maxsize=None)
+def _code(source, title):
+    """source compiled under the filename <title #k> and registered with
+    linecache, so that tracebacks through it show the generated line; one
+    entry per distinct source, however many functions run it."""
+    filename = f"<{title} #{next(_generated)}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    return compile(source, filename, "exec")
+
+
+def generated_function(lines, name, title, namespace):
+    """The function name defined by the source lines, with globals
+    namespace, which does not keep it: no reference cycle holds what the
+    namespace holds once the function is dropped."""
+    exec(_code("\n".join(lines) + "\n", title), namespace)
+    return namespace.pop(name)
+
+
 @lru_cache(maxsize=None)
 def _kernel(rule, n: int):
     """y + h * sum_j c_j K_j over the nonzero (j, c_j) of rule, for states
-    of length n, as one generated function kernel(y, h, K) -> tuple.
-
-    The code is straight-line: every component is written out, and so is
-    its sum over j, left to right with the coefficients as repr floats.
-    That is the order and rounding of a plain sum from 0, which is what
-    sum(map(mul, coef, col)) computes up to Python 3.11, so a kernel agrees
-    with that loop bitwise, up to the sign of a zero sum.
-    """
-    idx, coef = rule
-    lines = ["def kernel(y, h, K):",
-             "    " + "".join(f"y{i}, " for i in range(n)) + "= y"]
-    lines += ["    " + "".join(f"k{j}_{i}, " for i in range(n)) + f"= K[{j}]"
-              for j in idx]
-    terms = [" + ".join(f"{c!r} * k{j}_{i}" for j, c in zip(idx, coef))
-             for i in range(n)]
-    lines.append("    return (" + "".join(f"y{i} + h * ({terms[i]}), "
+    of length n, as one generated function kernel(y, h, K) -> tuple whose
+    every component and sum is written out (_sum)."""
+    lines = ["def kernel(y, h, K):", _unpack("y", "y", n)]
+    lines += [_unpack(f"K[{j}]", f"k{j}_", n) for j in rule[0]]
+    lines.append("    return (" + "".join(f"y{i} + h * ({_sum(rule, i)}), "
                                          for i in range(n)) + ")")
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+    return generated_function(
+        lines, "kernel", f"dop853 stage sum over K{list(rule[0])}, n={n}", {})
+
+
+@lru_cache(maxsize=None)
+def _step(n: int, angles: tuple):
+    """One DOP853 trial step, states of length n, the components angles
+    weighted fixed, as one generated straight-line function step(fun, t, y,
+    h, t_new, K0, atol, rtol, fixed) -> (y_new, [K0, .., K12], n5, n3): the
+    11 stages, y_new, fun at (t_new, y_new) and the sums of squares of the
+    E5 and E3 estimates over the error weights. Each stage tuple is unpacked
+    once; E5 and E3 keep the kernels' form 0.0 + 1.0 * (sum) and the norms
+    add left to right, so every value is the per-stage kernels' bitwise."""
+    lines = ["def step(fun, t, y, h, t_new, K0, atol, rtol, fixed):",
+             _unpack("y", "y", n), _unpack("K0", "k0_", n)]
+    for s in range(1, _STAGES):
+        lines.append(f"    K{s} = fun(t + {_C[s]!r} * h, (" + "".join(
+            f"y{i} + h * ({_sum(_A[s], i)}), " for i in range(n)) + "))")
+        lines.append(_unpack(f"K{s}", f"k{s}_", n))
+    lines += [f"    u{i} = y{i} + h * ({_sum(_B, i)})" for i in range(n)]
+    lines.append("    y_new = (" + "".join(f"u{i}, " for i in range(n)) + ")")
+    lines.append(f"    K{_STAGES} = fun(t_new, y_new)")
+    lines += [f"    w{i} = fixed" if i in angles else
+              f"    w{i} = atol + rtol * max(abs(y{i}), abs(u{i}))"
+              for i in range(n)]
+    for name, rule in (("n5", _E5), ("n3", _E3)):
+        lines.append(f"    {name} = " + " + ".join(
+            f"((0.0 + 1.0 * ({_sum(rule, i)})) / w{i}) ** 2"
+            for i in range(n)))
+    lines.append("    return y_new, [" + "".join(
+        f"K{s}, " for s in range(_STAGES + 1)) + "], n5, n3")
+    return generated_function(
+        lines, "step", f"dop853 step, n={n}, angles={angles}", {})
 
 
 def _dense(rec, step, s, n):
@@ -319,18 +379,13 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     d = 1.0 if t1 > t0 else -1.0
     keys = [d * s for s in t_eval]
     fixed = atol + rtol * math.pi
-    weights = [fixed if i in angles else None for i in range(n)]
-
-    def scale(ya, yb):
-        return [w if w is not None else atol + rtol * max(abs(a), abs(b))
-                for w, a, b in zip(weights, ya, yb)]
-
-    zero = (0.0,) * n
-    stages = [(_C[s], _kernel(_A[s], n)) for s in range(1, _STAGES)]
-    advance, e5_sum, e3_sum = (_kernel(rule, n) for rule in (_B, _E5, _E3))
+    angles = tuple(i for i in range(n) if i in angles)
+    trial = _step(n, angles)
     t, f = t0, fun(t0, y)
     _nonfinite([f], t, 0.0)
-    h_abs = _initial_step(fun, t0, y, f, t1, d, scale(y, y))
+    h_abs = _initial_step(fun, t0, y, f, t1, d, [
+        fixed if i in angles else atol + rtol * abs(a)
+        for i, a in enumerate(y)])
     nfev = 2
     g = event(t0, y) if event is not None else None
     rows, counts, done, terminated = array("d"), [], 0, False
@@ -347,16 +402,9 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            for c, stage in stages:
-                K.append(fun(t + c * h, stage(y, h, K)))
-            y_new = advance(y, h, K)
-            K.append(fun(t_new, y_new))
+            y_new, K, n5, n3 = trial(fun, t, y, h, t_new, f, atol, rtol,
+                                     fixed)
             nfev += _STAGES
-            sc = scale(y, y_new)
-            e5, e3 = e5_sum(zero, 1.0, K), e3_sum(zero, 1.0, K)
-            n5 = sum((e / w) ** 2 for e, w in zip(e5, sc))
-            n3 = sum((e / w) ** 2 for e, w in zip(e3, sc))
             err = (0.0 if n5 == 0.0 and n3 == 0.0 else
                    h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * n))
             if err < 1.0:
@@ -433,7 +481,8 @@ def _initial_step(fun, t0, y0, f0, t1, d, scale):
     """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
     for an error estimator of order 7; one evaluation of fun."""
     def rms(v):
-        return math.sqrt(sum(x * x for x in v) / len(v))
+        # left to right from 0 on every Python (sum() compensates from 3.12)
+        return math.sqrt(reduce(add, [x * x for x in v], 0) / len(v))
     span = abs(t1 - t0)
     d0 = rms([a / w for a, w in zip(y0, scale)])
     d1 = rms([a / w for a, w in zip(f0, scale)])

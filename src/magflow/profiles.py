@@ -40,11 +40,11 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import gauss_nodes
+from .numerics import gauss_nodes, generated_function
 
 # Below this height the ratio -gamma''/gamma is replaced by its pole limit
 # -gamma'''/gamma'; both agree to O(t^2) near a pole but the limit form stays
@@ -53,6 +53,19 @@ _POLE_BAND = 1e-3
 _TABLE_CELLS = 4096     # cells of the grid a tabulated kind samples on
 _VALIDATE_CELLS = 2048  # cells of validate's grid
 _BLOCK_BITS = 8         # a point jet fills its Taylor table 256 cells at a time
+_FIELDS = ("g", "dg", "ddg", "G")  # a point jet's fields, prefixes first
+
+
+def _point_reader(fields, title, head, columns, namespace):
+    """at(t) -> the first fields of (gamma, gamma', gamma'', Gamma): the
+    lines head, then columns[:fields] returned, generated with namespace as
+    its globals. Every kind's point jet is built here, so a reader of fewer
+    fields is the same code less the unread columns."""
+    lines = ["def at(t):", *("    " + line for line in head),
+             "    return (" + "".join(f"{c}, " for c in columns[:fields])
+             + ")"]
+    return generated_function(lines, "at", f"magflow.profiles {title}, "
+                                           f"{fields} fields", namespace)
 
 
 class ProfileFunction:
@@ -71,27 +84,29 @@ class ProfileFunction:
         """
         raise NotImplementedError
 
-    def point_jet(self):
-        """A float -> (gamma, gamma', gamma'', Gamma) callable for one point
-        at a time, built on the first call and cached on the profile
-        (immutable after build) as _point_jet.
+    def point_jet(self, fields: int = 4):
+        """A float -> (gamma, gamma', gamma'', Gamma)[:fields] callable for
+        one point at a time, built on the first call per field count and
+        cached on the profile (immutable after build) in _point_jets.
 
-        The flows' right-hand sides, the linearized flow and the Newton
-        polishes call it on Python floats. It agrees with jet(t, 2) to a
-        few ulp of each column's largest value.
+        The linearized flow, the level sections and the Newton polishes
+        call the full reader on Python floats; the flow and its pole event
+        read (gamma, gamma') with fields = 2. It agrees with jet(t, 2) to a
+        few ulp of each column's largest value, a prefix with the full
+        reader bitwise.
         """
-        at = getattr(self, "_point_jet", None)
+        jets = self.__dict__.setdefault("_point_jets", {})
+        at = jets.get(fields)
         if at is None:
-            at = self._point_jet = self._build_point_jet()
+            at = jets[fields] = self._build_point_jet(fields)
         return at
 
-    def _build_point_jet(self):
+    def _build_point_jet(self, fields):
         """The evaluator point_jet caches; of the builtin kinds only sampled
         profiles use this wrapper of jet."""
-        def at(t):
-            g, dg, ddg, G = self.jet(t, 2)
-            return float(g), float(dg), float(ddg), float(G)
-        return at
+        head = ["g, dg, ddg, G = map(float, jet(t, 2))"]
+        return _point_reader(fields, "samples", head, _FIELDS,
+                             {"jet": self.jet})
 
     def gamma(self, t):
         return self.jet(t, 0)[0]
@@ -141,17 +156,15 @@ class SphereProfile(ProfileFunction):
         # antiderivative with Gamma(0) = -1
         return (*derivs, -1.0 + a**2 * (1.0 - cos))
 
-    def _build_point_jet(self):
+    def _build_point_jet(self, fields):
         """jet(t, 2) with math in place of numpy: the same operations in
         the same order, so equal to jet bitwise wherever numpy's scalar sin
         and cos round as the C library's do."""
-        a, a2 = self.radius, self.radius**2
-
-        def at(t):
-            u = t / a
-            sin, cos = math.sin(u), math.cos(u)
-            return a * sin, cos, -sin / a, -1.0 + a2 * (1.0 - cos)
-        return at
+        return _point_reader(
+            fields, "sphere", ["u = t / a",
+                               "sin, cos = math.sin(u), math.cos(u)"],
+            ("a * sin", "cos", "-sin / a", "-1.0 + a2 * (1.0 - cos)"),
+            {"math": math, "a": self.radius, "a2": self.radius**2})
 
     def gamma_integral(self) -> float:
         return 2.0 * self.radius**2
@@ -311,35 +324,34 @@ class _ColumnSpline:
         jet += v[2]
         return (*jet[:min(order, 2) + 1], *third, jet[3])
 
-    def point_jet(self):
-        """The table one interval at a time, found by bisection on the knots
-        (a list, 0.13 MB): 24 doubles, column by column and highest power
-        first, summed by Horner's rule, from an array('d') per block of
-        2**_BLOCK_BITS intervals (49 kB) copied from the table on its first
-        read; the linearized flow on a latitude reads one of the 16."""
-        table, knots = self._table, self.knots.tolist()
-        last = len(knots) - 1
-        bits, size = _BLOCK_BITS, 1 << _BLOCK_BITS
-        blocks = [None] * -(-last // size)
-        unpack = struct.Struct("24d").unpack_from
+    @cached_property
+    def _reads(self):
+        table, size = self._table, 1 << _BLOCK_BITS
+        blocks = [None] * -(-(len(self.knots) - 1) // size)
 
         def fill(b):
             part = table[..., b * size:(b + 1) * size].transpose(3, 2, 1, 0)
             blocks[b] = coef = array("d", part.tobytes())
             return coef
+        return {"knots": self.knots.tolist(), "blocks": blocks, "fill": fill,
+                "bisect_right": bisect_right}
 
-        def at(t):
-            i = bisect_right(knots, t, 1, last) - 1
-            (g5, g4, g3, g2, g1, g0, d5, d4, d3, d2, d1, d0,
-             c5, c4, c3, c2, c1, c0,
-             G5, G4, G3, G2, G1, G0) = unpack(
-                 blocks[i >> bits] or fill(i >> bits), 192 * (i & size - 1))
-            u = t - knots[i]
-            return (((((g5 * u + g4) * u + g3) * u + g2) * u + g1) * u + g0,
-                    ((((d5 * u + d4) * u + d3) * u + d2) * u + d1) * u + d0,
-                    ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0,
-                    ((((G5 * u + G4) * u + G3) * u + G2) * u + G1) * u + G0)
-        return at
+    def point_jet(self, fields, title):
+        """The table one interval at a time, found by bisection on the knots
+        (a list, 0.13 MB): the first 6 * fields of the interval's 24
+        doubles, column by column and highest power first, by Horner, from an
+        array('d') per block of 2**_BLOCK_BITS intervals (49 kB) copied from
+        the table on first read and shared by the readers (_reads)."""
+        bits, last, powers = _BLOCK_BITS, len(self.knots) - 1, "543210"
+        return _point_reader(fields, title, [
+            f"i = bisect_right(knots, t, 1, {last}) - 1",
+            "".join(f"{c}{r}, " for c in "gdcG"[:fields] for r in powers)
+            + f"= unpack(blocks[i >> {bits}] or fill(i >> {bits}), "
+              f"192 * (i & {(1 << bits) - 1}))", "u = t - knots[i]"],
+            [f"(((({c}5 * u + {c}4) * u + {c}3) * u + {c}2) * u + {c}1) * u"
+             f" + {c}0" for c in "gdcG"],
+            {**self._reads,
+             "unpack": struct.Struct(f"{6 * fields}d").unpack_from})
 
 
 class EllipsoidProfile(ProfileFunction):
@@ -397,8 +409,8 @@ class EllipsoidProfile(ProfileFunction):
         d3 = np.where(t > self.ell - _POLE_BAND, self.pole_curvature, d3)
         return (*jet[:3], d3, jet[4])
 
-    def _build_point_jet(self):
-        return self._table.point_jet()
+    def _build_point_jet(self, fields):
+        return self._table.point_jet(fields, "ellipsoid table")
 
     def gamma_integral(self) -> float:
         return 2.0
@@ -577,21 +589,17 @@ class StretchedProfile(ProfileFunction):
             past, 2.0 * self.C * self.weighted_area, 0.0)
         return tuple(jet)
 
-    def _build_point_jet(self):
+    def _build_point_jet(self, fields):
         """The base's point_jet in the rigid zones and the collar's Taylor
-        table between them."""
-        base, collar = self.base.point_jet(), self._collar.point_jet()
-        lo, hi, shift = self._s_lo, self._s_hi, 2.0 * self.C
-        lift = 2.0 * self.C * self.weighted_area
-
-        def at(s):
-            if s <= lo:
-                return base(s)
-            if s < hi:
-                return collar(s)
-            g, dg, ddg, G = base(s - shift)
-            return g, dg, ddg, G + lift
-        return at
+        table between them, reading the same fields."""
+        return _point_reader(fields, "stretched", [
+            "if t <= lo: return base(t)", "if t < hi: return collar(t)",
+            "".join(f"{c}, " for c in _FIELDS[:fields]) + "= base(t - shift)"],
+            ("g", "dg", "ddg", "G + lift"),
+            {"base": self.base.point_jet(fields),
+             "collar": self._collar.point_jet(fields, "stretched collar"),
+             "lo": self._s_lo, "hi": self._s_hi, "shift": 2.0 * self.C,
+             "lift": 2.0 * self.C * self.weighted_area})
 
     def gamma_integral(self) -> float:
         return self.base.gamma_integral() + 2.0 * self.C * self.weighted_area

@@ -195,7 +195,7 @@ class TestCoframe:
         n = 25
         t = rng.uniform(0.2, 0.8, n) * ellipsoid.ell
         phi = rng.uniform(-np.pi, np.pi, n)
-        jet = ellipsoid.point_jet()
+        jet = ellipsoid.point_jet(2)
         for m in (0.1, 1.7, 3.0):
             states = np.zeros((9, n))
             states[0], states[1] = t, phi

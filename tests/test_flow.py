@@ -10,6 +10,8 @@ the flow owns.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -25,7 +27,12 @@ from magflow.flow import (
     level_average_ode,
 )
 from magflow.numerics import dop853
-from magflow.profiles import make_ellipsoid, make_sphere
+from magflow.profiles import (
+    ProfileFunction,
+    make_ellipsoid,
+    make_sphere,
+    parse_profile_spec,
+)
 from magflow.reduced import LevelRangeError, birkhoff_action, find_latitude
 
 
@@ -42,7 +49,7 @@ def ellipsoid():
 class TestVectorField:
     def test_components(self, sphere):
         m, t, phi = 2.0, 1.1, 0.4
-        v = flow_rhs(sphere.point_jet(), m)(0.0, (t, phi, 0.0))
+        v = flow_rhs(sphere.point_jet(2), m)(0.0, (t, phi, 0.0))
         assert v[0] == pytest.approx(m * np.cos(phi))
         assert v[1] == pytest.approx(
             1.0 - m * np.cos(t) * np.sin(phi) / np.sin(t))
@@ -117,7 +124,7 @@ class TestScipyOracle:
         pole.terminal = True
         s_eval = np.linspace(0.0, 50.0, 2001)
         ref = _scipy_oracle(sphere, 1.0, state0, s_eval, events=pole)
-        run = dop853(flow_rhs(sphere.point_jet(), 1.0), 0.0, state0, 50.0,
+        run = dop853(flow_rhs(sphere.point_jet(2), 1.0), 0.0, state0, 50.0,
                      s_eval, angles=ANGLES, event=pole)
         assert run.terminated and ref.status == 1
         assert abs(run.t_end - ref.t_events[0][0]) < 1e-9
@@ -211,3 +218,29 @@ class TestTrajectoryRecord:
         assert len(lines) == 6
         assert (traj.t[0], traj.phi[0], traj.theta[0]) == \
             pytest.approx((1.0, 0.2, 0.0))
+
+
+class TestPrefixReader:
+    @pytest.mark.parametrize("spec, m, state0, nfev", [
+        ("ellipsoid:1.5", 0.8, (1.0, 0.4, 0.0), 3809),
+        # across the spindle's cap/collar seams at s = 0.07 and 39.746
+        ("spindle:0.07:0.2", 0.5, (0.02, 0.4, 0.0), 13304),
+        ("spindle:0.07:0.2", 0.5, (39.76, 2.9, 0.0), 10529)])
+    def test_flow_reads_gamma_and_its_slope_only(self, spec, m, state0, nfev,
+                                                 monkeypatch):
+        # the right-hand side and the pole event read the (gamma, gamma')
+        # prefix reader; the four-field reader is never called, and the
+        # steps are those the four-field reads gave (nfev pinned)
+        point_jet, calls = ProfileFunction.point_jet, Counter()
+
+        def counted(self, fields=4):
+            at = point_jet(self, fields)
+
+            def read(t):
+                calls[fields] += 1
+                return at(t)
+            return read
+        monkeypatch.setattr(ProfileFunction, "point_jet", counted)
+        traj = integrate(parse_profile_spec(spec), m, state0, 20.0)
+        assert calls[4] == 0 and calls[2] >= traj.nfev
+        assert traj.nfev == nfev and not traj.pole_terminated

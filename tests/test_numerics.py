@@ -2,6 +2,8 @@
 exact solutions of linear ODEs."""
 from __future__ import annotations
 
+import math
+import traceback
 from functools import reduce
 from operator import add, mul
 
@@ -15,10 +17,14 @@ from magflow.numerics import (
     StepSizeError,
     _A,
     _B,
+    _C,
     _E3,
     _E5,
     _EXTENDED,
+    _STAGES,
+    _initial_step,
     _kernel,
+    _step,
     dop853,
     gauss_nodes,
     golden_max,
@@ -257,3 +263,115 @@ class TestKernels:
     def test_built_once_per_row_and_length(self):
         assert _kernel(_B, 5) is _kernel(_B, 5)
         assert _kernel(_B, 5) is not _kernel(_B, 6)
+
+
+def _reference_step(fun, t, y, h, t_new, f, atol, rtol, fixed, angles):
+    """The trial step as a loop over the kernels: the stages, y_new, the
+    error weights and both sums of squares from 0, as the stepper ran it
+    before the step was generated."""
+    n = len(y)
+    K = [f]
+    for s in range(1, _STAGES):
+        K.append(fun(t + _C[s] * h, _kernel(_A[s], n)(y, h, K)))
+    y_new = _kernel(_B, n)(y, h, K)
+    K.append(fun(t_new, y_new))
+    w = [fixed if i in angles else atol + rtol * max(abs(a), abs(b))
+         for i, (a, b) in enumerate(zip(y, y_new))]
+    norms = [reduce(add, [(e / wi) ** 2 for e, wi in zip(
+        _kernel(rule, n)((0.0,) * n, 1.0, K), w)], 0) for rule in (_E5, _E3)]
+    return (y_new, K, *norms)
+
+
+_MODERATE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+class TestGeneratedStep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4, 9]), st.sampled_from([(), (1, 2)]),
+           st.data())
+    def test_matches_the_kernel_loop(self, n, angles, data):
+        # bitwise, up to the sign of zero: every stage's (t, y) argument,
+        # y_new, the 13 stage tuples and both sums of squares
+        vec = st.lists(_MODERATE, min_size=n, max_size=n)
+        y, a, b = data.draw(vec), data.draw(vec), data.draw(vec)
+        t, h = data.draw(_MODERATE), data.draw(st.floats(-10.0, 10.0))
+        tol = st.floats(1e-16, 1e-3)
+        atol, rtol = data.draw(tol), data.draw(tol)
+        fixed = atol + rtol * math.pi
+
+        def recording(calls):
+            def fun(s, z):
+                calls.append((s, z))
+                return tuple(a[i] * z[(i + 1) % n] + b[i] * math.sin(s + i)
+                             for i in range(n))
+            return fun
+        got, want = [], []
+        f = recording([])(t, y)
+        out = _step(n, angles)(recording(got), t, y, h, t + h, f, atol,
+                               rtol, fixed)
+        ref = _reference_step(recording(want), t, y, h, t + h, f, atol,
+                              rtol, fixed, angles)
+        assert got == want and len(got) == _STAGES
+        assert type(out[0]) is tuple and type(out[1]) is list
+        assert out[0] == ref[0] and out[1] == ref[1]
+        assert len(out[1]) == _STAGES + 1
+        assert out[2:] == ref[2:]
+
+    def test_built_once_per_length_and_angles(self):
+        assert _step(6, (4,)) is _step(6, (4,))
+        assert _step(6, (4,)) is not _step(6, ())
+        assert _step(6, (4,)) is not _step(7, (4,))
+        # a second run with the same length and angles builds nothing
+        counts = []
+        for _ in range(2):
+            dop853(lambda t, y: (y[1], -y[0], 0.0, 0.0, 1.0), 0.0,
+                   (1.0, 0.0, 0.0, 0.0, 0.0), 1.0, angles=[4, 7])
+            counts.append(_step.cache_info())
+        assert counts[1].misses == counts[0].misses
+        assert counts[1].hits == counts[0].hits + 1
+        assert _step(5, (4,)) is _step(5, (4,))
+
+    def test_traceback_shows_the_generated_stage(self):
+        # an error raised by the right-hand side at stage 5 passes through
+        # the generated step, whose line the traceback prints
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            if len(calls) == 7:    # initial slope, step probe, stages 1-5
+                raise RuntimeError("stage 5")
+            return (y[1], -y[0])
+        with pytest.raises(RuntimeError, match="stage 5"):
+            try:
+                dop853(fun, 0.0, (1.0, 0.0), 1.0)
+            except RuntimeError:
+                text = traceback.format_exc()
+                raise
+        assert "<dop853 step, n=2, angles=() #" in text
+        assert f"K5 = fun(t + {_C[5]!r} * h, (y0 + h * (" in text
+
+    def test_traceback_shows_the_generated_kernel(self):
+        with pytest.raises(ValueError):
+            try:
+                _kernel(_A[13], 3)([0.0] * 3, 1.0, [(1.0, 2.0)] * 13)
+            except ValueError:
+                text = traceback.format_exc()
+                raise
+        assert "<dop853 stage sum over K[0, 6, 7" in text
+        assert "k0_0, k0_1, k0_2, = K[0]" in text
+
+
+class TestInitialStep:
+    def test_norms_are_plain_sums(self):
+        # the squares of y0 sum to 1e-6 left to right from 0, and to one
+        # ulp more when compensated (sum() from Python 3.12); the first
+        # step, 100 h0 = 100 * 0.01 * rms(y0) here, shows which was used
+        y0, f0 = [1e-3, 1e-11, 1e-11], [1.0, 1.0, 1.0]
+
+        def rms(total):
+            return math.sqrt(total / 3)
+        squares = [x * x for x in y0]
+        assert reduce(add, squares, 0) != math.fsum(squares)
+        h = _initial_step(lambda t, y: f0, 0.0, y0, f0, 1.0, 1.0, [1.0] * 3)
+        assert h == 100.0 * (0.01 * rms(reduce(add, squares, 0)) / 1.0)
+        assert h != 100.0 * (0.01 * rms(math.fsum(squares)) / 1.0)

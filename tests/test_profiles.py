@@ -7,6 +7,10 @@ finite-difference consistency of the derivative fields).
 """
 from __future__ import annotations
 
+import gc
+import linecache
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,16 +55,20 @@ def check_point_jet(p, seed, extra=()):
     """point_jet against jet(t, 2) on 2e5 random points, the points extra
     and points 1e-12 outside [0, ell]: within 4 ulp of each column's scale,
     1 for gamma, gamma' and Gamma, which are O(1), and max |gamma''| for
-    gamma''; bitwise on the closed-form sphere."""
+    gamma''; bitwise on the closed-form sphere. The (gamma, gamma') prefix
+    reader equals the first two fields bitwise."""
     t = np.concatenate([
         np.random.default_rng(seed).uniform(0.0, p.ell, 200000),
         extra, [-1e-12, p.ell + 1e-12]])
     want = np.column_stack(p.jet(t, 2))
-    at = p.point_jet()
+    at, prefix = p.point_jet(), p.point_jet(2)
     got = np.array([at(ti) for ti in t.tolist()])
     scale = np.array([1.0, 1.0, np.max(np.abs(want[:, 2])), 1.0])
     tol = 0.0 if isinstance(p, SphereProfile) else 4 * np.spacing(1.0)
     assert np.max(np.abs(got - want) / scale) <= tol
+    two = np.array([prefix(ti) for ti in t.tolist()])
+    assert two.shape == (len(t), 2)
+    assert np.array_equal(two.view(np.int64), got[:, :2].view(np.int64))
 
 
 def collar_oracle(p, s):
@@ -143,6 +151,12 @@ def test_scalar_and_array_agree(build):
                                            rel=1e-14, abs=1e-14)
         assert ddg == pytest.approx(jet[2][k], rel=1e-14,
                                     abs=1e-14 * ddg_scale)
+    # the (gamma, gamma') reader: built once, the same fields bitwise
+    prefix = p.point_jet(2)
+    assert p.point_jet(2) is prefix and prefix is not at
+    for k in range(len(t)):
+        two = prefix(float(t[k]))
+        assert type(two) is tuple and two == at(float(t[k]))[:2]
     if isinstance(p, EllipsoidProfile):
         # the third derivative is pinned to its exact pole limit
         assert jet[3][0] == jet[3][1] == -p.pole_curvature
@@ -224,6 +238,28 @@ class TestEllipsoid:
         p = make_ellipsoid(ratio)
         check_point_jet(p, int(10 * ratio),
                         [] if isinstance(p, SphereProfile) else p._table.knots)
+
+    @pytest.mark.parametrize("spec", ["ellipsoid:1.4", "spindle:0.07:0.2"])
+    def test_point_jets_go_with_the_profile(self, spec):
+        # the generated readers hold no reference cycle: dropping the
+        # profile frees its table and blocks without the cycle collector,
+        # and profiles of one kind share their readers' compiled source
+        def build():
+            p = profiles.parse_profile_spec(spec)
+            for fields in (2, 4):
+                p.point_jet(fields)(0.5 * p.ell)
+            return p
+        build()
+        cached = len(linecache.cache)
+        gc.disable()
+        try:
+            p = build()
+            table = weakref.ref(getattr(p, "_collar", None) or p._table)
+            del p
+            assert table() is None
+        finally:
+            gc.enable()
+        assert len(linecache.cache) == cached
 
     def test_make_ellipsoid_unit_ratio_is_sphere(self):
         assert isinstance(make_ellipsoid(1.0), SphereProfile)
