@@ -39,12 +39,18 @@ average over one reduced period of
 the factor relating the magnetic field to the Reeb field of the rescaled
 contact form; on the round sphere beta_theta vanishes and the action is
 identically m^2 + 1.
+
+The levels of a scan are evaluated together: one flip count per envelope
+piece brackets the turning points of every level, and each doubling stage
+reads the nodes of all levels still open through one vector jet per chunk
+of _BATCH_POINTS level x node points. Newton's polish of each turning
+point stays scalar, and every row equals the one-level quadrature bitwise;
+birkhoff_action and turning_points are batches of one level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 
 import numpy as np
 
@@ -57,6 +63,7 @@ LEVEL_BAND = 1e-3             # share of the invariant range padded at each end
 POLE_GAP = 1e-3               # closure brackets keep this far from +-1
 QUAD_NODES = 64               # first Gauss-Chebyshev rule of birkhoff_action
 QUAD_RTOL = 1e-10             # its self-consistency under node doubling
+_BATCH_POINTS = 1 << 12       # level x node points per quadrature jet call
 CLOSURE_TOL = 1e-6            # |q winding - p| per reduced period at closure
 CLOSURE_Q_MAX = 64            # orbit_closure's largest number of periods
 CLOSURE_XTOL = 1e-9           # brentq's tolerance in I for a closure level
@@ -98,19 +105,36 @@ class _Piece:
     I: np.ndarray
 
 
+def _brackets(v, x, what) -> np.ndarray:
+    """For each level of the array x, the k where v > x flips between
+    v[k] and v[k + 1], as the one sign change of the table v - x.
+
+    The flips are counted over the whole table, _BATCH_POINTS // QUAD_NODES
+    levels at a time. Any number of flips but one raises LevelRangeError
+    for the first such level, whose value what(x) names.
+    """
+    rows, ks = max(1, _BATCH_POINTS // QUAD_NODES), []
+    for c in range(0, len(x), rows):
+        pos = v > x[c:c + rows, None]
+        flip = pos[:, 1:] != pos[:, :-1]
+        n = flip.sum(axis=1)
+        if (n != 1).any():
+            i = np.flatnonzero(n != 1)[0]
+            raise LevelRangeError(f"{what(float(x[c + i]))} changes sign "
+                                  f"{n[i]} times on the table; K_m > 0 "
+                                  f"allows one")
+        ks.append(flip.argmax(axis=1))
+    return np.concatenate(ks)
+
+
 def _one_root(fdf, t, v, ftol: float, what: str) -> float:
     """The one sign change of f over the table v = f(t), polished.
 
     The root is bracketed between the two neighbouring entries where v > 0
-    flips and polished by numerics.newton_root; fdf returns f and f' from
-    one jet. Any other number of flips raises LevelRangeError.
+    flips (_brackets) and polished by numerics.newton_root; fdf returns f
+    and f' from one jet. Any other number of flips raises LevelRangeError.
     """
-    pos = v > 0.0
-    k = np.flatnonzero(pos[1:] != pos[:-1])
-    if k.size != 1:
-        raise LevelRangeError(f"{what} changes sign {k.size} times on the "
-                              f"table; K_m > 0 allows one")
-    k = int(k[0])
+    k = int(_brackets(v, np.zeros(1), lambda _: what)[0])
     return newton_root(fdf, float(t[k]), float(t[k + 1]), float(v[k]),
                        float(v[k + 1]), ftol=ftol)
 
@@ -192,77 +216,104 @@ class TurningPoints:
     branch_plus: str
 
 
-def _crossing(p: ProfileFunction, m: float, I: float, piece: _Piece) -> float:
-    """The one t where the monotone envelope piece equals I.
+def _crossings(p: ProfileFunction, m: float, levels, piece: _Piece) -> list:
+    """The one t where the monotone envelope piece equals I, for each level
+    I of the array levels.
 
-    Newton's method runs on the envelope, whose derivative +-m gamma' -
-    gamma comes from the same jet as its value.
+    All levels are bracketed together (_brackets); Newton's method then
+    runs on the envelope one level at a time, through the point jet, whose
+    derivative +-m gamma' - gamma comes from the same jet as its value.
     """
-    sg, jet = piece.sign, p.point_jet()
+    sg, jet, t, v = piece.sign, p.point_jet(), piece.t, piece.I
+    ks = _brackets(v, levels, lambda x: f"envelope piece minus I = {x}")
+    roots = []
+    for I, k in zip(levels.tolist(), ks.tolist()):
+        def fdf(s, I=I):
+            g, dg, _, G = jet(s)
+            return sg * m * g - G - I, sg * m * dg - g
 
-    def fdf(t):
-        g, dg, _, G = jet(t)
-        return sg * m * g - G - I, sg * m * dg - g
-
-    # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error of f
-    ftol = 8.0 * _EPS * (1.0 + abs(I))
-    return _one_root(fdf, piece.t, piece.I - I, ftol,
-                     f"envelope piece minus I = {I}")
+        # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error of f
+        ftol = 8.0 * _EPS * (1.0 + abs(I))
+        roots.append(newton_root(fdf, float(t[k]), float(t[k + 1]),
+                                 float(v[k] - I), float(v[k + 1] - I),
+                                 ftol=ftol))
+    return roots
 
 
-def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
-    """Boundary of the positivity band of W for a regular level I.
+def _turning_points(p: ProfileFunction, m: float, I):
+    """(t_minus, t_plus) arrays of the regular levels of the array I.
 
     W is positive exactly between the envelopes, so each turning point lies
     on one monotone envelope piece: t_minus on the rising upper piece when
     I > 1 and on the falling lower piece otherwise, t_plus on the rising
     lower piece when I < -1 and on the falling upper piece otherwise. The
-    branch labels record which envelope is touched.
+    first level outside the open range, or within LATITUDE_BAND of a pole
+    value, raises LevelRangeError.
     """
     rng, pieces = _envelopes(p, m)
-    if not (rng.I_min < I < rng.I_max):
-        raise LevelRangeError(
-            f"I = {I} outside open range ({rng.I_min:.12g}, {rng.I_max:.12g})")
-    if abs(I - 1.0) < LATITUDE_BAND or abs(I + 1.0) < LATITUDE_BAND:
-        raise LevelRangeError(
-            f"I = {I} within {LATITUDE_BAND} of a pole value +-1")
-    branch_minus = "upper" if I > 1.0 else "lower"
-    branch_plus = "lower" if I < -1.0 else "upper"
+    out = ~((rng.I_min < I) & (I < rng.I_max))
+    if out.any():
+        raise LevelRangeError(f"I = {float(I[out][0])} outside open range "
+                              f"({rng.I_min:.12g}, {rng.I_max:.12g})")
+    # |(|I| - 1)| is |I - 1| or |I + 1| exactly, the nearer one
+    near = np.abs(np.abs(I) - 1.0) < LATITUDE_BAND
+    if near.any():
+        raise LevelRangeError(f"I = {float(I[near][0])} within "
+                              f"{LATITUDE_BAND} of a pole value +-1")
+    ends = np.empty((2, len(I)))
+    for end, on_upper in enumerate((I > 1.0, I >= -1.0)):
+        for branch, sel in (("upper", on_upper), ("lower", ~on_upper)):
+            levels = I[sel]
+            if levels.size:
+                ends[end, sel] = _crossings(p, m, levels, pieces[branch, end])
+    return ends
+
+
+def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
+    """Boundary of the positivity band of W for a regular level I, with
+    the envelope each end touches (_turning_points of one level)."""
+    t_minus, t_plus = _turning_points(p, m, np.array([I], dtype=float))
     return TurningPoints(
-        t_minus=_crossing(p, m, I, pieces[branch_minus, 0]),
-        t_plus=_crossing(p, m, I, pieces[branch_plus, 1]),
-        branch_minus=branch_minus, branch_plus=branch_plus)
+        t_minus=float(t_minus[0]), t_plus=float(t_plus[0]),
+        branch_minus="upper" if I > 1.0 else "lower",
+        branch_plus="lower" if I < -1.0 else "upper")
 
 
 # -- band quadrature ------------------------------------------------------------
 
 
-def _band_integrals(p: ProfileFunction, m: float, I: float,
-                    tp: TurningPoints, n_nodes: int):
-    """Gauss-Chebyshev values of (s_half, theta_half, integral of h ds).
+def _band_integrals(p: ProfileFunction, m: float, I, a, b, n_nodes: int):
+    """Gauss-Chebyshev values of (s_half, theta_half, integral of h ds),
+    the rows of a (3, levels) array, for the levels of the arrays (I,
+    t_minus, t_plus).
 
     With V = W / ((t - t_minus)(t_plus - t)) smooth and positive on the
     closed band, each integral is F / sqrt(V) against the Chebyshev weight
     1 / sqrt((t - t_minus)(t_plus - t)), which the rule integrates exactly
     with uniform weight pi / n. Node clustering is quadratic, gentle
     enough that W never collapses into roundoff at the band ends.
+
+    The nodes form one (levels, n_nodes) C-contiguous array, read by one
+    vector jet. Every stage is elementwise, and numpy sums a contiguous
+    last axis row by row with the pairwise sum of a 1-D array, so each row
+    is bitwise the quadrature of its level alone.
     """
-    a, b = tp.t_minus, tp.t_plus
     k = np.arange(1, n_nodes + 1)
+    I, a, b = I[:, None], a[:, None], b[:, None]
     t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
                                                / (2 * n_nodes))
     g, dg, G = p.jet(t, 1)
     W = (m * g) ** 2 - (I + G) ** 2
     V = W / ((t - a) * (b - t))
-    if np.any(V <= 0.0):
-        raise LevelRangeError(f"band integrand lost positivity for I = {I}")
+    if (V <= 0.0).any():
+        lost = (V <= 0.0).any(axis=1)
+        raise LevelRangeError(f"band integrand lost positivity for "
+                              f"I = {float(I[lost][0, 0])}")
     common = (np.pi / n_nodes) / np.sqrt(V)
-    s_half = float(np.sum(common * g))
-    theta_half = float(np.sum(common * (I + G) / g))
     # on the level, m sin(phi) = (I + Gamma) / gamma
     h = contact.reeb_factor(m, G + dg, (I + G) / (m * g), g)
-    h_ds = float(np.sum(common * g * h))
-    return s_half, theta_half, h_ds
+    return np.add.reduce([common * g, common * (I + G) / g, common * g * h],
+                         axis=2)
 
 
 @dataclass(frozen=True)
@@ -300,24 +351,54 @@ class ReducedLevel:
         return ",".join("%.12g" % c for c in cols)
 
 
-def birkhoff_action(p: ProfileFunction, m: float, I: float) -> ReducedLevel:
-    """Quadrature of one level, doubling nodes from QUAD_NODES until two
-    rules agree to QUAD_RTOL."""
-    tp = turning_points(p, m, I)
-    prev = None
-    cur = None
-    for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES, 8 * QUAD_NODES):
-        cur = _band_integrals(p, m, I, tp, n)
-        if prev is not None:
-            ok_s = abs(cur[0] - prev[0]) <= QUAD_RTOL * max(abs(cur[0]), 1e-30)
-            ok_h = abs(cur[2] - prev[2]) <= QUAD_RTOL * max(abs(cur[2]), 1e-30)
-            if ok_s and ok_h:
+def _stage(p: ProfileFunction, m: float, band, n_nodes: int):
+    """_band_integrals of the levels in the columns (I, t_minus, t_plus) of
+    band, at most _BATCH_POINTS level x node points per vector jet."""
+    rows = max(1, _BATCH_POINTS // n_nodes)
+    return np.concatenate([_band_integrals(p, m, *band[:, c:c + rows],
+                                           n_nodes)
+                           for c in range(0, band.shape[1], rows)], axis=1)
+
+
+def _reduced_levels(p: ProfileFunction, m: float, levels) -> list:
+    """Quadratures of the levels, a sequence of floats, evaluated together.
+
+    Every level starts at QUAD_NODES and doubles its nodes until two rules
+    agree to QUAD_RTOL in s_half and in the integral of h ds, or until
+    8 QUAD_NODES; a stage evaluates only the levels still open, at most
+    _BATCH_POINTS level x node points per vector jet, so memory stays
+    bounded however many levels there are. The rows are those of the
+    levels taken one at a time, bitwise (_band_integrals).
+    """
+    I = np.array(levels, dtype=float)
+    if not I.size:
+        return []
+    ends = _turning_points(p, m, I)
+    band, done = np.vstack((I, ends)), np.empty((3, len(I)))
+    todo, prev = np.arange(len(I)), None
+    for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES):
+        cur = _stage(p, m, band, n)
+        if prev is not None:       # s_half and the integral of h ds
+            ok = np.logical_and.reduce(np.abs(cur[::2] - prev[::2])
+                                       <= QUAD_RTOL
+                                       * np.maximum(np.abs(cur[::2]), 1e-30))
+            done[:, todo[ok]] = cur[:, ok]
+            todo, band, cur = todo[~ok], band[:, ~ok], cur[:, ~ok]
+            if not todo.size:
                 break
         prev = cur
-    s_half, theta_half, h_ds = cur
-    return ReducedLevel(m=m, I=I, t_minus=tp.t_minus, t_plus=tp.t_plus,
-                        s_half=s_half, theta_half=theta_half,
-                        action=h_ds / s_half)
+    else:                          # the last rule is taken as it is
+        done[:, todo] = _stage(p, m, band, 8 * QUAD_NODES)
+    return [ReducedLevel(m=m, I=i, t_minus=a, t_plus=b, s_half=s,
+                         theta_half=th, action=hs / s)
+            for i, a, b, s, th, hs in zip(I.tolist(), *ends.tolist(),
+                                          *done.tolist())]
+
+
+def birkhoff_action(p: ProfileFunction, m: float, I: float) -> ReducedLevel:
+    """Quadrature of one level, doubling nodes from QUAD_NODES until two
+    rules agree to QUAD_RTOL (_reduced_levels of one level)."""
+    return _reduced_levels(p, m, [I])[0]
 
 
 # -- latitudes ------------------------------------------------------------------
@@ -436,8 +517,8 @@ def action_scan(p: ProfileFunction, m: float, n_levels: int,
                                  theta_half=float(theta_half),
                                  action=lat.action))
     if n_levels > 0:
-        levels = regular_levels(p, m, n_levels, band=band)
-        rows.extend(birkhoff_action(p, m, float(I)) for I in levels)
+        rows.extend(_reduced_levels(p, m, regular_levels(p, m, n_levels,
+                                                         band=band)))
     rows.sort(key=lambda r: r.I)
     return rows
 
@@ -500,10 +581,11 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
     about 1e-4 of a pole the quadrature's winding is wrong, so no bracket
     spans a pole: the nodes are the regular levels at least POLE_GAP from
     +-1, plus the levels at POLE_GAP on either side of each pole that lie
-    inside the grid. Quadratures are memoized by I within the call.
+    inside the grid. The regular levels and the gap ends are quadratures of
+    one batch, and every level is memoized by I within the call, so that
+    brentq's iterates cost one quadrature each.
     """
     from scipy.optimize import brentq
-    level = cache(partial(birkhoff_action, p, m))
     levels = regular_levels(p, m, n_levels)
     gap_ends = [pole + side * POLE_GAP for pole in (-1.0, 1.0)
                 for side in (-1.0, 1.0)]
@@ -511,6 +593,13 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                     if abs(abs(I) - 1.0) >= POLE_GAP]
                    + [I for I in gap_ends
                       if np.any(levels < I) and np.any(levels > I)])
+    grid = list(dict.fromkeys([*map(float, levels), *nodes]))
+    memo = dict(zip(grid, _reduced_levels(p, m, grid)))
+
+    def level(I):
+        if I not in memo:
+            memo[I] = birkhoff_action(p, m, I)
+        return memo[I]
     brackets = [(a, b) for a, b in zip(nodes, nodes[1:])
                 if not a < -1.0 < b and not a < 1.0 < b]
     found = {}

@@ -9,6 +9,7 @@ independent direct quadrature of the defining integrals.
 """
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -18,7 +19,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from magflow import reduced
-from magflow.contact import contact_interval, h_min
+from magflow.contact import contact_interval, h_min, km_positive, \
+    min_curvature, reeb_factor
 from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
                               parse_profile_spec)
 from magflow.reduced import (
@@ -28,6 +30,8 @@ from magflow.reduced import (
     LEVEL_BAND,
     LevelRangeError,
     POLE_GAP,
+    QUAD_NODES,
+    QUAD_RTOL,
     SCAN_HEADER,
     I_hat,
     I_range,
@@ -366,6 +370,148 @@ class TestScan:
         assert a[0] == SCAN_HEADER
 
 
+def _one_at_a_time(p, m, levels):
+    return [astuple(birkhoff_action(p, m, float(I))) for I in levels]
+
+
+def _regular_rows(rows):
+    return [astuple(r) for r in rows if r.t_minus != r.t_plus]
+
+
+def _one_level_on_1d_nodes(p, m, I):
+    """The row of level I by the quadrature rule written out for one level
+    on 1-D node arrays: nodes doubling from QUAD_NODES until s_half and
+    the integral of h ds agree to QUAD_RTOL, at most 8 QUAD_NODES."""
+    tp = turning_points(p, m, I)
+    a, b, prev = tp.t_minus, tp.t_plus, None
+    for n in (QUAD_NODES << j for j in range(4)):
+        k = np.arange(1, n + 1)
+        t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
+                                                   / (2 * n))
+        g, dg, G = p.jet(t, 1)
+        V = ((m * g) ** 2 - (I + G) ** 2) / ((t - a) * (b - t))
+        w = (np.pi / n) / np.sqrt(V)
+        h = reeb_factor(m, G + dg, (I + G) / (m * g), g)
+        cur = (float(np.sum(w * g)), float(np.sum(w * (I + G) / g)),
+               float(np.sum(w * g * h)))
+        if prev is not None and all(
+                abs(cur[j] - prev[j]) <= QUAD_RTOL * max(abs(cur[j]), 1e-30)
+                for j in (0, 2)):
+            break
+        prev = cur
+    return (m, I, a, b, cur[0], cur[1], cur[2] / cur[0])
+
+
+_SPINDLE = parse_profile_spec("spindle:0.07:0.2")
+
+
+class TestBatchedQuadrature:
+    """action_scan evaluates its levels together; every row is the level's
+    own quadrature, field for field."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.just(make_sphere()), st.just(_SPINDLE),
+                     st.floats(0.5, 4.0).map(make_ellipsoid)),
+           st.floats(0.05, 3.0), st.integers(1, 40),
+           st.sampled_from([LEVEL_BAND, 1e-4]))
+    def test_scan_rows_are_the_levels_rows(self, p, m, n, band):
+        assume(km_positive(p, m))
+        rows = action_scan(p, m, n_levels=n, band=band)
+        want = _one_at_a_time(p, m, regular_levels(p, m, n, band=band))
+        assert _regular_rows(rows) == sorted(want, key=lambda r: r[1])
+
+    def test_masked_doubling(self, monkeypatch):
+        # four levels of the spindle's scan at m = 0.25 go on to 512 nodes
+        # while the others stop at 128; with 1000 level x node points per
+        # chunk, every stage also crosses chunk boundaries. The rows equal
+        # those of the rule written out for one level on 1-D nodes
+        stages = []
+        band_integrals = reduced._band_integrals
+
+        def spy(p, m, I, a, b, n_nodes):
+            stages.append((n_nodes, len(I)))
+            return band_integrals(p, m, I, a, b, n_nodes)
+
+        monkeypatch.setattr(reduced, "_band_integrals", spy)
+        levels = regular_levels(_SPINDLE, 0.25, 100)
+        want = [_one_level_on_1d_nodes(_SPINDLE, 0.25, float(I))
+                for I in levels]
+        assert _one_at_a_time(_SPINDLE, 0.25, levels) == want
+        for points in (reduced._BATCH_POINTS, 1000):
+            monkeypatch.setattr(reduced, "_BATCH_POINTS", points)
+            stages.clear()
+            rows = action_scan(_SPINDLE, 0.25, n_levels=100)
+            assert _regular_rows(rows) == want
+            deep = sum(k for n, k in stages if n == 8 * QUAD_NODES)
+            assert deep == 4
+            assert all(n * k <= points for n, k in stages)
+
+    def test_chunk_boundary(self, ellipsoid):
+        # 300 levels of 64 nodes fill more than one chunk
+        assert 300 * QUAD_NODES > reduced._BATCH_POINTS
+        rows = action_scan(ellipsoid, 0.9, n_levels=300)
+        assert _regular_rows(rows) == _one_at_a_time(
+            ellipsoid, 0.9, regular_levels(ellipsoid, 0.9, 300))
+
+    def test_no_levels(self, sphere):
+        # an empty batch makes no quadrature, and a closure search over no
+        # levels finds nothing, as before
+        assert reduced._reduced_levels(sphere, 1.0, []) == []
+        assert rational_closures(sphere, 1.0, n_levels=0) == []
+
+    @pytest.mark.parametrize("where", [0, 5, 11])
+    def test_one_invalid_level_refuses_the_batch(self, ellipsoid, where):
+        r = I_range(ellipsoid, 1.0)
+        levels = list(regular_levels(ellipsoid, 1.0, 11))
+        for bad in (np.nan, r.I_min, r.I_max, 1.0 + 0.5 * LATITUDE_BAND,
+                    -1.0 - 0.5 * LATITUDE_BAND):
+            with pytest.raises(LevelRangeError):
+                reduced._reduced_levels(ellipsoid, 1.0,
+                                        levels[:where] + [bad]
+                                        + levels[where:])
+
+    @pytest.mark.parametrize("spec, m", [("sphere", 0.7),
+                                         ("ellipsoid:0.73", 1.1),
+                                         ("spindle:0.07:0.2", 0.25)])
+    def test_no_level_at_a_time_in_the_scan(self, spec, m, monkeypatch):
+        # one vector jet for the envelope table, then one per doubling
+        # stage per chunk of _BATCH_POINTS level x node points; a scan of
+        # one level at a time would make at least 200. The per-profile
+        # min_curvature cache is warmed
+        p = parse_profile_spec(spec)
+        min_curvature(p)
+        jet, shapes = p.jet, []
+
+        def counted(t, order=1):
+            if np.ndim(t):
+                shapes.append(np.shape(t))
+            return jet(t, order)
+
+        monkeypatch.setattr(p, "jet", counted)
+        action_scan(p, m, n_levels=100)
+        chunks = sum(-(-100 // (reduced._BATCH_POINTS // n))
+                     for n in (QUAD_NODES << j for j in range(4)))
+        assert shapes[0] == (ENVELOPE_GRID,)
+        assert len(shapes) <= 1 + chunks
+        assert all(len(s) == 2 and s[0] * s[1] <= reduced._BATCH_POINTS
+                   for s in shapes[1:])
+
+    def test_scan_memory_is_bounded(self):
+        # a gathered ellipsoid jet block holds 24 doubles per level x node
+        # point: the 5000-level scan peaks near 3 MB in chunks (2.3 MB of
+        # it the rows), and would hold about 210 MB in one batch
+        p = make_ellipsoid(1.5)
+        I_range(p, 0.5)
+        tracemalloc.start()
+        try:
+            rows = action_scan(p, 0.5, n_levels=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 5002
+        assert peak < 8 * 2**20
+
+
 class TestClosures:
     def test_parity_table(self):
         assert closure_parity(2, 2, 1.5)         # outside band, even turns
@@ -399,18 +545,20 @@ class TestClosures:
         # the winding jumps by 1 at I = +-1, and within about 1e-4 of it
         # the quadrature's winding is wrong; no bracket comes nearer than
         # POLE_GAP, so the orbits pair costs its 11 levels, the 4 gap ends
-        # and the brentq iterates, and no quadrature fails
+        # and the brentq iterates, and no quadrature fails; every level
+        # passes through the batched entry, brentq's one at a time
         calls, raised = [], []
+        batch = reduced._reduced_levels
 
-        def guarded(*args, **kwargs):
-            calls.append(args)
+        def guarded(p, m, levels):
+            calls.extend(levels)
             try:
-                return birkhoff_action(*args, **kwargs)
+                return batch(p, m, levels)
             except ValueError as exc:
                 raised.append(exc)
                 raise
 
-        monkeypatch.setattr(reduced, "birkhoff_action", guarded)
+        monkeypatch.setattr(reduced, "_reduced_levels", guarded)
         found = rational_closures(make_ellipsoid(2.0), 1.0021, n_levels=11,
                                   q_max=5)
         assert len(calls) <= 40 and not raised
