@@ -129,7 +129,6 @@ class SymplecticPath:
     m: float
     descriptor: str
     det_defect: float
-    states: np.ndarray | None = None
     nfev: int = 0                 # right-hand side calls of the run
 
 
@@ -150,8 +149,7 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
                      rtol=LINEARIZED_RTOL, atol=LINEARIZED_ATOL)
     except StepSizeError as exc:
         raise FrameError(f"linearized integration failed: {exc}") from exc
-    states = run.y.T
-    Psi = chi_project(p, m, states)
+    Psi = chi_project(p, m, run.y.T)
     det = Psi[:, 0, 0] * Psi[:, 1, 1] - Psi[:, 0, 1] * Psi[:, 1, 0]
     defect = float(np.max(np.abs(det - 1.0)))
     if defect > SYMPLECTIC_TOL:
@@ -159,7 +157,7 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
                          f"{SYMPLECTIC_TOL}")
     return SymplecticPath(times=tau, matrices=Psi, m=m,
                           descriptor=descriptor, det_defect=defect,
-                          states=states, nfev=run.nfev)
+                          nfev=run.nfev)
 
 
 # -- winding ---------------------------------------------------------------------

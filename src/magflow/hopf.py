@@ -17,12 +17,12 @@ Its pullback satisfies p0* psi0 = -2 lambda_st with lambda_st(W) =
 <i U, W> the standard contact form of S^3; pullback_residual verifies the
 identity at random samples with exact differentials.
 
-The remaining tools work with closed polylines on S^3: their exact
-segment-to-segment distance, linking numbers counted from the signed
-crossings of one planar projection after stereographic projection, the
-even-linking property of antipodal pairs, and continuous lifting of frame
-paths through p0, which detects whether a closed path upstairs closes
-after one or two traversals.
+The remaining tools work with closed polylines on S^3: whether two of
+them come within LINK_GAP of each other, segment to segment, linking
+numbers counted from the signed crossings of one planar projection after
+stereographic projection, the even-linking property of antipodal pairs,
+and continuous lifting of frame paths through p0, which detects whether a
+closed path upstairs closes after one or two traversals.
 """
 from __future__ import annotations
 
@@ -191,8 +191,6 @@ def q_rho(rho, z) -> float:
 @dataclass(frozen=True)
 class HessianScan:
     min_eigenvalue: float
-    argmin_point: np.ndarray
-    n_samples: int
 
 
 def hessian_convexity(rho, n_samples: int, seed: int = 0) -> HessianScan:
@@ -204,7 +202,6 @@ def hessian_convexity(rho, n_samples: int, seed: int = 0) -> HessianScan:
     """
     rng = np.random.default_rng(seed)
     best = np.inf
-    arg = None
     fd_h = HESSIAN_STEP
     eye = np.eye(4)
     for _ in range(int(n_samples)):
@@ -223,18 +220,14 @@ def hessian_convexity(rho, n_samples: int, seed: int = 0) -> HessianScan:
                     q_rho(rho, z + ea + eb) - q_rho(rho, z + ea - eb)
                     - q_rho(rho, z - ea + eb) + q_rho(rho, z - ea - eb)
                 ) / (4.0 * fd_h**2)
-        lam = float(np.linalg.eigvalsh(H)[0])
-        if lam < best:
-            best = lam
-            arg = z
-    return HessianScan(min_eigenvalue=best, argmin_point=arg,
-                       n_samples=int(n_samples))
+        best = min(best, float(np.linalg.eigvalsh(H)[0]))
+    return HessianScan(min_eigenvalue=best)
 
 
 # -- knots on the 3-sphere -------------------------------------------------------
 
-_ROWS = 64           # segments per block of KnotPolyline.min_distance
-_EPS4 = 4.0 * np.finfo(float).eps   # roundoff of min_distance's pair bound
+LINK_GAP = 1e-3      # polygons this close are too close to be linked
+_ROWS = 64           # segments per block of KnotPolyline.gap
 
 
 @dataclass(frozen=True)
@@ -262,42 +255,30 @@ class KnotPolyline:
     def antipode(self) -> "KnotPolyline":
         return KnotPolyline(-self.points)
 
-    def min_distance(self, other: "KnotPolyline") -> float:
-        """Exact distance between the two polygons in R^4, segment to
-        segment. Two segments are at least as far apart as their midpoints
-        less their half chords, so only pairs whose midpoints lie within
-        the best distance so far plus the two longest half chords can
-        attain the minimum. Of those, a pair with midpoint gap m and chords
-        u and v is dropped when |m|^2 - |m.u| - |m.v|, a lower bound on its
-        squared distance, exceeds best^2: near-parallel curves separate
-        quadratically along their length, which the linear radius cannot
-        see. Rows go _ROWS at a time: on knots that are about equidistant,
-        such as a torus knot and its antipode, every segment has dozens of
-        candidates."""
+    def gap(self, other: "KnotPolyline") -> float:
+        """Distance between the two polygons in R^4, segment to segment,
+        when it is at most LINK_GAP, and inf otherwise. Two segments are
+        at least as far apart as their midpoints less their half chords,
+        so every pair within LINK_GAP has its midpoints within LINK_GAP
+        plus the two longest half chords: one KD-tree radius, widened by
+        the distances' roundoff, finds them all. Rows go _ROWS at a time:
+        on knots that are about equidistant, such as a torus knot and its
+        antipode, every segment has dozens of candidates."""
         from scipy.spatial import cKDTree
         P, Q = self.points, other.points
         u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
-        mid_p, mid_q = P[:-1] + 0.5 * u, Q[:-1] + 0.5 * v
-        tree_q = cKDTree(mid_q)
-        slack = 0.5 * (np.max(quat_norm(u)) + np.max(quat_norm(v)))
-        # best, the pruning radius, starts at the closest midpoints; the
-        # result is the least segment distance evaluated, which can exceed
-        # that seed by roundoff when the polygons nearly coincide
-        best = float(np.min(tree_q.query(mid_p)[0]))
+        mid_p = P[:-1] + 0.5 * u
+        tree_q = cKDTree(Q[:-1] + 0.5 * v)
+        reach = LINK_GAP + 0.5 * (np.max(quat_norm(u))
+                                  + np.max(quat_norm(v)))
         least = np.inf
         for lo in range(0, len(mid_p), _ROWS):
             pairs = cKDTree(mid_p[lo:lo + _ROWS]).sparse_distance_matrix(
-                tree_q, best + slack, output_type="ndarray")
+                tree_q, reach * (1.0 + 1e-12), output_type="ndarray")
             i, j = pairs["i"] + lo, pairs["j"]
-            m = mid_p[i] - mid_q[j]
-            gap = _dot(m, m)
-            lean = np.abs(_dot(m, u[i])) + np.abs(_dot(m, v[j]))
-            keep = gap - lean <= best * best + _EPS4 * (gap + lean)
-            i, j = i[keep], j[keep]
             least = min(least, float(np.min(
                 _segment_distance(P[i], u[i], Q[j], v[j]), initial=least)))
-            best = min(best, least)
-        return least
+        return least if least <= LINK_GAP else np.inf
 
 
 def _segment_distance(a, u, c, v):
@@ -318,8 +299,8 @@ def _segment_distance(a, u, c, v):
     return quat_norm(w + s[:, None] * u - t[:, None] * v)
 
 
-def knot_from_samples(samples, n: int | None = None) -> KnotPolyline:
-    """Close and uniformly resample a curve given by S^3 samples.
+def knot_from_samples(samples, n: int) -> KnotPolyline:
+    """Close a curve given by S^3 samples and resample it to n segments.
 
     Resampling is by chord arclength with linear interpolation followed by
     reprojection to the sphere, so the output satisfies the polyline
@@ -331,8 +312,6 @@ def knot_from_samples(samples, n: int | None = None) -> KnotPolyline:
     else:
         pts = pts.copy()
         pts[-1] = pts[0]
-    if n is None:
-        n = max(256, 2 * (len(pts) - 1))
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     grid = np.linspace(0.0, arc[-1], n + 1)
@@ -463,17 +442,19 @@ def _linking_number(k1: KnotPolyline, k2: KnotPolyline) -> int:
 
 
 def gauss_linking(k1: KnotPolyline, k2: KnotPolyline) -> int:
-    """Linking number of two knots more than 1e-3 apart, segment to segment.
+    """Linking number of two knots more than LINK_GAP apart, segment to
+    segment.
 
     The knots are projected stereographically from a pole far from both,
     and the signed crossings of one planar projection of the two polygons
     are counted, with two counts that must agree. A degenerate projection
     raises RuntimeError instead of being guessed around.
     """
-    gap = k1.min_distance(k2)
-    if gap <= 1e-3:
+    gap = k1.gap(k2)
+    if gap <= LINK_GAP:
+        limit = np.format_float_scientific(LINK_GAP, trim="-", exp_digits=1)
         raise ValueError(f"knots too close for linking: min distance "
-                         f"{gap:.3g} <= 1e-3")
+                         f"{gap:.3g} <= {limit}")
     return _linking_number(k1, k2)
 
 
@@ -491,7 +472,7 @@ def antipodal_link_parity(k: KnotPolyline) -> AntipodalLinkReport:
     are reported as not disjoint and carry no linking number.
     """
     a = k.antipode()
-    if k.min_distance(a) <= 1e-3:
+    if k.gap(a) <= LINK_GAP:
         return AntipodalLinkReport(disjoint=False, lk=None, even=None)
     lk = _linking_number(k, a)
     return AntipodalLinkReport(disjoint=True, lk=lk, even=(lk % 2 == 0))

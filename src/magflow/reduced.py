@@ -40,12 +40,13 @@ the factor relating the magnetic field to the Reeb field of the rescaled
 contact form; on the round sphere beta_theta vanishes and the action is
 identically m^2 + 1.
 
-The levels of a scan are evaluated together: one flip count per envelope
-piece brackets the turning points of every level, and each doubling stage
-reads the nodes of all levels still open through one vector jet per chunk
-of _BATCH_POINTS level x node points. Newton's polish of each turning
-point stays scalar, and every row equals the one-level quadrature bitwise;
-birkhoff_action and turning_points are batches of one level.
+The levels of a scan are evaluated together: one binary search per
+envelope piece brackets the turning points of every level, and each
+doubling stage reads the nodes of all levels still open through one vector
+jet per chunk of _BATCH_POINTS level x node points. Newton's polish of
+each turning point stays scalar, and every row equals the one-level
+quadrature bitwise; birkhoff_action and turning_points are batches of one
+level.
 """
 from __future__ import annotations
 
@@ -105,36 +106,19 @@ class _Piece:
     I: np.ndarray
 
 
-def _brackets(v, x, what) -> np.ndarray:
-    """For each level of the array x, the k where v > x flips between
-    v[k] and v[k + 1], as the one sign change of the table v - x.
-
-    The flips are counted over the whole table, _BATCH_POINTS // QUAD_NODES
-    levels at a time. Any number of flips but one raises LevelRangeError
-    for the first such level, whose value what(x) names.
-    """
-    rows, ks = max(1, _BATCH_POINTS // QUAD_NODES), []
-    for c in range(0, len(x), rows):
-        pos = v > x[c:c + rows, None]
-        flip = pos[:, 1:] != pos[:, :-1]
-        n = flip.sum(axis=1)
-        if (n != 1).any():
-            i = np.flatnonzero(n != 1)[0]
-            raise LevelRangeError(f"{what(float(x[c + i]))} changes sign "
-                                  f"{n[i]} times on the table; K_m > 0 "
-                                  f"allows one")
-        ks.append(flip.argmax(axis=1))
-    return np.concatenate(ks)
-
-
 def _one_root(fdf, t, v, ftol: float, what: str) -> float:
     """The one sign change of f over the table v = f(t), polished.
 
     The root is bracketed between the two neighbouring entries where v > 0
-    flips (_brackets) and polished by numerics.newton_root; fdf returns f
-    and f' from one jet. Any other number of flips raises LevelRangeError.
+    flips and polished by numerics.newton_root; fdf returns f and f' from
+    one jet. Any other number of flips raises LevelRangeError.
     """
-    k = int(_brackets(v, np.zeros(1), lambda _: what)[0])
+    pos = v > 0.0
+    flips = np.flatnonzero(pos[1:] != pos[:-1])
+    if len(flips) != 1:
+        raise LevelRangeError(f"{what} changes sign {len(flips)} times on "
+                              f"the table; K_m > 0 allows one")
+    k = int(flips[0])
     return newton_root(fdf, float(t[k]), float(t[k + 1]), float(v[k]),
                        float(v[k + 1]), ftol=ftol)
 
@@ -150,8 +134,10 @@ def _envelopes(p: ProfileFunction, m: float):
     every critical point is a strict extremum and each slope changes sign
     exactly once on [0, ell]. That root, polished with slope' = +-m gamma''
     - gamma', is the extremum of the envelope and the latitude on it.
-    pieces holds the monotone halves of each envelope, keyed by envelope
-    and by side of its extremum.
+    pieces holds the halves of each envelope, keyed by envelope and by side
+    of its extremum. Table entries not strictly inside the extremum's value
+    are its roundoff, within about 1e-8 of it, and are left out; every
+    piece must then be strictly monotone, or LevelRangeError names it.
     """
     cached = getattr(p, "_I_range_at", None)
     if cached is not None and cached[0] == m:
@@ -179,11 +165,19 @@ def _envelopes(p: ProfileFunction, m: float):
         # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name,
         # 0] runs from t = 0 to the extremum, pieces[name, 1] on to t = ell
         vals = np.r_[1.0, sg * m * g - G, -1.0]
+        inside = sg * vals < sg * I_ext
         k = int(np.searchsorted(t, t_ext))
-        pieces[name, 0] = _Piece(sg, np.r_[t[:k], t_ext],
-                                 np.r_[vals[:k], I_ext])
-        pieces[name, 1] = _Piece(sg, np.r_[t_ext, t[k:]],
-                                 np.r_[I_ext, vals[k:]])
+        lo, hi = inside[:k], inside[k:]
+        pieces[name, 0] = _Piece(sg, np.r_[t[:k][lo], t_ext],
+                                 np.r_[vals[:k][lo], I_ext])
+        pieces[name, 1] = _Piece(sg, np.r_[t_ext, t[k:][hi]],
+                                 np.r_[I_ext, vals[k:][hi]])
+        for side in (0, 1):
+            step = np.diff(pieces[name, side].I)
+            if not ((step > 0.0).all() or (step < 0.0).all()):
+                raise LevelRangeError(f"{name} envelope piece {side} is not "
+                                      f"strictly monotone on the table; "
+                                      f"K_m > 0 makes it so")
     (t_hi, I_max), (t_lo, I_min) = ext["upper"], ext["lower"]
     if not (I_max > 1.0 and I_min < -1.0):
         raise LevelRangeError(
@@ -220,12 +214,18 @@ def _crossings(p: ProfileFunction, m: float, levels, piece: _Piece) -> list:
     """The one t where the monotone envelope piece equals I, for each level
     I of the array levels.
 
-    All levels are bracketed together (_brackets); Newton's method then
-    runs on the envelope one level at a time, through the point jet, whose
-    derivative +-m gamma' - gamma comes from the same jet as its value.
+    The piece is strictly monotone (_envelopes), so a binary search
+    brackets each level between the two entries where v > I flips; the
+    range checks of _turning_points keep every level inside the piece's
+    values. Newton's method then runs on the envelope one level at a time,
+    through the point jet, whose derivative +-m gamma' - gamma comes from
+    the same jet as its value.
     """
     sg, jet, t, v = piece.sign, p.point_jet(), piece.t, piece.I
-    ks = _brackets(v, levels, lambda x: f"envelope piece minus I = {x}")
+    if v[-1] > v[0]:
+        ks = np.searchsorted(v, levels, side="right") - 1
+    else:
+        ks = np.searchsorted(-v, -levels, side="left") - 1
     roots = []
     for I, k in zip(levels.tolist(), ks.tolist()):
         def fdf(s, I=I):

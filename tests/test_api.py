@@ -10,7 +10,9 @@ package class must be read as an attribute in the package outside its
 own definition, and every defaulted parameter of a public module-level
 function, method or constructor must be passed by some call in the
 package or in perfbench/; a knob that no caller sets is a module
-constant. No module may import a name it never uses. The checks read the
+constant. Every dataclass field must be read as an attribute in the
+package, where its own class's methods count since they need readers of
+their own, or in perfbench/. No module may import a name it never uses. The checks read the
 source with ast, so they need nothing beyond the standard library. scipy
 is loaded only by the functions that still need it: none of them runs
 when the package is imported or builds and evaluates a builtin profile.
@@ -44,6 +46,21 @@ ALLOWED_UNCALLED = {
 # public methods that nothing in the package reads, each with its reason
 ALLOWED_UNREAD = {
     "cli._Parser.error": "argparse calls it on a usage error",
+}
+
+# dataclass fields that nothing in the package or perfbench reads, each
+# with its reason
+ALLOWED_UNREAD_FIELDS = {
+    "reduced.TurningPoints.branch_minus": "the envelope t_minus lies on; "
+                                          "tests check each end against "
+                                          "its own envelope piece",
+    "reduced.TurningPoints.branch_plus": "the envelope t_plus lies on, "
+                                         "likewise",
+    "cz.WindingInterval.u_lo": "the direction attaining lo; tests check the "
+                               "interval's ends against brute-force windings",
+    "cz.WindingInterval.u_hi": "the direction attaining hi, likewise",
+    "cz.ConvexityReport.candidates": "the closed orbits T0 is the least "
+                                     "period of; tests check their count",
 }
 
 # defaulted parameters that no call in the package or perfbench passes
@@ -173,12 +190,15 @@ def _calls(trees) -> dict:
     return out
 
 
+def _perfbench() -> list:
+    return [ast.parse(path.read_text(), filename=str(path))
+            for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
 def _unpassed_defaults() -> list:
     mods = _modules()
     mods.pop("__init__")
-    calls = _calls([*mods.values(),
-                    *(ast.parse(path.read_text(), filename=str(path))
-                      for path in sorted((ROOT / "perfbench").glob("*.py")))])
+    calls = _calls([*mods.values(), *_perfbench()])
     out = []
     for label, name, fn, bound in _callables(mods):
         a = fn.args
@@ -213,6 +233,23 @@ def _unread_methods() -> list:
                         for r in reads for inside, attr in r.get(name, ()))]
 
 
+def _unread_fields() -> list:
+    mods = _modules()
+    reads = [_reads(tree) for tree in [*mods.values(), *_perfbench()]]
+    out = []
+    for stem, tree in mods.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in cls.decorator_list)):
+                continue
+            out += [f"{stem}.{cls.name}.{node.target.id}"
+                    for node in cls.body if isinstance(node, ast.AnnAssign)
+                    and not any(attr for r in reads
+                                for _, attr in r.get(node.target.id, ()))]
+    return out
+
+
 def test_every_export_has_a_package_caller():
     uncalled = [n for n in _uncalled_exports() if n not in ALLOWED_UNCALLED]
     assert not uncalled, f"exported but never called in the package: " \
@@ -222,6 +259,11 @@ def test_every_export_has_a_package_caller():
 def test_every_method_has_a_package_reader():
     unread = [n for n in _unread_methods() if n not in ALLOWED_UNREAD]
     assert not unread, f"methods never read in the package: {unread}"
+
+
+def test_every_dataclass_field_has_a_reader():
+    unread = [n for n in _unread_fields() if n not in ALLOWED_UNREAD_FIELDS]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_every_default_is_passed_somewhere():
@@ -235,6 +277,7 @@ def test_allow_list_is_current():
     # name is gone, is stale
     assert set(ALLOWED_UNCALLED) <= set(_uncalled_exports())
     assert set(ALLOWED_UNREAD) <= set(_unread_methods())
+    assert set(ALLOWED_UNREAD_FIELDS) <= set(_unread_fields())
     assert set(ALLOWED_UNPASSED) <= set(_unpassed_defaults())
 
 

@@ -273,14 +273,18 @@ class TestKnotPolyline:
         assert np.allclose(a.points, -k.points)
 
     def test_min_distance_symmetric(self):
+        # circles at -+P are more than 1 apart, beyond the gate both ways;
+        # two circles 5e-4 apart in radius are within it, both ways
         P = np.array([1.0, 0, 0, 0])
         e1 = np.array([0.0, 1, 0, 0])
         e2 = np.array([0.0, 0, 1, 0])
         cA = _small_circle(P, e1, e2, 0.4)
         cB = _small_circle(-P, e1, e2, 0.4)
-        d1, d2 = cA.min_distance(cB), cB.min_distance(cA)
+        assert cA.gap(cB) == cB.gap(cA) == np.inf
+        cC = _small_circle(P, e1, e2, 0.4005, n=509)
+        d1, d2 = cA.gap(cC), cC.gap(cA)
         assert d1 == pytest.approx(d2, rel=1e-12)
-        assert d1 > 1.0
+        assert 4e-4 < d1 < 5e-4
 
     def test_crossing_chords_not_disjoint(self):
         # vertices 0.056 apart, but the chords through +-1 meet there
@@ -292,7 +296,7 @@ class TestKnotPolyline:
         vertex_gap = np.min(np.linalg.norm(
             kA.points[:, None] - kB.points[None], axis=2))
         assert vertex_gap > 0.05
-        assert kA.min_distance(kB) < 1e-15
+        assert kA.gap(kB) < 1e-15
         with pytest.raises(ValueError, match="too close"):
             gauss_linking(kA, kB)
 
@@ -314,59 +318,67 @@ class TestKnotPolyline:
         assert np.all(got >= sampled - slack)
         assert np.max(got[20:40]) < 1e-12
 
-    @pytest.mark.parametrize("seed", [1, 10, 23])
-    def test_min_distance_is_min_over_all_pairs(self, seed):
-        # coarse great circles in general position, where the closest
-        # segments are not the ones with the closest midpoints: the
-        # KD-tree pruning and the row blocks drop no pair
-        def circle(n, offset, R):
-            s = np.linspace(0.0, 2.0 * np.pi, n + 1) + offset
-            zero = np.zeros_like(s)
-            return KnotPolyline(np.stack([np.cos(s), np.sin(s), zero, zero],
-                                         axis=1) @ R)
-        rng = np.random.default_rng(seed)
-        kA = circle(64, rng.uniform(0.0, 1.0), _rotation4(seed))
-        kB = circle(65, rng.uniform(0.0, 1.0), _rotation4(seed + 1000))
-        i, j = np.divmod(np.arange(len(kA) * len(kB)), len(kB))
-        u, v = np.diff(kA.points, axis=0), np.diff(kB.points, axis=0)
-        dist = hopf._segment_distance(kA.points[i], u[i], kB.points[j], v[j])
-        brute = np.min(dist)
-        closest_mids = np.argmin(np.linalg.norm(
-            (kA.points[:-1] + 0.5 * u)[i] - (kB.points[:-1] + 0.5 * v)[j],
-            axis=1))
-        assert brute < dist[closest_mids]
-        assert kA.min_distance(kB) == brute
-        assert kB.min_distance(kA) == pytest.approx(brute, rel=1e-12)
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(96, 200),
            m=st.integers(96, 200), wobble=st.floats(0.0, 0.02),
-           offset=st.floats(0.0, 1.0), same_circle=st.booleans())
-    @example(seed=1, n=96, m=96, wobble=1e-15, offset=0.0, same_circle=True)
-    def test_pair_bound_drops_no_minimum(self, seed, n, m, wobble, offset,
-                                         same_circle):
-        # random polygons near two great circles, or near one (nearly
-        # parallel, where the bound drops most pairs): the pairs that the
-        # lower bound |m|^2 - |m.u| - |m.v| drops never hold the minimum.
-        # The example's polygons coincide to roundoff, where the closest
-        # midpoints (1.04e-17 apart) are nearer than any segment pair
+           offset=st.floats(0.0, 1.0), lift=st.floats(0.0, 3e-3),
+           same_circle=st.booleans())
+    @example(seed=1, n=96, m=96, wobble=1e-15, offset=0.0, lift=0.0,
+             same_circle=True)
+    @example(seed=2, n=96, m=131, wobble=0.0, offset=0.3, lift=9e-4,
+             same_circle=True)
+    @example(seed=2, n=96, m=131, wobble=0.0, offset=0.3, lift=1.1e-3,
+             same_circle=True)
+    def test_gap_is_min_over_all_pairs(self, seed, n, m, wobble, offset,
+                                       lift, same_circle):
+        # random polygons near one great circle, the second lifted about
+        # lift off it, so that the minimum falls on either side of
+        # LINK_GAP; or near two great circles in general position, far
+        # apart. gap is the minimum over all segment pairs or inf. The
+        # examples: polygons that coincide to roundoff, where the closest
+        # midpoints (1.04e-17 apart) are nearer than any segment pair; and
+        # minima at 9e-4 and 1.1e-3, one each side of the gate
         rng = np.random.default_rng(seed)
 
-        def polygon(k, R):
+        def polygon(k, R, height):
             s = np.linspace(0.0, 2.0 * np.pi, k + 1) + offset
             zero = np.zeros_like(s)
-            pts = np.stack([np.cos(s), np.sin(s), zero, zero], axis=1) @ R
+            pts = np.stack([np.cos(height) * np.cos(s),
+                            np.cos(height) * np.sin(s),
+                            np.sin(height) + zero, zero], axis=1) @ R
             pts[:-1] += wobble * rng.normal(size=(k, 4)) / np.sqrt(k)
             pts[-1] = pts[0]
             return KnotPolyline(pts / np.linalg.norm(pts, axis=1)[:, None])
-        kA = polygon(n, _rotation4(seed % 997))
+        kA = polygon(n, _rotation4(seed % 997), 0.0)
         kB = polygon(m, _rotation4(seed % 997 if same_circle
-                                   else seed % 991 + 1000))
+                                   else seed % 991 + 1000), lift)
         i, j = np.divmod(np.arange(len(kA) * len(kB)), len(kB))
         u, v = np.diff(kA.points, axis=0), np.diff(kB.points, axis=0)
-        unfiltered = np.min(hopf._segment_distance(kA.points[i], u[i],
-                                                   kB.points[j], v[j]))
-        assert kA.min_distance(kB) == unfiltered
+        brute = np.min(hopf._segment_distance(kA.points[i], u[i],
+                                              kB.points[j], v[j]))
+        assert kA.gap(kB) == (brute if brute <= hopf.LINK_GAP else np.inf)
+
+    def test_row_blocks_bound_memory(self):
+        # a long chord widens the search radius for every row: a dense
+        # circle against one 5e-4 away with a 0.09 chord has about 30
+        # candidates per segment, 58,000 pairs whose data peak near 18 MB
+        # when all rows go through the tree at once
+        def circle(s, height):
+            return KnotPolyline(np.stack([
+                np.cos(height) * np.cos(s), np.cos(height) * np.sin(s),
+                np.full_like(s, np.sin(height)), np.zeros_like(s)], axis=1))
+        kA = circle(np.linspace(0.0, 2.0 * np.pi, 2001), 0.0)
+        kB = circle(np.r_[np.linspace(0.0, 2.0 * np.pi - 0.09, 2000),
+                          2.0 * np.pi], 5e-4)
+        import scipy.spatial  # noqa: F401  loaded before tracing
+        tracemalloc.start()
+        try:
+            d = kA.gap(kB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == pytest.approx(5e-4, rel=1e-6)
+        assert peak <= 4 * 2**20
 
     def test_from_samples_closes_and_resamples(self):
         pts = self._circle(400)[:-1]           # open by one sample
@@ -434,7 +446,7 @@ class TestLinking:
             (p, q), alpha = knot
             k1 = KnotPolyline(_torus_knot(p, q, alpha, 256) @ R)
             k2 = k1.antipode()
-        assume(k1.min_distance(k2) > 1e-3)
+        assume(k1.gap(k2) > hopf.LINK_GAP)
         pole = hopf._choose_pole(np.vstack([k1.points[:-1], k2.points[:-1]]))
         X = hopf._stereographic(k1.points, pole)
         Y = hopf._stereographic(k2.points, pole)
@@ -495,9 +507,10 @@ class TestLinking:
     def test_antipodal_memory_bounded(self):
         # 3072 segments: criterion 9's finest knot; all n x n pair data
         # would be hundreds of MB. The crossing count holds O(n) arrays;
-        # min_distance's row blocks hold most of the peak, since this knot
+        # gap's row blocks hold most of the peak, since this knot
         # is about equidistant from its antipode
         knot = _two_twist(3072)
+        import scipy.spatial  # noqa: F401  loaded before tracing
         tracemalloc.start()
         try:
             rep = antipodal_link_parity(knot)
@@ -550,7 +563,7 @@ class TestLift:
         assert lift2.closed_after_one is True
         # the doubled lift is one antipodally invariant circle
         kn = knot_from_samples(lift2.U, n=1024)
-        assert kn.min_distance(kn.antipode()) < 1e-9
+        assert kn.gap(kn.antipode()) < 1e-9
         rep = antipodal_link_parity(kn)
         assert rep.disjoint is False
 
@@ -572,7 +585,6 @@ class TestHessianScan:
     def test_round_profile_unit_eigenvalue(self):
         scan = hessian_convexity(lambda z: 2.0, 64)
         assert scan.min_eigenvalue == pytest.approx(1.0, abs=1e-6)
-        assert scan.n_samples == 64
 
     def test_gentle_bump_stays_convex(self):
         def rho(z):

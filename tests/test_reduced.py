@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from scipy.optimize import brentq
 
 from magflow import reduced
 from magflow.contact import contact_interval, h_min, km_positive, \
-    min_curvature, reeb_factor
+    km_positive_threshold, min_curvature, reeb_factor
 from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
                               parse_profile_spec)
 from magflow.reduced import (
@@ -176,6 +177,72 @@ class TestTurningPoints:
 
                 a, b = (0.0, ext) if first else (ext, p.ell)
                 assert abs(t - brentq(f, a, b, xtol=1e-15)) <= 1e-13
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=st.sampled_from(["sphere", "ellipsoid:0.6", "ellipsoid:1.5",
+                                 "ellipsoid:4", "spindle:0.07:0.2"]),
+           frac=st.floats(1e-4, 0.999),
+           where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           entries=st.lists(st.integers(0, 2 * ENVELOPE_GRID), max_size=10))
+    def test_binary_search_matches_flip_count(self, spec, frac, where,
+                                              entries):
+        # on each strictly monotone piece the binary search brackets every
+        # level between the two entries where v > I flips, the one flip
+        # over the whole table; levels inside the piece's values and at
+        # its entries, short of its largest value, where v > I never holds
+        p = parse_profile_spec(spec)
+        thr = km_positive_threshold(p)
+        m = frac * (thr if np.isfinite(thr) else 5.0)
+        for piece in reduced._envelopes(p, m)[1].values():
+            t, v = piece.t, piece.I
+            lo, hi = np.min(v), np.max(v)
+            levels = np.r_[lo + np.array(where) * (hi - lo),
+                           v[np.array(entries, dtype=int) % len(v)]]
+            levels = levels[levels < hi]
+            want = []
+            for I in levels:
+                pos = v > I
+                flips = np.flatnonzero(pos[1:] != pos[:-1])
+                assert len(flips) == 1
+                want.append((t[flips[0]], t[flips[0] + 1]))
+            got = []
+            with mock.patch.object(reduced, "newton_root",
+                                   lambda fdf, a, b, fa, fb, ftol:
+                                   got.append((a, b)) or a):
+                reduced._crossings(p, m, levels, piece)
+            assert got == want
+
+    def test_wobbly_table_raises_at_build(self, monkeypatch):
+        # one entry of the envelope table pushed up by 1e-3, more than a
+        # table step, makes the rising upper piece fall there
+        p = make_ellipsoid(1.5)
+        jet = p.jet
+
+        def wobbly(t, order):
+            out = jet(t, order)
+            if np.size(t) == ENVELOPE_GRID:
+                G = out[-1].copy()
+                G[ENVELOPE_GRID // 8] -= 1e-3
+                out = (*out[:-1], G)
+            return out
+        monkeypatch.setattr(p, "jet", wobbly)
+        with pytest.raises(LevelRangeError, match="upper envelope piece 0 "
+                                                  "is not strictly monotone"):
+            I_range(p, 0.8)
+
+    @pytest.mark.parametrize("j,shift", [(600, 0.0), (637, 1e-10),
+                                         (1007, 1e-9), (1599, -1e-10)])
+    def test_extremum_on_a_table_entry(self, j, shift):
+        # on the sphere the upper extremum sits at atan(m): m puts it on a
+        # table entry or within roundoff of one, whose envelope value is
+        # then that of the extremum; the pieces leave such entries out
+        t = np.linspace(0.0, np.pi, ENVELOPE_GRID + 2)
+        m = float(np.tan(t[j] + shift))
+        rows = action_scan(make_sphere(), m, 8)
+        assert len(rows) == 10
+        for r in rows:
+            assert r.action == pytest.approx(m * m + 1.0, rel=1e-9)
 
 
 class TestSphereLevelQuadrature:
