@@ -318,6 +318,33 @@ class TestKnotPolyline:
         assert np.all(got >= sampled - slack)
         assert np.max(got[20:40]) < 1e-12
 
+    @pytest.mark.parametrize("seed", [1, 10, 23])
+    def test_min_distance_is_min_over_all_pairs(self, seed):
+        # coarse circles 5e-4 apart, one lifted off the other's plane, with
+        # 64 and 65 segments: the closest segments are not the ones with
+        # the closest midpoints, and the KD-tree radius and the row blocks
+        # of gap drop no pair
+        def circle(n, offset, height, R):
+            s = np.linspace(0.0, 2.0 * np.pi, n + 1) + offset
+            zero = np.zeros_like(s)
+            return KnotPolyline(np.stack([
+                np.cos(height) * np.cos(s), np.cos(height) * np.sin(s),
+                np.sin(height) + zero, zero], axis=1) @ R)
+        rng = np.random.default_rng(seed)
+        kA = circle(64, rng.uniform(0.0, 1.0), 0.0, _rotation4(seed))
+        kB = circle(65, rng.uniform(0.0, 1.0), 5e-4, _rotation4(seed))
+        i, j = np.divmod(np.arange(len(kA) * len(kB)), len(kB))
+        u, v = np.diff(kA.points, axis=0), np.diff(kB.points, axis=0)
+        dist = hopf._segment_distance(kA.points[i], u[i], kB.points[j], v[j])
+        brute = np.min(dist)
+        closest_mids = np.argmin(np.linalg.norm(
+            (kA.points[:-1] + 0.5 * u)[i] - (kB.points[:-1] + 0.5 * v)[j],
+            axis=1))
+        assert brute < dist[closest_mids]
+        assert brute <= hopf.LINK_GAP
+        assert kA.gap(kB) == brute
+        assert kB.gap(kA) == pytest.approx(brute, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(96, 200),
            m=st.integers(96, 200), wobble=st.floats(0.0, 0.02),
@@ -329,12 +356,13 @@ class TestKnotPolyline:
              same_circle=True)
     @example(seed=2, n=96, m=131, wobble=0.0, offset=0.3, lift=1.1e-3,
              same_circle=True)
-    def test_gap_is_min_over_all_pairs(self, seed, n, m, wobble, offset,
-                                       lift, same_circle):
+    def test_pair_bound_drops_no_minimum(self, seed, n, m, wobble, offset,
+                                         lift, same_circle):
         # random polygons near one great circle, the second lifted about
         # lift off it, so that the minimum falls on either side of
         # LINK_GAP; or near two great circles in general position, far
-        # apart. gap is the minimum over all segment pairs or inf. The
+        # apart. The pairs that the midpoint bound of gap drops never hold
+        # the minimum: gap is the minimum over all segment pairs or inf. The
         # examples: polygons that coincide to roundoff, where the closest
         # midpoints (1.04e-17 apart) are nearer than any segment pair; and
         # minima at 9e-4 and 1.1e-3, one each side of the gate
