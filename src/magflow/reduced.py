@@ -21,11 +21,12 @@ otherwise.
 
 Under K_m > 0 each envelope has a single critical point, its extremum,
 which is the latitude orbit on it; every turning point is the one crossing
-of I with a monotone envelope piece. Both envelopes and their slopes are
-tabulated once per (profile, m) from one jet evaluation, and cached on the
-profile with the invariant range and the two latitudes they give. The
-extrema and the crossings of a level are each bracketed between two table
-entries and polished by Newton's method on the profile's point jet.
+of I with a monotone envelope piece. The reduced system at (profile, m)
+tabulates both envelopes and their slopes from one jet evaluation, and
+holds them with the invariant range and, once asked for, the latitudes; a
+one-entry cache keeps the last one built, off the profile. The extrema and
+the crossings of a level are each bracketed between two table entries and
+polished by Newton's method on the profile's point jet.
 
 All band integrals use Gauss-Chebyshev nodes on [t_minus, t_plus], whose
 weight 1 / sqrt((t - t_minus)(t_plus - t)) absorbs both inverse
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,26 +108,9 @@ class _Piece:
     I: np.ndarray
 
 
-def _one_root(fdf, t, v, ftol: float, what: str) -> float:
-    """The one sign change of f over the table v = f(t), polished.
-
-    The root is bracketed between the two neighbouring entries where v > 0
-    flips and polished by numerics.newton_root; fdf returns f and f' from
-    one jet. Any other number of flips raises LevelRangeError.
-    """
-    pos = v > 0.0
-    flips = np.flatnonzero(pos[1:] != pos[:-1])
-    if len(flips) != 1:
-        raise LevelRangeError(f"{what} changes sign {len(flips)} times on "
-                              f"the table; K_m > 0 allows one")
-    k = int(flips[0])
-    return newton_root(fdf, float(t[k]), float(t[k + 1]), float(v[k]),
-                       float(v[k + 1]), ftol=ftol)
-
-
-def _envelopes(p: ProfileFunction, m: float):
-    """(IRange, pieces) at (p, m), cached on the profile for the last m;
-    raises KmNotPositiveError unless K_m > 0.
+class _System:
+    """The reduced system at (p, m): the K_m gate, the envelope table, the
+    invariant range, the latitudes and the level quadrature.
 
     Both envelopes I+- = +-m gamma - Gamma and their slopes +-m gamma' -
     gamma are tabulated from one jet, the slopes including their pole
@@ -139,52 +124,199 @@ def _envelopes(p: ProfileFunction, m: float):
     are its roundoff, within about 1e-8 of it, and are left out; every
     piece must then be strictly monotone, or LevelRangeError names it.
     """
-    cached = getattr(p, "_I_range_at", None)
-    if cached is not None and cached[0] == m:
-        return cached[1], cached[2]
-    if not contact.km_positive(p, m):
-        raise KmNotPositiveError(
-            f"K_m changes sign at m = {m}; band structure not certified "
-            f"(positive for m < {contact.km_positive_threshold(p):.6g})")
-    t = np.linspace(0.0, p.ell, ENVELOPE_GRID + 2)
-    g, dg, G = p.jet(t[1:-1], 1)
-    # |m gamma'| = gamma <= max gamma at the root: the rounding error there
-    ftol = 8.0 * _EPS * float(np.max(g))
-    jet = p.point_jet()
-    pieces, ext = {}, {}
-    for name, sg in (("upper", 1), ("lower", -1)):
-        def fdf(s, sg=sg):
-            gs, dgs, ddgs, _ = jet(s)
-            return sg * m * dgs - gs, sg * m * ddgs - dgs
 
-        t_ext = _one_root(fdf, t, np.r_[sg * m, sg * m * dg - g, -sg * m],
-                          ftol, f"{name} envelope slope")
-        g_ext, _, _, G_ext = jet(t_ext)
-        I_ext = sg * m * g_ext - G_ext
-        ext[name] = t_ext, I_ext
-        # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name,
-        # 0] runs from t = 0 to the extremum, pieces[name, 1] on to t = ell
-        vals = np.r_[1.0, sg * m * g - G, -1.0]
-        inside = sg * vals < sg * I_ext
-        k = int(np.searchsorted(t, t_ext))
-        lo, hi = inside[:k], inside[k:]
-        pieces[name, 0] = _Piece(sg, np.r_[t[:k][lo], t_ext],
-                                 np.r_[vals[:k][lo], I_ext])
-        pieces[name, 1] = _Piece(sg, np.r_[t_ext, t[k:][hi]],
-                                 np.r_[I_ext, vals[k:][hi]])
-        for side in (0, 1):
-            step = np.diff(pieces[name, side].I)
-            if not ((step > 0.0).all() or (step < 0.0).all()):
-                raise LevelRangeError(f"{name} envelope piece {side} is not "
-                                      f"strictly monotone on the table; "
-                                      f"K_m > 0 makes it so")
-    (t_hi, I_max), (t_lo, I_min) = ext["upper"], ext["lower"]
-    if not (I_max > 1.0 and I_min < -1.0):
-        raise LevelRangeError(
-            f"degenerate invariant range [{I_min}, {I_max}] at m = {m}")
-    rng = IRange(I_min=I_min, I_max=I_max, argmin_t=t_lo, argmax_t=t_hi)
-    p._I_range_at = (m, rng, pieces)
-    return rng, pieces
+    def __init__(self, p: ProfileFunction, m: float):
+        if not contact.km_positive(p, m):
+            raise KmNotPositiveError(
+                f"K_m changes sign at m = {m}; band structure not certified "
+                f"(positive for m < {contact.km_positive_threshold(p):.6g})")
+        t = np.linspace(0.0, p.ell, ENVELOPE_GRID + 2)
+        g, dg, G = p.jet(t[1:-1], 1)
+        # |m gamma'| = gamma <= max gamma at the root: the rounding error there
+        ftol = 8.0 * _EPS * float(np.max(g))
+        self.p, self.m, self.jet = p, m, p.point_jet()
+        jet, pieces, ext = self.jet, {}, {}
+        for name, sg in (("upper", 1), ("lower", -1)):
+            def fdf(s, sg=sg):
+                gs, dgs, ddgs, _ = jet(s)
+                return sg * m * dgs - gs, sg * m * ddgs - dgs
+
+            # the one sign change of the slope, bracketed between the two
+            # entries where v > 0 flips and polished by newton_root
+            v = np.r_[sg * m, sg * m * dg - g, -sg * m]
+            flips = np.flatnonzero(np.diff(v > 0.0))
+            if len(flips) != 1:
+                raise LevelRangeError(f"{name} envelope slope changes sign "
+                                      f"{len(flips)} times on the table; "
+                                      f"K_m > 0 allows one")
+            j = int(flips[0])
+            t_ext = newton_root(fdf, float(t[j]), float(t[j + 1]),
+                                float(v[j]), float(v[j + 1]), ftol=ftol)
+            g_ext, _, _, G_ext = jet(t_ext)
+            I_ext = sg * m * g_ext - G_ext
+            ext[name] = t_ext, I_ext
+            # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name,
+            # 0] runs from t = 0 to the extremum, pieces[name, 1] on to t = ell
+            vals = np.r_[1.0, sg * m * g - G, -1.0]
+            inside = sg * vals < sg * I_ext
+            k = int(np.searchsorted(t, t_ext))
+            lo, hi = inside[:k], inside[k:]
+            pieces[name, 0] = _Piece(sg, np.r_[t[:k][lo], t_ext],
+                                     np.r_[vals[:k][lo], I_ext])
+            pieces[name, 1] = _Piece(sg, np.r_[t_ext, t[k:][hi]],
+                                     np.r_[I_ext, vals[k:][hi]])
+            for side in (0, 1):
+                step = np.diff(pieces[name, side].I)
+                if not ((step > 0.0).all() or (step < 0.0).all()):
+                    raise LevelRangeError(f"{name} envelope piece {side} is "
+                                          f"not strictly monotone on the "
+                                          f"table; K_m > 0 makes it so")
+        (t_hi, I_max), (t_lo, I_min) = ext["upper"], ext["lower"]
+        if not (I_max > 1.0 and I_min < -1.0):
+            raise LevelRangeError(
+                f"degenerate invariant range [{I_min}, {I_max}] at m = {m}")
+        self.pieces, self.latitudes = pieces, {}
+        self.range = IRange(I_min, I_max, argmin_t=t_lo, argmax_t=t_hi)
+
+    def crossings(self, levels, piece: _Piece) -> list:
+        """The one t where the monotone envelope piece equals I, for each
+        level I of the array levels.
+
+        The piece is strictly monotone (checked at construction), so a
+        binary search brackets each level between the two entries where v
+        > I flips; the range checks of turning_points keep every level
+        inside the piece's values. Newton's method then runs on the
+        envelope one level at a time, through the point jet, whose
+        derivative +-m gamma' - gamma comes from the same jet as its value.
+        """
+        sg, jet, m, t, v = piece.sign, self.jet, self.m, piece.t, piece.I
+        if v[-1] > v[0]:
+            ks = np.searchsorted(v, levels, side="right") - 1
+        else:
+            ks = np.searchsorted(-v, -levels, side="left") - 1
+        roots = []
+        for I, k in zip(levels.tolist(), ks.tolist()):
+            def fdf(s, I=I):
+                g, dg, _, G = jet(s)
+                return sg * m * g - G - I, sg * m * dg - g
+
+            # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error
+            ftol = 8.0 * _EPS * (1.0 + abs(I))
+            roots.append(newton_root(fdf, float(t[k]), float(t[k + 1]),
+                                     float(v[k] - I), float(v[k + 1] - I),
+                                     ftol=ftol))
+        return roots
+
+    def turning_points(self, I):
+        """(t_minus, t_plus) arrays of the regular levels of the array I.
+
+        W is positive exactly between the envelopes, so each turning point
+        lies on one monotone envelope piece: t_minus on the rising upper
+        piece when I > 1 and on the falling lower piece otherwise, t_plus
+        on the rising lower piece when I < -1 and on the falling upper
+        piece otherwise. The first level outside the open range, or within
+        LATITUDE_BAND of a pole value, raises LevelRangeError.
+        """
+        lo, hi = self.range.I_min, self.range.I_max
+        out = ~((lo < I) & (I < hi))
+        if out.any():
+            raise LevelRangeError(f"I = {float(I[out][0])} outside open "
+                                  f"range ({lo:.12g}, {hi:.12g})")
+        # |(|I| - 1)| is |I - 1| or |I + 1| exactly, the nearer one
+        near = np.abs(np.abs(I) - 1.0) < LATITUDE_BAND
+        if near.any():
+            raise LevelRangeError(f"I = {float(I[near][0])} within "
+                                  f"{LATITUDE_BAND} of a pole value +-1")
+        ends = np.empty((2, len(I)))
+        for end, on_upper in enumerate((I > 1.0, I >= -1.0)):
+            for branch, sel in (("upper", on_upper), ("lower", ~on_upper)):
+                if sel.any():
+                    ends[end, sel] = self.crossings(I[sel],
+                                                    self.pieces[branch, end])
+        return ends
+
+    def band_integrals(self, I, a, b, n_nodes: int):
+        """Gauss-Chebyshev (s_half, theta_half, integral of h ds) of the levels
+        of the arrays (I, t_minus, t_plus), the rows of a (3, levels) array.
+
+        With V = W / ((t - t_minus)(t_plus - t)) smooth and positive on the
+        closed band, each integral is F / sqrt(V) against the Chebyshev
+        weight 1 / sqrt((t - t_minus)(t_plus - t)), which the rule
+        integrates exactly with uniform weight pi / n. Node clustering is
+        quadratic, gentle enough that W never collapses into roundoff at
+        the band ends.
+
+        The nodes form one (levels, n_nodes) C-contiguous array, read by
+        one vector jet. Every stage is elementwise, and numpy sums a
+        contiguous last axis row by row with the pairwise sum of a 1-D
+        array, so each row is bitwise the quadrature of its level alone.
+        """
+        k = np.arange(1, n_nodes + 1)
+        I, a, b = I[:, None], a[:, None], b[:, None]
+        t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
+                                                   / (2 * n_nodes))
+        g, dg, G = self.p.jet(t, 1)
+        W = (self.m * g) ** 2 - (I + G) ** 2
+        V = W / ((t - a) * (b - t))
+        if (V <= 0.0).any():
+            lost = (V <= 0.0).any(axis=1)
+            raise LevelRangeError(f"band integrand lost positivity for "
+                                  f"I = {float(I[lost][0, 0])}")
+        common = (np.pi / n_nodes) / np.sqrt(V)
+        # on the level, m sin(phi) = (I + Gamma) / gamma
+        h = contact.reeb_factor(self.m, G + dg, (I + G) / (self.m * g), g)
+        return np.add.reduce([common * g, common * (I + G) / g,
+                              common * g * h], axis=2)
+
+    def stage(self, band, n_nodes: int):
+        """band_integrals of the levels in the columns (I, t_minus, t_plus)
+        of band, at most _BATCH_POINTS level x node points per vector jet."""
+        rows = max(1, _BATCH_POINTS // n_nodes)
+        parts = [self.band_integrals(*band[:, c:c + rows], n_nodes)
+                 for c in range(0, band.shape[1], rows)]
+        return np.concatenate(parts, axis=1)
+
+    def levels(self, levels) -> list:
+        """Quadratures of the levels, floats, evaluated together.
+
+        Every level starts at QUAD_NODES and doubles its nodes until two
+        rules agree to QUAD_RTOL in s_half and in the integral of h ds, or
+        until 8 QUAD_NODES; a stage evaluates only the levels still open,
+        at most _BATCH_POINTS level x node points per vector jet, so memory
+        stays bounded however many levels there are. The rows are those of
+        the levels taken one at a time, bitwise (band_integrals).
+        """
+        I = np.array(levels, dtype=float)
+        if not I.size:
+            return []
+        ends = self.turning_points(I)
+        band, done = np.vstack((I, ends)), np.empty((3, len(I)))
+        todo, prev = np.arange(len(I)), None
+        for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES):
+            cur = self.stage(band, n)
+            if prev is not None:       # s_half and the integral of h ds
+                ok = np.logical_and.reduce(
+                    np.abs(cur[::2] - prev[::2])
+                    <= QUAD_RTOL * np.maximum(np.abs(cur[::2]), 1e-30))
+                done[:, todo[ok]] = cur[:, ok]
+                todo, band, cur = todo[~ok], band[:, ~ok], cur[:, ~ok]
+                if not todo.size:
+                    break
+            prev = cur
+        else:                          # the last rule is taken as it is
+            done[:, todo] = self.stage(band, 8 * QUAD_NODES)
+        return [ReducedLevel(m=self.m, I=i, t_minus=a, t_plus=b, s_half=s,
+                             theta_half=th, action=hs / s)
+                for i, a, b, s, th, hs in zip(I.tolist(), *ends.tolist(),
+                                              *done.tolist())]
+
+
+@lru_cache(maxsize=1)
+def _system(p: ProfileFunction, m: float) -> _System:
+    """The reduced system at (p, m), kept for the last (p, m) asked for
+    and not on p, which it refers to: a p -> system -> p cycle would hold
+    both until a full collection."""
+    return _System(p, m)
 
 
 def I_range(p: ProfileFunction, m: float) -> IRange:
@@ -193,13 +325,12 @@ def I_range(p: ProfileFunction, m: float) -> IRange:
     The maximum of the upper envelope exceeds +1 and the minimum of the
     lower envelope is below -1 because both envelopes attain +-1 at the
     poles with nonzero slope there. Both are attained at the latitudes.
-    The range is cached on the profile (immutable after build) with the
-    envelope table, so scans and latitudes at one m compute it once.
+    It is computed with the envelope table of the reduced system at (p, m).
     """
-    return _envelopes(p, m)[0]
+    return _system(p, m).range
 
 
-# -- turning latitudes ----------------------------------------------------------
+# -- turning points and band quadrature -----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -210,110 +341,14 @@ class TurningPoints:
     branch_plus: str
 
 
-def _crossings(p: ProfileFunction, m: float, levels, piece: _Piece) -> list:
-    """The one t where the monotone envelope piece equals I, for each level
-    I of the array levels.
-
-    The piece is strictly monotone (_envelopes), so a binary search
-    brackets each level between the two entries where v > I flips; the
-    range checks of _turning_points keep every level inside the piece's
-    values. Newton's method then runs on the envelope one level at a time,
-    through the point jet, whose derivative +-m gamma' - gamma comes from
-    the same jet as its value.
-    """
-    sg, jet, t, v = piece.sign, p.point_jet(), piece.t, piece.I
-    if v[-1] > v[0]:
-        ks = np.searchsorted(v, levels, side="right") - 1
-    else:
-        ks = np.searchsorted(-v, -levels, side="left") - 1
-    roots = []
-    for I, k in zip(levels.tolist(), ks.tolist()):
-        def fdf(s, I=I):
-            g, dg, _, G = jet(s)
-            return sg * m * g - G - I, sg * m * dg - g
-
-        # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error of f
-        ftol = 8.0 * _EPS * (1.0 + abs(I))
-        roots.append(newton_root(fdf, float(t[k]), float(t[k + 1]),
-                                 float(v[k] - I), float(v[k + 1] - I),
-                                 ftol=ftol))
-    return roots
-
-
-def _turning_points(p: ProfileFunction, m: float, I):
-    """(t_minus, t_plus) arrays of the regular levels of the array I.
-
-    W is positive exactly between the envelopes, so each turning point lies
-    on one monotone envelope piece: t_minus on the rising upper piece when
-    I > 1 and on the falling lower piece otherwise, t_plus on the rising
-    lower piece when I < -1 and on the falling upper piece otherwise. The
-    first level outside the open range, or within LATITUDE_BAND of a pole
-    value, raises LevelRangeError.
-    """
-    rng, pieces = _envelopes(p, m)
-    out = ~((rng.I_min < I) & (I < rng.I_max))
-    if out.any():
-        raise LevelRangeError(f"I = {float(I[out][0])} outside open range "
-                              f"({rng.I_min:.12g}, {rng.I_max:.12g})")
-    # |(|I| - 1)| is |I - 1| or |I + 1| exactly, the nearer one
-    near = np.abs(np.abs(I) - 1.0) < LATITUDE_BAND
-    if near.any():
-        raise LevelRangeError(f"I = {float(I[near][0])} within "
-                              f"{LATITUDE_BAND} of a pole value +-1")
-    ends = np.empty((2, len(I)))
-    for end, on_upper in enumerate((I > 1.0, I >= -1.0)):
-        for branch, sel in (("upper", on_upper), ("lower", ~on_upper)):
-            levels = I[sel]
-            if levels.size:
-                ends[end, sel] = _crossings(p, m, levels, pieces[branch, end])
-    return ends
-
-
 def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
     """Boundary of the positivity band of W for a regular level I, with
-    the envelope each end touches (_turning_points of one level)."""
-    t_minus, t_plus = _turning_points(p, m, np.array([I], dtype=float))
+    the envelope each end touches (_System.turning_points of one level)."""
+    t_minus, t_plus = _system(p, m).turning_points(np.array([I], dtype=float))
     return TurningPoints(
         t_minus=float(t_minus[0]), t_plus=float(t_plus[0]),
         branch_minus="upper" if I > 1.0 else "lower",
         branch_plus="lower" if I < -1.0 else "upper")
-
-
-# -- band quadrature ------------------------------------------------------------
-
-
-def _band_integrals(p: ProfileFunction, m: float, I, a, b, n_nodes: int):
-    """Gauss-Chebyshev values of (s_half, theta_half, integral of h ds),
-    the rows of a (3, levels) array, for the levels of the arrays (I,
-    t_minus, t_plus).
-
-    With V = W / ((t - t_minus)(t_plus - t)) smooth and positive on the
-    closed band, each integral is F / sqrt(V) against the Chebyshev weight
-    1 / sqrt((t - t_minus)(t_plus - t)), which the rule integrates exactly
-    with uniform weight pi / n. Node clustering is quadratic, gentle
-    enough that W never collapses into roundoff at the band ends.
-
-    The nodes form one (levels, n_nodes) C-contiguous array, read by one
-    vector jet. Every stage is elementwise, and numpy sums a contiguous
-    last axis row by row with the pairwise sum of a 1-D array, so each row
-    is bitwise the quadrature of its level alone.
-    """
-    k = np.arange(1, n_nodes + 1)
-    I, a, b = I[:, None], a[:, None], b[:, None]
-    t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
-                                               / (2 * n_nodes))
-    g, dg, G = p.jet(t, 1)
-    W = (m * g) ** 2 - (I + G) ** 2
-    V = W / ((t - a) * (b - t))
-    if (V <= 0.0).any():
-        lost = (V <= 0.0).any(axis=1)
-        raise LevelRangeError(f"band integrand lost positivity for "
-                              f"I = {float(I[lost][0, 0])}")
-    common = (np.pi / n_nodes) / np.sqrt(V)
-    # on the level, m sin(phi) = (I + Gamma) / gamma
-    h = contact.reeb_factor(m, G + dg, (I + G) / (m * g), g)
-    return np.add.reduce([common * g, common * (I + G) / g, common * g * h],
-                         axis=2)
 
 
 @dataclass(frozen=True)
@@ -351,54 +386,10 @@ class ReducedLevel:
         return ",".join("%.12g" % c for c in cols)
 
 
-def _stage(p: ProfileFunction, m: float, band, n_nodes: int):
-    """_band_integrals of the levels in the columns (I, t_minus, t_plus) of
-    band, at most _BATCH_POINTS level x node points per vector jet."""
-    rows = max(1, _BATCH_POINTS // n_nodes)
-    return np.concatenate([_band_integrals(p, m, *band[:, c:c + rows],
-                                           n_nodes)
-                           for c in range(0, band.shape[1], rows)], axis=1)
-
-
-def _reduced_levels(p: ProfileFunction, m: float, levels) -> list:
-    """Quadratures of the levels, a sequence of floats, evaluated together.
-
-    Every level starts at QUAD_NODES and doubles its nodes until two rules
-    agree to QUAD_RTOL in s_half and in the integral of h ds, or until
-    8 QUAD_NODES; a stage evaluates only the levels still open, at most
-    _BATCH_POINTS level x node points per vector jet, so memory stays
-    bounded however many levels there are. The rows are those of the
-    levels taken one at a time, bitwise (_band_integrals).
-    """
-    I = np.array(levels, dtype=float)
-    if not I.size:
-        return []
-    ends = _turning_points(p, m, I)
-    band, done = np.vstack((I, ends)), np.empty((3, len(I)))
-    todo, prev = np.arange(len(I)), None
-    for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES):
-        cur = _stage(p, m, band, n)
-        if prev is not None:       # s_half and the integral of h ds
-            ok = np.logical_and.reduce(np.abs(cur[::2] - prev[::2])
-                                       <= QUAD_RTOL
-                                       * np.maximum(np.abs(cur[::2]), 1e-30))
-            done[:, todo[ok]] = cur[:, ok]
-            todo, band, cur = todo[~ok], band[:, ~ok], cur[:, ~ok]
-            if not todo.size:
-                break
-        prev = cur
-    else:                          # the last rule is taken as it is
-        done[:, todo] = _stage(p, m, band, 8 * QUAD_NODES)
-    return [ReducedLevel(m=m, I=i, t_minus=a, t_plus=b, s_half=s,
-                         theta_half=th, action=hs / s)
-            for i, a, b, s, th, hs in zip(I.tolist(), *ends.tolist(),
-                                          *done.tolist())]
-
-
 def birkhoff_action(p: ProfileFunction, m: float, I: float) -> ReducedLevel:
     """Quadrature of one level, doubling nodes from QUAD_NODES until two
-    rules agree to QUAD_RTOL (_reduced_levels of one level)."""
-    return _reduced_levels(p, m, [I])[0]
+    rules agree to QUAD_RTOL (_System.levels of one level)."""
+    return _system(p, m).levels([I])[0]
 
 
 # -- latitudes ------------------------------------------------------------------
@@ -470,15 +461,20 @@ def latitudes(p: ProfileFunction, m: float) -> list:
 
 
 def find_latitude(p: ProfileFunction, m: float, side: str) -> LatitudeOrbit:
-    """The latitude on the requested envelope ("upper" or "lower")."""
+    """The latitude on the requested envelope ("upper" or "lower"), kept
+    by the reduced system at (p, m) once its m_t0 agrees with m."""
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', not {side!r}")
-    rng = I_range(p, m)
-    lat = latitude_action(p, rng.argmax_t if side == "upper" else rng.argmin_t)
-    if abs(lat.m_t0 - m) > 1e-6 * max(1.0, m):
-        raise LevelRangeError(f"latitude solve inconsistent: m_t0 = "
-                              f"{lat.m_t0} against m = {m}")
-    return lat
+    system = _system(p, m)
+    if side not in system.latitudes:
+        rng = system.range
+        lat = latitude_action(p, rng.argmax_t if side == "upper"
+                              else rng.argmin_t)
+        if abs(lat.m_t0 - m) > 1e-6 * max(1.0, m):
+            raise LevelRangeError(f"latitude solve inconsistent: m_t0 = "
+                                  f"{lat.m_t0} against m = {m}")
+        system.latitudes[side] = lat
+    return system.latitudes[side]
 
 
 # -- level scans ----------------------------------------------------------------
@@ -517,8 +513,8 @@ def action_scan(p: ProfileFunction, m: float, n_levels: int,
                                  theta_half=float(theta_half),
                                  action=lat.action))
     if n_levels > 0:
-        rows.extend(_reduced_levels(p, m, regular_levels(p, m, n_levels,
-                                                         band=band)))
+        rows.extend(_system(p, m).levels(regular_levels(p, m, n_levels,
+                                                        band=band)))
     rows.sort(key=lambda r: r.I)
     return rows
 
@@ -574,19 +570,21 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
     """Levels whose winding is a low rational p/q, by scan plus Brent's method.
 
     Returns (level, ClosureInfo) pairs: exact hits at the regular levels,
-    and the roots of q * winding - p between consecutive bracket nodes,
-    solved by brentq to CLOSURE_XTOL in I and kept only when q * winding
-    lies within CLOSURE_TOL q of p, as orbit_closure requires; consumed by
-    period scans. Across I = +-1 the winding jumps by exactly 1, and within
-    about 1e-4 of a pole the quadrature's winding is wrong, so no bracket
-    spans a pole: the nodes are the regular levels at least POLE_GAP from
-    +-1, plus the levels at POLE_GAP on either side of each pole that lie
-    inside the grid. The regular levels and the gap ends are quadratures of
-    one batch, and every level is memoized by I within the call, so that
-    brentq's iterates cost one quadrature each.
+    and the roots of q * winding - p in every bracket of consecutive nodes
+    where it changes sign, p/q in lowest terms and neither node an exact
+    hit of it (a non-monotone winding crosses a p/q in several brackets).
+    Each root is solved by brentq to CLOSURE_XTOL in I and kept only when
+    q * winding lies within CLOSURE_TOL q of p, as orbit_closure requires;
+    consumed by period scans. Across I = +-1 the winding jumps by exactly
+    1, and within about 1e-4 of a pole the quadrature's winding is wrong,
+    so no bracket spans a pole: the nodes are the regular levels at least
+    POLE_GAP from +-1, plus the levels at POLE_GAP on either side of each
+    pole that lie inside the grid. The regular levels and the gap ends are
+    quadratures of one batch, and every level is memoized by I within the
+    call, so that brentq's iterates cost one quadrature each.
     """
     from scipy.optimize import brentq
-    levels = regular_levels(p, m, n_levels)
+    system, levels = _system(p, m), regular_levels(p, m, n_levels)
     gap_ends = [pole + side * POLE_GAP for pole in (-1.0, 1.0)
                 for side in (-1.0, 1.0)]
     nodes = sorted([I for I in map(float, levels)
@@ -594,11 +592,11 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                    + [I for I in gap_ends
                       if np.any(levels < I) and np.any(levels > I)])
     grid = list(dict.fromkeys([*map(float, levels), *nodes]))
-    memo = dict(zip(grid, _reduced_levels(p, m, grid)))
+    memo = dict(zip(grid, system.levels(grid)))
 
     def level(I):
         if I not in memo:
-            memo[I] = birkhoff_action(p, m, I)
+            memo[I] = system.levels([I])[0]
         return memo[I]
     brackets = [(a, b) for a, b in zip(nodes, nodes[1:])
                 if not a < -1.0 < b and not a < 1.0 < b]
@@ -606,8 +604,7 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
 
     def register(lv, q, pi):
         frac = Fraction(pi, q)
-        qq = frac.denominator
-        pp = int(frac * qq)
+        qq, pp = frac.denominator, frac.numerator
         key = (frac, round(lv.I, 6))
         if key not in found:
             found[key] = (lv, ClosureInfo(
@@ -616,18 +613,21 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
 
     for q in range(1, q_max + 1):
         # exact hits at scan nodes (flat winding needs no bracketing)
+        hits = set()
         for I in map(float, levels):
             lv = level(I)
             qw = q * lv.winding
             if abs(qw - round(qw)) < 1e-7 * q:
                 register(lv, q, int(round(qw)))
+                hits.add((I, int(round(qw))))
         for a, b in brackets:
             w0, w1 = q * level(a).winding, q * level(b).winding
             lo_i, hi_i = int(np.floor(min(w0, w1))), int(np.ceil(max(w0, w1)))
             for pi in range(lo_i, hi_i + 1):
-                if (w0 - pi) * (w1 - pi) >= 0.0:
-                    continue
-                if any(fr == Fraction(pi, q) for fr, _ in found):
+                # a reducible p/q changes sign at its own q too, and at an
+                # exact hit of p/q the sign of q w - p is roundoff
+                if ((w0 - pi) * (w1 - pi) >= 0.0 or np.gcd(pi, q) != 1
+                        or (a, pi) in hits or (b, pi) in hits):
                     continue
                 lv = level(brentq(lambda I: q * level(I).winding - pi, a, b,
                                   xtol=CLOSURE_XTOL))

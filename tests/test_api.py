@@ -12,10 +12,12 @@ function, method or constructor must be passed by some call in the
 package or in perfbench/; a knob that no caller sets is a module
 constant. Every dataclass field must be read as an attribute in the
 package, where its own class's methods count since they need readers of
-their own, or in perfbench/. No module may import a name it never uses. The checks read the
-source with ast, so they need nothing beyond the standard library. scipy
-is loaded only by the functions that still need it: none of them runs
-when the package is imported or builds and evaluates a builtin profile.
+their own, or in perfbench/. No module may import a name it never uses,
+and none but profiles.py may set an attribute on a parameter annotated
+ProfileFunction. The checks read the source with ast, so they need nothing
+beyond the standard library. scipy is loaded only by the functions that
+still need it: none of them runs when the package is imported or builds
+and evaluates a builtin profile.
 """
 from __future__ import annotations
 
@@ -67,6 +69,15 @@ ALLOWED_UNREAD_FIELDS = {
 ALLOWED_UNPASSED = {
     "cli.main(argv)": "the console entry point, called without arguments; "
                       "tests pass argv through it",
+}
+
+
+# functions outside profiles.py that set an attribute on a profile
+# parameter, each with its reason
+ALLOWED_PROFILE_WRITES = {
+    "contact.min_curvature": "a per-profile float: a global one-entry cache "
+                             "would recompute it whenever the profiles "
+                             "alternate",
 }
 
 
@@ -250,6 +261,45 @@ def _unread_fields() -> list:
     return out
 
 
+def _profile_writes() -> list:
+    """Functions outside profiles.py that assign an attribute to a
+    parameter annotated ProfileFunction, by statement or by setattr."""
+    out = []
+    for stem, tree in _modules().items():
+        if stem == "profiles":
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            profiles = {x.arg for x in (*a.posonlyargs, *a.args,
+                                        *a.kwonlyargs)
+                        if x.annotation is not None
+                        and ast.unparse(x.annotation) == "ProfileFunction"}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and \
+                        ast.unparse(node.func) in ("setattr",
+                                                   "object.__setattr__"):
+                    targets = node.args[:1]
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store):
+                    targets = [node.value]
+                else:
+                    continue
+                if any(isinstance(t, ast.Name) and t.id in profiles
+                       for t in targets):
+                    out.append(f"{stem}.{fn.name}")
+    return sorted(set(out))
+
+
+def test_no_module_writes_on_a_profile():
+    # profiles are immutable after build; a cache on one belongs to
+    # profiles.py, or here with its reason
+    writes = [n for n in _profile_writes() if n not in ALLOWED_PROFILE_WRITES]
+    assert not writes, f"attributes set on a profile outside profiles.py: " \
+                       f"{writes}"
+
+
 def test_every_export_has_a_package_caller():
     uncalled = [n for n in _uncalled_exports() if n not in ALLOWED_UNCALLED]
     assert not uncalled, f"exported but never called in the package: " \
@@ -279,6 +329,7 @@ def test_allow_list_is_current():
     assert set(ALLOWED_UNREAD) <= set(_unread_methods())
     assert set(ALLOWED_UNREAD_FIELDS) <= set(_unread_fields())
     assert set(ALLOWED_UNPASSED) <= set(_unpassed_defaults())
+    assert set(ALLOWED_PROFILE_WRITES) <= set(_profile_writes())
 
 
 def test_every_definition_is_exported_or_used():

@@ -9,7 +9,9 @@ independent direct quadrature of the defining integrals.
 """
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import astuple
 from unittest import mock
 
@@ -88,16 +90,53 @@ class TestInvariantRange:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([0.25, 0.8, 2.0]),
                               st.floats(0.2, 3.0)), min_size=1, max_size=6))
-    def test_cached_range_matches_fresh_profile(self, ellipsoid, ms):
-        # the one-entry cache on the profile never changes a value
+    def test_cached_range_matches_fresh_profile(self, sphere, ellipsoid, ms):
+        # the one-entry cache of reduced systems never changes a value:
+        # the two profiles alternate, so every step evicts the last system
         for m in ms:
-            got = astuple(I_range(ellipsoid, m))
-            want = astuple(I_range(make_ellipsoid(1.3), m))
-            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            for p, fresh in ((ellipsoid, make_ellipsoid(1.3)),
+                             (sphere, make_sphere())):
+                assert _system_values(p, m) == _system_values(fresh, m)
+
+    def test_system_keeps_no_profile_alive(self):
+        # the reduced system refers to its profile and is not stored on
+        # it: no call adds an attribute to the profile, and with the
+        # collector off a dropped profile dies once the cache moves on
+        p = make_ellipsoid(1.3)
+        p.point_jet()
+        min_curvature(p)
+        keys = set(vars(p))
+        # scipy's brentq wraps its function in a closure that refers to
+        # itself: that cycle, not reduced's, goes at the next collection
+        rational_closures(p, 0.8, n_levels=9, q_max=3)
+        gc.collect()
+        gc.disable()
+        try:
+            action_scan(p, 0.8, 5)
+            turning_points(p, 1.1, 0.5)
+            find_latitude(p, 1.1, "lower")
+            assert set(vars(p)) == keys
+            ref = weakref.ref(p)
+            del p
+            action_scan(make_sphere(), 0.5, 5)
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_invariant_formula(self, sphere):
         assert I_hat(sphere, 2.0, 1.0, np.pi / 2) == pytest.approx(
             2.0 * np.sin(1.0) + np.cos(1.0))
+
+
+def _system_values(p, m):
+    """Range, levels, turning points, latitudes and scan rows at (p, m),
+    as float hex."""
+    levels = regular_levels(p, m, 4)
+    values = [*astuple(I_range(p, m)), *levels,
+              *astuple(turning_points(p, m, float(levels[1])))[:2],
+              *(x for lat in latitudes(p, m) for x in astuple(lat)),
+              *(x for row in action_scan(p, m, 4) for x in astuple(row))]
+    return [float(x).hex() for x in values]
 
 
 class TestTurningPoints:
@@ -194,7 +233,8 @@ class TestTurningPoints:
         p = parse_profile_spec(spec)
         thr = km_positive_threshold(p)
         m = frac * (thr if np.isfinite(thr) else 5.0)
-        for piece in reduced._envelopes(p, m)[1].values():
+        system = reduced._system(p, m)
+        for piece in system.pieces.values():
             t, v = piece.t, piece.I
             lo, hi = np.min(v), np.max(v)
             levels = np.r_[lo + np.array(where) * (hi - lo),
@@ -210,7 +250,7 @@ class TestTurningPoints:
             with mock.patch.object(reduced, "newton_root",
                                    lambda fdf, a, b, fa, fb, ftol:
                                    got.append((a, b)) or a):
-                reduced._crossings(p, m, levels, piece)
+                system.crossings(levels, piece)
             assert got == want
 
     def test_wobbly_table_raises_at_build(self, monkeypatch):
@@ -493,13 +533,13 @@ class TestBatchedQuadrature:
         # chunk, every stage also crosses chunk boundaries. The rows equal
         # those of the rule written out for one level on 1-D nodes
         stages = []
-        band_integrals = reduced._band_integrals
+        band_integrals = reduced._System.band_integrals
 
-        def spy(p, m, I, a, b, n_nodes):
+        def spy(self, I, a, b, n_nodes):
             stages.append((n_nodes, len(I)))
-            return band_integrals(p, m, I, a, b, n_nodes)
+            return band_integrals(self, I, a, b, n_nodes)
 
-        monkeypatch.setattr(reduced, "_band_integrals", spy)
+        monkeypatch.setattr(reduced._System, "band_integrals", spy)
         levels = regular_levels(_SPINDLE, 0.25, 100)
         want = [_one_level_on_1d_nodes(_SPINDLE, 0.25, float(I))
                 for I in levels]
@@ -523,7 +563,7 @@ class TestBatchedQuadrature:
     def test_no_levels(self, sphere):
         # an empty batch makes no quadrature, and a closure search over no
         # levels finds nothing, as before
-        assert reduced._reduced_levels(sphere, 1.0, []) == []
+        assert reduced._system(sphere, 1.0).levels([]) == []
         assert rational_closures(sphere, 1.0, n_levels=0) == []
 
     @pytest.mark.parametrize("where", [0, 5, 11])
@@ -533,9 +573,8 @@ class TestBatchedQuadrature:
         for bad in (np.nan, r.I_min, r.I_max, 1.0 + 0.5 * LATITUDE_BAND,
                     -1.0 - 0.5 * LATITUDE_BAND):
             with pytest.raises(LevelRangeError):
-                reduced._reduced_levels(ellipsoid, 1.0,
-                                        levels[:where] + [bad]
-                                        + levels[where:])
+                reduced._system(ellipsoid, 1.0).levels(
+                    levels[:where] + [bad] + levels[where:])
 
     @pytest.mark.parametrize("spec, m", [("sphere", 0.7),
                                          ("ellipsoid:0.73", 1.1),
@@ -615,17 +654,17 @@ class TestClosures:
         # and the brentq iterates, and no quadrature fails; every level
         # passes through the batched entry, brentq's one at a time
         calls, raised = [], []
-        batch = reduced._reduced_levels
+        batch = reduced._System.levels
 
-        def guarded(p, m, levels):
+        def guarded(self, levels):
             calls.extend(levels)
             try:
-                return batch(p, m, levels)
+                return batch(self, levels)
             except ValueError as exc:
                 raised.append(exc)
                 raise
 
-        monkeypatch.setattr(reduced, "_reduced_levels", guarded)
+        monkeypatch.setattr(reduced._System, "levels", guarded)
         found = rational_closures(make_ellipsoid(2.0), 1.0021, n_levels=11,
                                   q_max=5)
         assert len(calls) <= 40 and not raised
@@ -678,6 +717,33 @@ class TestClosures:
         assert [e[:2] for e in got] == [e[:2] for e in want]
         for (_, _, I), (_, _, I_want) in zip(got, want):
             assert I == pytest.approx(I_want, abs=1e-7)
+
+
+    def test_non_monotone_winding_keeps_every_root(self):
+        # on the oblate ellipsoid at m = 1 the winding is not monotone in
+        # I: w = 19/21 at two levels on each side of I = 0, of which a
+        # search that skipped every fraction found once kept one a side
+        found = rational_closures(make_ellipsoid(0.5), 1.0, n_levels=33,
+                                  q_max=21)
+        hits = sorted((lev.I, c.p) for lev, c in found
+                      if (c.q, abs(c.p)) == (21, 19))
+        assert [p for _, p in hits] == [-19, -19, 19, 19]
+        assert [I for I, _ in hits] == pytest.approx(
+            [-1.2176863, -1.0764254, 1.0764254, 1.2176863], abs=1e-7)
+
+    @pytest.mark.parametrize("ratio, m", [(0.5, 1.0), (0.403, 1.166),
+                                          (1.5, 0.8), (3.0, 0.3)])
+    def test_found_sets_are_mirror_symmetric(self, ratio, m):
+        # t -> ell - t maps an ellipsoid to itself, and a level I of
+        # winding p/q to the level -I of winding -p/q
+        found = [(c.p, c.q, lev.I) for lev, c in rational_closures(
+            make_ellipsoid(ratio), m, n_levels=33, q_max=8)]
+        got = sorted(found, key=lambda e: e[2])
+        mirror = sorted(((-p, q, -I) for p, q, I in found),
+                        key=lambda e: e[2])
+        assert [e[:2] for e in got] == [e[:2] for e in mirror]
+        assert [e[2] for e in got] == pytest.approx([e[2] for e in mirror],
+                                                    abs=1e-7)
 
 
 class TestVerdict:
