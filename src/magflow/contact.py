@@ -79,16 +79,13 @@ def magnetic_curvature(p: ProfileFunction, m: float, t):
 
 
 def min_curvature(p: ProfileFunction) -> float:
-    """min K over [0, ell], cached on the profile (immutable after build)."""
-    cached = getattr(p, "_min_curvature", None)
-    if cached is None:
-        K0 = float(p.curvature(0.0))
-        K1 = float(p.curvature(p.ell))
+    """min K over [0, ell], kept on the profile (derived)."""
+    def scan():
+        K0, K1 = float(p.curvature(0.0)), float(p.curvature(p.ell))
         _, neg = grid_sup(lambda t: -np.asarray(p.curvature(t)), 0.0, p.ell,
                           n=SUP_GRID, endpoint_values=(-K0, -K1))
-        cached = -neg
-        p._min_curvature = cached
-    return cached
+        return -neg
+    return p.derived("min curvature", None, scan)
 
 
 def km_positive(p: ProfileFunction, m: float) -> bool:

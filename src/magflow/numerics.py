@@ -423,15 +423,12 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
             if ((direction >= 0.0 and g <= 0.0 <= g_new)
                     or (direction <= 0.0 and g >= 0.0 >= g_new)):
                 row, nfev = _step_row(fun, t_old, h, y_old, y, K), nfev + 3
-                one, first = np.array([row]), np.zeros(1, dtype=int)
-
-                def at(s):
-                    return _dense(one, first, np.array([s]), n)[0]
+                one = np.array([row])
                 from scipy.optimize import brentq
-                t = brentq(lambda s: event(s, at(s)), t_old, t,
+                t = brentq(_event_on_step, t_old, t, args=(event, one, n),
                            xtol=4 * np.finfo(float).eps,
                            rtol=4 * np.finfo(float).eps)
-                y, terminated = at(t).tolist(), True
+                y, terminated = _on_step(one, t, n).tolist(), True
             g = g_new
         reached = bisect_right(keys, d * t)
         if reached > done:
@@ -446,6 +443,18 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     step = np.repeat(np.arange(len(counts)), counts)
     s = np.array(t_eval[:done])
     return OdeRun(s, _dense(rec, step, s, n), t, tuple(y), nfev, terminated)
+
+
+def _on_step(one, s, n):
+    """The dense output at s of the one stored step one."""
+    return _dense(one, np.zeros(1, dtype=int), np.array([s]), n)[0]
+
+
+def _event_on_step(s, event, one, n):
+    """event on the dense output of one step, for brentq: module-level,
+    since brentq's wrapper refers to itself and would keep a closure's
+    references alive until the next collection."""
+    return event(s, _on_step(one, s, n))
 
 
 def _nonfinite(K, t, h):

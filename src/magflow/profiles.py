@@ -18,10 +18,10 @@ Profiles are evaluated through one method, jet(t, order), which returns
 (gamma, gamma', ..., gamma^(order), Gamma) from a single evaluation and is
 vectorized over numpy arrays; a caller that needs one field reads it from
 the jet. gamma and curvature are the two views of it that the package
-reads. point_jet() returns a scalar evaluator of
-(gamma, gamma', gamma'', Gamma) on Python floats, built once per profile
-and cached on it, which agrees with jet(t, 2) to a few ulp; the flows,
-the linearized flow and the Newton polishes read the profile through it.
+reads. point_jet() returns a scalar evaluator of (gamma, gamma', gamma'',
+Gamma) on Python floats, kept on the profile by derived() like all derived
+state; it agrees with jet(t, 2) to a few ulp, and the flows, the linearized
+flow and the Newton polishes read the profile through it.
 The kinds without a closed form, the ellipsoid and the collar of a
 stretched profile, sample their exact jets once at build and interpolate
 them with one _ColumnSpline, a quintic spline fitted in numpy and held as
@@ -40,7 +40,7 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -84,10 +84,17 @@ class ProfileFunction:
         """
         raise NotImplementedError
 
+    def derived(self, name: str, key, build):
+        """build(), kept in the profile's __dict__ under name until asked
+        for with another key; the value must not refer to the profile."""
+        entry = self.__dict__.get(name)
+        if entry is None or entry[0] != key:
+            entry = self.__dict__[name] = (key, build())
+        return entry[1]
+
     def point_jet(self, fields: int = 4):
         """A float -> (gamma, gamma', gamma'', Gamma)[:fields] callable for
-        one point at a time, built on the first call per field count and
-        cached on the profile (immutable after build) in _point_jets.
+        one point at a time, kept on the profile per field count (derived).
 
         The linearized flow, the level sections and the Newton polishes
         call the full reader on Python floats; the flow and its pole event
@@ -95,18 +102,8 @@ class ProfileFunction:
         few ulp of each column's largest value, a prefix with the full
         reader bitwise.
         """
-        jets = self.__dict__.setdefault("_point_jets", {})
-        at = jets.get(fields)
-        if at is None:
-            at = jets[fields] = self._build_point_jet(fields)
-        return at
-
-    def _build_point_jet(self, fields):
-        """The evaluator point_jet caches; of the builtin kinds only sampled
-        profiles use this wrapper of jet."""
-        head = ["g, dg, ddg, G = map(float, jet(t, 2))"]
-        return _point_reader(fields, "samples", head, _FIELDS,
-                             {"jet": self.jet})
+        return self.derived(f"point jet {fields}", None,
+                            lambda: self._build_point_jet(fields))
 
     def gamma(self, t):
         return self.jet(t, 0)[0]
@@ -456,6 +453,16 @@ class SplineProfile(ProfileFunction):
         derivs = [sp(t) for sp in self._sp_derivs[:order + 1]]
         return (*derivs, -1.0 + (self._sp_Gam(t) - self._Gam0))
 
+    def _build_point_jet(self, fields):
+        """jet(t, 2) from the same splines, one float at a time: the same
+        operations, so equal to jet bitwise."""
+        sp, dsp, ddsp = self._sp_derivs[:3]
+        return _point_reader(fields, "samples", [
+            "g, dg = float(sp(t)), float(dsp(t))"],
+            ("g", "dg", "float(ddsp(t))", "-1.0 + (float(Gam(t)) - G0)"),
+            {"sp": sp, "dsp": dsp, "ddsp": ddsp, "Gam": self._sp_Gam,
+             "G0": self._Gam0})
+
     def gamma_integral(self) -> float:
         return float(self._sp_Gam(self.ell) - self._Gam0)
 
@@ -512,25 +519,26 @@ class StretchBump:
         return {"half_width": self.half_width, "exponent": self.exponent}
 
 
-@lru_cache(maxsize=1)
 def _collar_area(base: ProfileFunction, bump: StretchBump, center: float):
     """The collar grid, uniform in the base parameter t over the bump's
     support, and the weighted area P(t), the integral of gamma_base rho from
     its start to each point by 6-point Gauss quadrature on every cell.
 
     normalize_stretch needs P to choose C, and the StretchedProfile it then
-    builds needs the same P: the one-entry cache, keyed by the identity of
-    base and bump, serves the second call. Its arrays are read-only.
+    builds needs the same P: the base keeps it (derived), keyed by bump
+    and center, for the second call. Its arrays are read-only.
     """
-    w = bump.half_width
-    t = np.linspace(center - w, center + w, _TABLE_CELLS + 1)
-    x, wq = gauss_nodes(6)
-    tt = t[:-1, None] + np.diff(t)[:, None] * x[None, :]
-    f = np.asarray(base.gamma(tt)) * np.asarray(bump.density(tt - center))
-    dP = (np.diff(t)[:, None] * wq[None, :] * f).sum(axis=1)
-    P = np.concatenate(([0.0], np.cumsum(dP)))
-    t.flags.writeable = P.flags.writeable = False
-    return t, P
+    def build():
+        w = bump.half_width
+        t = np.linspace(center - w, center + w, _TABLE_CELLS + 1)
+        x, wq = gauss_nodes(6)
+        tt = t[:-1, None] + np.diff(t)[:, None] * x[None, :]
+        f = np.asarray(base.gamma(tt)) * np.asarray(bump.density(tt - center))
+        dP = (np.diff(t)[:, None] * wq[None, :] * f).sum(axis=1)
+        P = np.concatenate(([0.0], np.cumsum(dP)))
+        t.flags.writeable = P.flags.writeable = False
+        return t, P
+    return base.derived("collar area", (bump, center), build)
 
 
 class StretchedProfile(ProfileFunction):

@@ -23,8 +23,8 @@ Under K_m > 0 each envelope has a single critical point, its extremum,
 which is the latitude orbit on it; every turning point is the one crossing
 of I with a monotone envelope piece. The reduced system at (profile, m)
 tabulates both envelopes and their slopes from one jet evaluation, and
-holds them with the invariant range and, once asked for, the latitudes; a
-one-entry cache keeps the last one built, off the profile. The extrema and
+holds them with the invariant range and, once asked for, the latitudes; the
+profile keeps the one of the last m asked for (derived). The extrema and
 the crossings of a level are each bracketed between two table entries and
 polished by Newton's method on the profile's point jet.
 
@@ -51,9 +51,9 @@ level.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class _System:
         g, dg, G = p.jet(t[1:-1], 1)
         # |m gamma'| = gamma <= max gamma at the root: the rounding error there
         ftol = 8.0 * _EPS * float(np.max(g))
-        self.p, self.m, self.jet = p, m, p.point_jet()
+        self.profile, self.m, self.jet = weakref.ref(p), m, p.point_jet()
         jet, pieces, ext = self.jet, {}, {}
         for name, sg in (("upper", 1), ("lower", -1)):
             def fdf(s, sg=sg):
@@ -255,7 +255,7 @@ class _System:
         I, a, b = I[:, None], a[:, None], b[:, None]
         t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
                                                    / (2 * n_nodes))
-        g, dg, G = self.p.jet(t, 1)
+        g, dg, G = self.profile().jet(t, 1)
         W = (self.m * g) ** 2 - (I + G) ** 2
         V = W / ((t - a) * (b - t))
         if (V <= 0.0).any():
@@ -311,12 +311,10 @@ class _System:
                                               *done.tolist())]
 
 
-@lru_cache(maxsize=1)
 def _system(p: ProfileFunction, m: float) -> _System:
-    """The reduced system at (p, m), kept for the last (p, m) asked for
-    and not on p, which it refers to: a p -> system -> p cycle would hold
-    both until a full collection."""
-    return _System(p, m)
+    """The reduced system at (p, m), kept on p for the last m asked for
+    (derived); it holds p through a weak reference, so no cycle forms."""
+    return p.derived("reduced system", m, lambda: _System(p, m))
 
 
 def I_range(p: ProfileFunction, m: float) -> IRange:
@@ -629,11 +627,17 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                 if ((w0 - pi) * (w1 - pi) >= 0.0 or np.gcd(pi, q) != 1
                         or (a, pi) in hits or (b, pi) in hits):
                     continue
-                lv = level(brentq(lambda I: q * level(I).winding - pi, a, b,
+                lv = level(brentq(_winding_gap, a, b, args=(level, q, pi),
                                   xtol=CLOSURE_XTOL))
                 if abs(q * lv.winding - pi) <= CLOSURE_TOL * q:
                     register(lv, q, pi)
     return list(found.values())
+
+
+def _winding_gap(I, level, q, pi):
+    """q * winding - pi at I, for brentq: module-level, since brentq's
+    wrapper refers to itself and would keep a closure's levels alive."""
+    return q * level(I).winding - pi
 
 
 def minimal_contractible_closure(level: ReducedLevel,

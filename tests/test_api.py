@@ -14,7 +14,10 @@ constant. Every dataclass field must be read as an attribute in the
 package, where its own class's methods count since they need readers of
 their own, or in perfbench/. No module may import a name it never uses,
 and none but profiles.py may set an attribute on a parameter annotated
-ProfileFunction. The checks read the source with ast, so they need nothing
+ProfileFunction. No function cached by lru_cache or functools.cache takes
+a ProfileFunction: a global cache keyed by a profile keeps it alive, and
+profile-derived state lives on the profile (ProfileFunction.derived). The
+checks read the source with ast, so they need nothing
 beyond the standard library. scipy is loaded only by the functions that
 still need it: none of them runs when the package is imported or builds
 and evaluates a builtin profile.
@@ -73,12 +76,9 @@ ALLOWED_UNPASSED = {
 
 
 # functions outside profiles.py that set an attribute on a profile
-# parameter, each with its reason
-ALLOWED_PROFILE_WRITES = {
-    "contact.min_curvature": "a per-profile float: a global one-entry cache "
-                             "would recompute it whenever the profiles "
-                             "alternate",
-}
+# parameter, each with its reason; state derived from a profile goes
+# through ProfileFunction.derived instead
+ALLOWED_PROFILE_WRITES = {}
 
 
 def _modules() -> dict:
@@ -298,6 +298,33 @@ def test_no_module_writes_on_a_profile():
     writes = [n for n in _profile_writes() if n not in ALLOWED_PROFILE_WRITES]
     assert not writes, f"attributes set on a profile outside profiles.py: " \
                        f"{writes}"
+
+
+def _profile_caches() -> list:
+    """Functions decorated with lru_cache or functools.cache that take a
+    parameter annotated ProfileFunction."""
+    out = []
+    for stem, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                     for d in fn.decorator_list}
+            a = fn.args
+            if names & {"lru_cache", "functools.lru_cache", "cache",
+                        "functools.cache"} and any(
+                    x.annotation is not None
+                    and ast.unparse(x.annotation) == "ProfileFunction"
+                    for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)):
+                out.append(f"{stem}.{fn.name}")
+    return sorted(out)
+
+
+def test_no_global_cache_keyed_by_a_profile():
+    # a global cache would keep the profiles it was asked about, tables and
+    # all; ProfileFunction.derived keeps the state on its own profile
+    cached = _profile_caches()
+    assert not cached, f"global caches taking a profile: {cached}"
 
 
 def test_every_export_has_a_package_caller():

@@ -239,13 +239,16 @@ class TestEllipsoid:
         check_point_jet(p, int(10 * ratio),
                         [] if isinstance(p, SphereProfile) else p._table.knots)
 
-    @pytest.mark.parametrize("spec", ["ellipsoid:1.4", "spindle:0.07:0.2"])
+    @pytest.mark.parametrize("spec", ["ellipsoid:1.4", "spindle:0.07:0.2",
+                                      "samples"])
     def test_point_jets_go_with_the_profile(self, spec):
         # the generated readers hold no reference cycle: dropping the
-        # profile frees its table and blocks without the cycle collector,
-        # and profiles of one kind share their readers' compiled source
+        # profile frees it and its table and blocks, or its splines,
+        # without the cycle collector, and profiles of one kind share their
+        # readers' compiled source
         def build():
-            p = profiles.parse_profile_spec(spec)
+            p = (SplineProfile(_SAMPLES, np.sin(_SAMPLES)) if spec == "samples"
+                 else profiles.parse_profile_spec(spec))
             for fields in (2, 4):
                 p.point_jet(fields)(0.5 * p.ell)
             return p
@@ -254,9 +257,11 @@ class TestEllipsoid:
         gc.disable()
         try:
             p = build()
-            table = weakref.ref(getattr(p, "_collar", None) or p._table)
-            del p
-            assert table() is None
+            data = (getattr(p, "_collar", None) or getattr(p, "_table", None)
+                    or p._sp_Gam)
+            refs = [weakref.ref(p), weakref.ref(data)]
+            del p, data
+            assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
         assert len(linecache.cache) == cached
@@ -438,11 +443,17 @@ class TestStretch:
         check_point_jet(p, 3, np.concatenate([
             p._collar.knots, seams - 1e-12, seams + 1e-12]))
 
-    def test_collar_area_once_per_build(self):
-        # normalize_stretch's quadrature serves the constructor it calls
-        profiles._collar_area.cache_clear()
+    def test_collar_area_once_per_build(self, monkeypatch):
+        # normalize_stretch's quadrature serves the constructor it calls:
+        # one 6-point rule per build, and none for a base that has it
+        rules, nodes = [], profiles.gauss_nodes
+        monkeypatch.setattr(profiles, "gauss_nodes",
+                            lambda n: rules.append(n) or nodes(n))
         make_spindle(0.07, 0.2)
-        assert profiles._collar_area.cache_info().misses == 1
+        assert rules == [6]
+        normalize_stretch(self.base, self.bump, self.center)
+        stretch(self.base, 0.1, self.bump, self.center)
+        assert rules == [6, 6]
         t, P = profiles._collar_area(self.base, self.bump, self.center)
         assert not (t.flags.writeable or P.flags.writeable)
 

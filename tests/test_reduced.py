@@ -24,7 +24,10 @@ from scipy.optimize import brentq
 from magflow import reduced
 from magflow.contact import contact_interval, h_min, km_positive, \
     km_positive_threshold, min_curvature, reeb_factor
-from magflow.profiles import (make_ellipsoid, make_negative_action, make_sphere,
+from magflow.cz import latitude_cz
+from magflow.flow import integrate, level_average_ode
+from magflow.profiles import (SplineProfile, make_ellipsoid,
+                              make_negative_action, make_sphere,
                               parse_profile_spec)
 from magflow.reduced import (
     ENVELOPE_GRID,
@@ -91,41 +94,111 @@ class TestInvariantRange:
     @given(st.lists(st.one_of(st.sampled_from([0.25, 0.8, 2.0]),
                               st.floats(0.2, 3.0)), min_size=1, max_size=6))
     def test_cached_range_matches_fresh_profile(self, sphere, ellipsoid, ms):
-        # the one-entry cache of reduced systems never changes a value:
-        # the two profiles alternate, so every step evicts the last system
+        # the reduced systems kept on each profile never change a value:
+        # the two profiles alternate, and a new m replaces a kept system
         for m in ms:
             for p, fresh in ((ellipsoid, make_ellipsoid(1.3)),
                              (sphere, make_sphere())):
                 assert _system_values(p, m) == _system_values(fresh, m)
 
     def test_system_keeps_no_profile_alive(self):
-        # the reduced system refers to its profile and is not stored on
-        # it: no call adds an attribute to the profile, and with the
-        # collector off a dropped profile dies once the cache moves on
+        # the reduced system is kept on its profile as one derived entry
+        # and refers to it weakly: with the collector off, a dropped
+        # profile dies at once
         p = make_ellipsoid(1.3)
         p.point_jet()
         min_curvature(p)
         keys = set(vars(p))
-        # scipy's brentq wraps its function in a closure that refers to
-        # itself: that cycle, not reduced's, goes at the next collection
-        rational_closures(p, 0.8, n_levels=9, q_max=3)
-        gc.collect()
         gc.disable()
         try:
+            rational_closures(p, 0.8, n_levels=9, q_max=3)
             action_scan(p, 0.8, 5)
             turning_points(p, 1.1, 0.5)
             find_latitude(p, 1.1, "lower")
-            assert set(vars(p)) == keys
+            assert set(vars(p)) == keys | {"reduced system"}
             ref = weakref.ref(p)
             del p
-            action_scan(make_sphere(), 0.5, 5)
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_alternating_profiles_build_each_system_once(self, monkeypatch):
+        # each profile keeps its own system, so switching between two
+        # profiles at one m rebuilds nothing
+        built = []
+
+        class Counted(reduced._System):
+            def __init__(self, p, m):
+                built.append((p.to_dict()["ratio"], m))
+                super().__init__(p, m)
+        monkeypatch.setattr(reduced, "_System", Counted)
+        a, b = make_ellipsoid(1.5), make_ellipsoid(0.6)
+        ranges = [I_range(p, 0.8) for _ in range(5) for p in (a, b)]
+        assert built == [(1.5, 0.8), (0.6, 0.8)]
+        assert ranges == [I_range(make_ellipsoid(1.5), 0.8),
+                          I_range(make_ellipsoid(0.6), 0.8)] * 5
+
+    def test_sweep_over_m_keeps_one_system(self, ellipsoid):
+        # a new m replaces the system kept on the profile
+        gc.disable()
+        try:
+            kept = [weakref.ref(reduced._system(ellipsoid, m))
+                    for m in (0.3, 0.8, 1.1, 2.0)]
+            assert [r() is not None for r in kept] == [False] * 3 + [True]
         finally:
             gc.enable()
 
     def test_invariant_formula(self, sphere):
         assert I_hat(sphere, 2.0, 1.0, np.pi / 2) == pytest.approx(
             2.0 * np.sin(1.0) + np.cos(1.0))
+
+
+_SAMPLES = np.linspace(0.0, np.pi, 201)
+# (build, m, the table or splines that the point jet reads); the closure
+# search solves brentq brackets on the ellipsoid and the spindle
+_KINDS = {
+    "sphere": (make_sphere, 0.8, lambda p: p),
+    "ellipsoid": (lambda: make_ellipsoid(2.0), 1.0021,
+                  lambda p: p._table._table),
+    "spindle": (lambda: parse_profile_spec("spindle:0.07:0.2"), 0.25,
+                lambda p: p._collar._table),
+    "samples": (lambda: SplineProfile(_SAMPLES, np.sin(_SAMPLES)), 0.8,
+                lambda p: p._sp_Gam),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_dropped_profile_dies_at_once(kind):
+    # every cache of state derived from a profile lives on it and refers
+    # to it at most weakly, and no call leaves a reference cycle behind:
+    # with the collector off, dropping the profile after every consumer
+    # of it frees it, its reduced system and its table at once
+    build, m, table = _KINDS[kind]
+    gc.disable()
+    try:
+        p = build()
+        for fields in (2, 4):
+            p.point_jet(fields)(0.5 * p.ell)
+        min_curvature(p)
+        contact_interval(p)
+        action_scan(p, m, 5)
+        rational_closures(p, m, n_levels=11, q_max=5)
+        find_latitude(p, m, "lower")
+        assert not integrate(p, m, (0.5 * p.ell, 0.4, 0.0), 5.0,
+                             n_out=11).pole_terminated
+        # on the separatrix I = 1 through the pole, as in the flow tests
+        t0 = 0.05
+        g, G = p.jet(t0, 0)
+        phi0 = np.pi - np.arcsin((1.0 + G) / (m * g))
+        assert integrate(p, m, (t0, phi0, 0.0), 50.0,
+                         n_out=11).pole_terminated
+        level_average_ode(p, m, float(regular_levels(p, m, 5)[1]))
+        latitude_cz(p, m)
+        refs = [weakref.ref(x) for x in (p, reduced._system(p, m), table(p))]
+        del p
+        assert [r() is None for r in refs] == [True] * 3
+    finally:
+        gc.enable()
 
 
 def _system_values(p, m):
