@@ -50,14 +50,16 @@ def beta_ratio(p: ProfileFunction, t):
 
 
 def _m_gamma_argmax(p: ProfileFunction):
-    f = lambda t: np.abs(beta_ratio(p, t))
-    t_star, val = grid_sup(f, 0.0, p.ell, n=SUP_GRID,
-                           endpoint_values=(0.0, 0.0))
-    return float(val), float(t_star)
+    """(m_gamma, t_star), kept on the profile (derived)."""
+    def search():
+        t_star, val = grid_sup(lambda t: np.abs(beta_ratio(p, t)), 0.0,
+                               p.ell, n=SUP_GRID, endpoint_values=(0.0, 0.0))
+        return float(val), float(t_star)
+    return p.derived("m gamma", None, search)
 
 
 def m_gamma(p: ProfileFunction) -> float:
-    """sup |beta_theta|/gamma by dense grid scan plus golden refinement."""
+    """sup |beta_theta|/gamma by dense grid scan plus zoom refinement."""
     return _m_gamma_argmax(p)[0]
 
 
@@ -81,7 +83,7 @@ def magnetic_curvature(p: ProfileFunction, m: float, t):
 def min_curvature(p: ProfileFunction) -> float:
     """min K over [0, ell], kept on the profile (derived)."""
     def scan():
-        K0, K1 = float(p.curvature(0.0)), float(p.curvature(p.ell))
+        K0, K1 = p.curvature(np.array([0.0, p.ell])).tolist()
         _, neg = grid_sup(lambda t: -np.asarray(p.curvature(t)), 0.0, p.ell,
                           n=SUP_GRID, endpoint_values=(-K0, -K1))
         return -neg

@@ -1,6 +1,6 @@
 """Small numerical helpers shared across modules.
 
-Grid-plus-golden-section extremum search, bracketed root finding by
+Grid-plus-zoom extremum search, bracketed root finding by
 safeguarded Newton steps, cached Gauss-Legendre nodes, and the DOP853
 stepper that every ODE of the package integrates with: the flow, its
 level sections and the linearized flow behind the Conley-Zehnder
@@ -25,11 +25,10 @@ from operator import add
 
 import numpy as np
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_MAX_ITER = 200
 NEWTON_MAX_ITER = 100
 SUP_TOP_K = 5           # grid maxima that grid_sup refines
 SUP_XTOL = 1e-9         # and the abscissa tolerance it refines them to
+_ZOOM = 16              # sample cells per bracket and zoom round
 # grid_sup's tie width: the refined values of mirror maxima differ by up to
 # about 100 ulp of the largest
 SUP_TIE_RTOL = 1e-12
@@ -42,61 +41,47 @@ def gauss_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def golden_max(f, a: float, b: float, tol: float = 1e-9):
-    """Golden-section maximization of a unimodal f on [a, b].
+def grid_sup(f, a: float, b: float, n: int, endpoint_values=(None, None)):
+    """Supremum of f on [a, b] by dense grid plus a vectorized zoom.
 
-    Raises RuntimeError when the bracket is still wider than tol after
-    GOLDEN_MAX_ITER reductions.
+    f must accept numpy arrays, and is only ever called with arrays. The
+    grid has n uniform points over the open interval; endpoint_values, when
+    given, stand in for f at a and b (useful when f is defined there only
+    as a limit). The SUP_TOP_K largest interior local maxima of the grid
+    values are refined together: each bracket starts as the two grid cells
+    around its maximum, and each round samples every bracket at 17 points
+    with one call of f and keeps the two sample cells around the bracket's
+    largest sample, a shrink of 8. Once every bracket is narrower than
+    SUP_XTOL, its largest sample in that round is its value; a round that
+    does not narrow the widest bracket raises RuntimeError, so no bracket
+    is left unrefined. Returns (argmax, sup):
+    sup is the largest value, and argmax the smallest abscissa whose value
+    ties it within SUP_TIE_RTOL, so mirror maxima that differ by roundoff
+    report the same abscissa.
     """
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAX_ITER):
-        if b - a < tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-    if not b - a < tol:
-        raise RuntimeError(f"golden_max: bracket [{a!r}, {b!r}] still wider "
-                           f"than tol = {tol} after {GOLDEN_MAX_ITER} "
-                           f"reductions")
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def grid_sup(f, a: float, b: float, n: int = 4096,
-             endpoint_values=(None, None)):
-    """Supremum of f on [a, b] by dense grid plus golden-section refinement.
-
-    f must accept numpy arrays. The grid is uniform over the open interval;
-    endpoint_values, when given, stand in for f at a and b (useful when f is
-    defined there only as a limit). The SUP_TOP_K interior local maxima of
-    the grid values are each refined to SUP_XTOL in the abscissa with
-    scalar calls of f. Returns (argmax, sup): sup is the largest refined
-    value, and argmax the smallest abscissa whose value ties it within
-    SUP_TIE_RTOL, so mirror maxima that differ by roundoff report the same
-    abscissa.
-    """
-    t = np.linspace(a, b, n + 2)[1:-1]
-    v = np.asarray(f(t), dtype=float)
+    grid = np.linspace(a, b, n + 2)
+    v = np.asarray(f(grid[1:-1]), dtype=float)
     interior = v[1:-1]
     is_max = (interior >= v[:-2]) & (interior >= v[2:])
     idx = np.nonzero(is_max)[0] + 1
     if idx.size == 0:
         idx = np.array([int(np.argmax(v))])
-    order = np.argsort(-v[idx], kind="stable")
-    found = []
-    for i in idx[order[:SUP_TOP_K]]:
-        lo = t[i - 1] if i > 0 else a
-        hi = t[i + 1] if i < t.size - 1 else b
-        found.append(golden_max(lambda s: float(f(s)), lo, hi,
-                                tol=SUP_XTOL))
+    idx = idx[np.argsort(-v[idx], kind="stable")[:SUP_TOP_K]]
+    lo, hi = grid[idx], grid[idx + 2]
+    rows = np.arange(idx.size)
+    while True:
+        s = np.linspace(lo, hi, _ZOOM + 1, axis=1)
+        fs = np.asarray(f(s), dtype=float)
+        j = np.argmax(fs, axis=1)
+        width = float(np.max(hi - lo))
+        if width < SUP_XTOL:
+            break
+        k = np.clip(j, 1, _ZOOM - 1)
+        lo, hi = s[rows, k - 1], s[rows, k + 1]
+        if not np.max(hi - lo) < width:
+            raise RuntimeError(f"grid_sup: a bracket of width {width!r} did "
+                               f"not narrow toward SUP_XTOL = {SUP_XTOL}")
+    found = list(zip(s[rows, j].tolist(), fs[rows, j].tolist()))
     found += [(te, ve) for te, ve in zip((a, b), endpoint_values)
               if ve is not None]
     best = max(fx for _, fx in found)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from magflow import contact
 from magflow.contact import (
     beta_ratio,
     contact_interval,
@@ -22,6 +23,7 @@ from magflow.contact import (
     m_plus_minus,
     magnetic_curvature,
     min_curvature,
+    reeb_factor,
 )
 from magflow.profiles import (
     make_ellipsoid,
@@ -69,6 +71,25 @@ class TestPrimitiveNorm:
         p1 = make_spindle(0.2, 0.2)
         p2 = make_spindle(0.1, 0.2)
         assert m_gamma(p2) > 1.8 * m_gamma(p1)
+
+    def test_one_search_per_profile(self, monkeypatch):
+        # contact_interval, m_gamma and h_min at every m read the (m_gamma,
+        # t_star) kept on the profile: one grid search in all
+        p = make_ellipsoid(1.7)
+        min_curvature(p)
+        searches, search = [], contact.grid_sup
+
+        def counted(f, a, b, **kwargs):
+            searches.append((a, b))
+            return search(f, a, b, **kwargs)
+        monkeypatch.setattr(contact, "grid_sup", counted)
+        rep = contact_interval(p)
+        mg = m_gamma(p)
+        ms = (0.3, 1.0, 2.5)
+        floors = [h_min(p, m) for m in ms]
+        assert searches == [(0.0, p.ell)]
+        assert rep.m_gamma == mg
+        assert floors == [reeb_factor(m, mg, 1.0, 1.0) for m in ms]
 
 
 class TestIntervalQuadratic:

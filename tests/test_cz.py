@@ -36,7 +36,6 @@ from magflow.cz import (
     path_deviation,
     winding_interval,
 )
-from magflow.contact import min_curvature
 from magflow.flow import band_state, flow_rhs, integrate, level_average_ode
 from magflow.numerics import StepSizeError
 from magflow.profiles import make_ellipsoid, make_sphere, parse_profile_spec
@@ -417,10 +416,9 @@ class TestScalarReads:
     ])
     def test_no_scalar_jet_in_the_flows(self, spec, m, monkeypatch):
         # the flows, the linearized flow and the turning points read the
-        # profile pointwise through point_jet alone; the per-profile
-        # min_curvature cache, whose refinement needs gamma''', is warmed
+        # profile pointwise through point_jet alone, and the K_m gate reads
+        # it with arrays
         p = parse_profile_spec(spec)
-        min_curvature(p)
         jet, scalar = p.jet, []
 
         def counted(t, order=1):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from magflow import numerics
 from magflow.numerics import (
-    GOLDEN,
     StepSizeError,
     _A,
     _B,
@@ -27,15 +26,9 @@ from magflow.numerics import (
     _step,
     dop853,
     gauss_nodes,
-    golden_max,
     grid_sup,
     newton_root,
 )
-
-
-def test_golden_constant_is_inverse_ratio():
-    assert GOLDEN == pytest.approx((np.sqrt(5) - 1) / 2)
-    assert GOLDEN * (GOLDEN + 1) == pytest.approx(1.0)
 
 
 class TestGaussNodes:
@@ -53,23 +46,6 @@ class TestGaussNodes:
 
     def test_cached_identity(self):
         assert gauss_nodes(16)[0] is gauss_nodes(16)[0]
-
-
-class TestGoldenMax:
-    def test_sine_peak(self):
-        # comparison-based search plateaus at sqrt(eps) near a quadratic top
-        x, v = golden_max(np.sin, 0.0, np.pi, tol=1e-12)
-        assert x == pytest.approx(np.pi / 2, abs=1e-7)
-        assert v == pytest.approx(1.0, abs=1e-14)
-
-    def test_quadratic(self):
-        x, v = golden_max(lambda t: -(t - 0.3) ** 2, -1.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-7)
-
-    def test_unconverged_raises(self):
-        # no bracket is narrower than tol = 0: never return the midpoint
-        with pytest.raises(RuntimeError):
-            golden_max(np.sin, 0.0, np.pi, tol=0.0)
 
 
 class TestGridSup:
@@ -101,6 +77,57 @@ class TestGridSup:
     def test_monotone_no_interior_max(self):
         x, v = grid_sup(lambda t: np.asarray(t), 0.0, 1.0, n=64)
         assert v == pytest.approx(1.0, abs=1e-2)
+
+    def test_sine_peak(self):
+        # a comparison-based search stops at sqrt(eps) near a quadratic top
+        x, v = grid_sup(np.sin, 0.0, np.pi, n=64)
+        assert x == pytest.approx(np.pi / 2, abs=1e-7)
+        assert v == pytest.approx(1.0, abs=1e-14)
+
+    def test_quadratic(self):
+        # the peak lies off the grid's centre and off its points
+        x, v = grid_sup(lambda t: -(t - 0.3) ** 2, -1.0, 1.0, n=100)
+        assert x == pytest.approx(0.3, abs=1e-7)
+
+    def test_unconverged_raises(self, monkeypatch):
+        # no bracket gets narrower than SUP_XTOL = 0: never return the
+        # value of an unrefined bracket
+        monkeypatch.setattr(numerics, "SUP_XTOL", 0.0)
+        with pytest.raises(RuntimeError):
+            grid_sup(np.sin, 0.0, np.pi, n=64)
+
+    def test_calls_f_with_arrays_only(self):
+        # the grid, then one (brackets, 17) block per zoom round
+        shapes = []
+
+        def f(t):
+            assert isinstance(t, np.ndarray)
+            shapes.append(t.shape)
+            return np.cos(8.0 * t)
+
+        grid_sup(f, 0.0, 4.0, n=512)
+        assert shapes[0] == (512,)
+        assert len(shapes) > 1
+        assert all(s == (numerics.SUP_TOP_K, 17) for s in shapes[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.2, 0.8), st.floats(0.05, 0.3),
+                              st.floats(0.5, 2.0)), min_size=1, max_size=3))
+    def test_refines_above_the_best_cells(self, humps):
+        # sums of Gaussian humps centred inside [0.2, 0.8] peak inside the
+        # grid: the refined sup is at least a 4097-point sample of the two
+        # grid cells around the best grid maximum
+        def f(t):
+            return sum(h * np.exp(-0.5 * ((t - c) / w) ** 2)
+                       for c, w, h in humps)
+
+        n = 256
+        grid = np.linspace(0.0, 1.0, n + 2)
+        i = int(np.argmax(f(grid[1:-1])))
+        assert 0 < i < n - 1
+        dense = np.max(f(np.linspace(grid[i], grid[i + 2], 4097)))
+        _, v = grid_sup(f, 0.0, 1.0, n=n)
+        assert v >= dense - 4.0 * np.spacing(dense)
 
 
 class TestRoots:

@@ -181,6 +181,7 @@ def test_dropped_profile_dies_at_once(kind):
             p.point_jet(fields)(0.5 * p.ell)
         min_curvature(p)
         contact_interval(p)
+        assert {"min curvature", "m gamma"} <= set(vars(p))
         action_scan(p, m, 5)
         rational_closures(p, m, n_levels=11, q_max=5)
         find_latitude(p, m, "lower")
