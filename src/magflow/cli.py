@@ -195,7 +195,7 @@ def cmd_hopf_verify(args) -> int:
     k0 = hopf.KnotPolyline(circ)
     k1 = hopf.KnotPolyline(hopf.quat_mul(circ, U1))
     lk = hopf.gauss_linking(k0, k1)
-    checks.append(("Hopf fiber pair linking = +-1", abs(lk) == 1, f"lk={lk}"))
+    checks.append(("Hopf fiber pair linking = +1", lk == 1, f"lk={lk}"))
 
     scan = hopf.hessian_convexity(lambda z: 2.0, 64, seed=args.seed)
     checks.append(("round Hessian eigenvalue = 1 +- 1e-6",

@@ -22,7 +22,10 @@ them come within LINK_GAP of each other, segment to segment, linking
 numbers counted from the signed crossings of one planar projection after
 stereographic projection, the even-linking property of antipodal pairs,
 and continuous lifting of frame paths through p0, which detects whether a
-closed path upstairs closes after one or two traversals.
+closed path upstairs closes after one or two traversals. Linking numbers
+are signed: S^3 is oriented as the boundary of the unit ball of H = C^2
+(basis 1, i, j, k; z1 + z2 j is (z1, z2)), polylines by their point order,
+and two fibers of the diagonal action U -> e^{is} U link +1.
 """
 from __future__ import annotations
 
@@ -353,21 +356,12 @@ def _choose_pole(points: np.ndarray) -> np.ndarray:
 
 
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
-    """Project S^3 minus the pole to R^3 in an orthonormal chart."""
-    basis = []
-    for seed in np.eye(4):
-        v = seed - np.dot(seed, pole) * pole
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            basis.append(v / nv)
-        if len(basis) == 3:
-            break
-    E = np.array(basis)
-    w = points @ pole
-    y = points @ E.T
-    return y / (1.0 - w)[:, None]
+    """Project S^3 minus the pole to R^3 keeping the orientation of S^3 as
+    the boundary of the unit ball of H (basis 1, i, j, k). p -> conj(p) pole
+    reverses it and sends the pole to 1; stereographic projection from 1,
+    q -> Im q / (1 - Re q), reverses it again (docs/decisions.md, entry 22)."""
+    q = quat_mul(quat_conj(points), pole)
+    return q[:, 1:] / (1.0 - q[:, :1])
 
 
 def _cross2(p, q):
@@ -431,7 +425,8 @@ def _gauss_double_sum(X: np.ndarray, Y: np.ndarray) -> float:
 def _linking_number(k1: KnotPolyline, k2: KnotPolyline) -> int:
     """Linking number of two knots already known to be apart: the signed
     crossing count of their stereographic images, an integer by
-    construction, so any other value is a fault."""
+    construction, so any other value is a fault. Its sign follows
+    gauss_linking's orientation convention, whatever the pole."""
     pole = _choose_pole(np.vstack([k1.points[:-1], k2.points[:-1]]))
     raw = _gauss_double_sum(_stereographic(k1.points, pole),
                             _stereographic(k2.points, pole))
@@ -448,7 +443,9 @@ def gauss_linking(k1: KnotPolyline, k2: KnotPolyline) -> int:
     The knots are projected stereographically from a pole far from both,
     and the signed crossings of one planar projection of the two polygons
     are counted, with two counts that must agree. A degenerate projection
-    raises RuntimeError instead of being guessed around.
+    raises RuntimeError instead of being guessed around. S^3 is oriented
+    as the boundary of the unit ball of H = C^2 (basis 1, i, j, k), knots
+    by their point order: fibers of U -> e^{is} U link +1.
     """
     gap = k1.gap(k2)
     if gap <= LINK_GAP:
@@ -469,7 +466,8 @@ def antipodal_link_parity(k: KnotPolyline) -> AntipodalLinkReport:
     """Linking of a knot with its pointwise antipode, plus the parity bit.
 
     Curves meeting their own antipode (Hopf fibers do: e^{i pi} U = -U)
-    are reported as not disjoint and carry no linking number.
+    are reported as not disjoint and carry no linking number. Signs are
+    gauss_linking's: s -> (0.6 e^{2is}, 0.8 e^{is}) links its antipode +2.
     """
     a = k.antipode()
     if k.gap(a) <= LINK_GAP:

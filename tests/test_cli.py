@@ -216,6 +216,22 @@ class TestHopfCommands:
         assert main(["hopf", "link", k1, k2]) == 0
         assert "linking number 0" in capsys.readouterr().out
 
+    def test_link_signs(self, capsys, tmp_path):
+        # fibers of U -> e^{is} U through 1 and (1 + j) / sqrt(2) link +1
+        # in either order; conjugation reverses the orientation of S^3, and
+        # the sign with it
+        s = np.linspace(0.0, 2.0 * np.pi, 513)
+        circ = np.stack([np.cos(s), np.sin(s)] * 2, axis=1)
+        fibers = [circ * [1, 1, 0, 0], circ * np.sqrt(0.5)]
+        k1, k2, c1, c2 = (
+            _knot_json(tmp_path, f"{name}.json", pts) for name, pts in
+            [("k1", fibers[0]), ("k2", fibers[1]),
+             ("c1", fibers[0] * [1, -1, -1, -1]),
+             ("c2", fibers[1] * [1, -1, -1, -1])])
+        for knots, lk in [((k1, k2), 1), ((k2, k1), 1), ((c1, c2), -1)]:
+            assert main(["hopf", "link", *knots]) == 0
+            assert capsys.readouterr().out == f"linking number {lk}\n"
+
     def test_lift_closed_latitude_double(self, capsys, tmp_path):
         csv = tmp_path / "path.csv"
         out = tmp_path / "lift.json"

@@ -432,7 +432,7 @@ class TestLinking:
         k0 = _fiber_knot(np.array([1.0, 0, 0, 0]), n)
         k1 = _fiber_knot(_rand_unit(rng), n)
         lk = gauss_linking(k0, k1)
-        assert abs(lk) == 1
+        assert lk == 1
         assert gauss_linking(k1, k0) == lk
         # the crossing count is an integer, and so is the exact Gauss sum
         pole = hopf._choose_pole(np.vstack([k0.points[:-1], k1.points[:-1]]))
@@ -440,6 +440,59 @@ class TestLinking:
         Y = hopf._stereographic(k1.points, pole)
         assert hopf._gauss_double_sum(X, Y) == lk
         assert abs(_banchoff_sum(X, Y) - lk) < 1e-9
+
+    def test_chart_keeps_orientation(self):
+        # central differences of the chart along a positive tangent frame
+        # of S^3, outward normal first, give a positive frame of R^3 with
+        # determinant (1 - <p, pole>)^-3, the conformal factor cubed; no
+        # linking number is involved
+        rng = np.random.default_rng(22)
+        h = 1e-6
+        for _ in range(32):
+            p, pole = _rand_unit(rng), _rand_unit(rng)
+            if np.dot(p, pole) > 0.8:
+                continue
+            Q = np.linalg.qr(np.column_stack([p, rng.normal(size=(4, 3))]))[0]
+            Q[:, 0] = p
+            Q[:, 3] *= np.sign(np.linalg.det(Q))
+            T = Q[:, 1:].T
+            J = (hopf._stereographic(np.cos(h) * p + np.sin(h) * T, pole)
+                 - hopf._stereographic(np.cos(h) * p - np.sin(h) * T, pole)
+                 ) / (2.0 * h)
+            assert np.linalg.det(J) == pytest.approx(
+                (1.0 - np.dot(p, pole)) ** -3, rel=1e-6)
+
+    def test_sign_ignores_the_pole(self, monkeypatch):
+        # the 8 seeded candidates farthest from the knots, poles with
+        # either sign of the last coordinate among them, give one sign
+        cands = np.random.default_rng(hopf._POLE_SEED).normal(size=(512, 4))
+        cands /= np.linalg.norm(cands, axis=1)[:, None]
+        fibers = (_fiber_knot(np.array([1.0, 0, 0, 0])),
+                  _fiber_knot(_rand_unit(np.random.default_rng(14))))
+        twist = _two_twist(1024)
+        for (k1, k2), lk in [(fibers, 1), ((twist, twist.antipode()), 2)]:
+            pts = np.vstack([k1.points[:-1], k2.points[:-1]])
+            far = cands[np.argsort(np.max(cands @ pts.T, axis=1))[:8]]
+            assert np.array_equal(far[0], hopf._choose_pole(pts))
+            assert set(np.sign(far[:, 3])) == {-1.0, 1.0}
+            for pole in far:
+                monkeypatch.setattr(hopf, "_choose_pole", lambda _: pole)
+                assert hopf._linking_number(k1, k2) == lk
+            monkeypatch.undo()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_isometries_keep_or_reverse_the_sign(self, seed):
+        # x -> a x b preserves the orientation of S^3, so moved fibers of
+        # U -> e^{is} U still link +1; conjugation reverses it: -1
+        rng = np.random.default_rng(seed)
+        a, b, U, V = (_rand_unit(rng) for _ in range(4))
+        fibers = [_fiber_knot(W, 128).points for W in (U, V)]
+        k1, k2 = (KnotPolyline(quat_mul(quat_mul(a, f), b)) for f in fibers)
+        assume(k1.gap(k2) > hopf.LINK_GAP)
+        assert gauss_linking(k1, k2) == 1
+        assert gauss_linking(KnotPolyline(quat_conj(k1.points)),
+                             KnotPolyline(quat_conj(k2.points))) == -1
 
     def test_non_integer_count_raises(self, monkeypatch):
         # only a broken crossing count can reach this message
