@@ -230,7 +230,7 @@ def hessian_convexity(rho, n_samples: int, seed: int = 0) -> HessianScan:
 # -- knots on the 3-sphere -------------------------------------------------------
 
 LINK_GAP = 1e-3      # polygons this close are too close to be linked
-_ROWS = 64           # segments per block of KnotPolyline.gap
+_ROWS = 64           # rows per block of _near_pairs and _choose_pole
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,9 @@ class KnotPolyline:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 4:
             raise ValueError("need an (n, 4) array with n >= 4")
-        if np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) > 1e-9:
-            raise ValueError("polyline points must lie on the unit 3-sphere")
+        bad = np.flatnonzero(~(np.abs(quat_norm(pts) - 1.0) <= 1e-9))
+        if bad.size:    # a comparison that nan fails
+            raise ValueError(f"point {bad[0]} is not a finite unit vector")
         if np.linalg.norm(pts[0] - pts[-1]) > 1e-9:
             raise ValueError("polyline must close: first point != last")
         chord = np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1))
@@ -262,26 +263,36 @@ class KnotPolyline:
         """Distance between the two polygons in R^4, segment to segment,
         when it is at most LINK_GAP, and inf otherwise. Two segments are
         at least as far apart as their midpoints less their half chords,
-        so every pair within LINK_GAP has its midpoints within LINK_GAP
-        plus the two longest half chords: one KD-tree radius, widened by
-        the distances' roundoff, finds them all. Rows go _ROWS at a time:
-        on knots that are about equidistant, such as a torus knot and its
-        antipode, every segment has dozens of candidates."""
-        from scipy.spatial import cKDTree
+        so _near_pairs at LINK_GAP holds every pair within it, a block of
+        rows at a time: on knots about equidistant, such as a torus knot
+        and its antipode, every segment has dozens of candidates."""
         P, Q = self.points, other.points
         u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
-        mid_p = P[:-1] + 0.5 * u
-        tree_q = cKDTree(Q[:-1] + 0.5 * v)
-        reach = LINK_GAP + 0.5 * (np.max(quat_norm(u))
-                                  + np.max(quat_norm(v)))
-        least = np.inf
-        for lo in range(0, len(mid_p), _ROWS):
-            pairs = cKDTree(mid_p[lo:lo + _ROWS]).sparse_distance_matrix(
-                tree_q, reach * (1.0 + 1e-12), output_type="ndarray")
-            i, j = pairs["i"] + lo, pairs["j"]
-            least = min(least, float(np.min(
-                _segment_distance(P[i], u[i], Q[j], v[j]), initial=least)))
+        least = min((float(np.min(_segment_distance(P[i], u[i], Q[j], v[j])))
+                     for i, j in _near_pairs(P, Q, LINK_GAP) if i.size),
+                    default=np.inf)
         return least if least <= LINK_GAP else np.inf
+
+
+def _near_pairs(P, Q, gap: float):
+    """Index pairs (i, j) of segments of the polygons P and Q with
+    midpoints within gap plus the two longest half chords (and roundoff),
+    _ROWS rows of P a block, each scanning the window of Q's midpoints on
+    the axis of widest spread (docs/decisions.md, entry 23)."""
+    u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
+    X, Y = P[:-1] + 0.5 * u, Q[:-1] + 0.5 * v
+    r = (gap + 0.5 * (np.max(np.linalg.norm(u, axis=1))
+                      + np.max(np.linalg.norm(v, axis=1)))) * (1.0 + 1e-12)
+    k = int(np.argmax(np.ptp(np.vstack([X, Y]), axis=0)))
+    order = np.argsort(Y[:, k], kind="stable")
+    Xt, Yt = X.T, Y[order].T
+    lo = np.searchsorted(Yt[k], Xt[k] - r)
+    n = np.searchsorted(Yt[k], Xt[k] + r, side="right") - lo
+    for s in range(0, len(X), _ROWS):
+        i = np.repeat(np.arange(len(X))[s:s + _ROWS], n[s:s + _ROWS])
+        j = lo[i] + np.arange(len(i)) - np.searchsorted(i, i)
+        near = sum((x[i] - y[j]) ** 2 for x, y in zip(Xt, Yt)) <= r * r
+        yield i[near], order[j[near]]
 
 
 def _segment_distance(a, u, c, v):
@@ -347,12 +358,13 @@ def _viewing_frame() -> np.ndarray:
 
 
 def _choose_pole(points: np.ndarray) -> np.ndarray:
-    """Point of S^3 far from every input point (seeded, deterministic)."""
-    from scipy.spatial import cKDTree
-    rng = np.random.default_rng(_POLE_SEED)
-    cands = rng.normal(size=(512, 4))
+    """The farthest from every input point of 512 seeded points of S^3: the
+    one whose largest dot product with them is least."""
+    cands = np.random.default_rng(_POLE_SEED).normal(size=(512, 4))
     cands /= np.linalg.norm(cands, axis=1)[:, None]
-    return cands[int(np.argmax(cKDTree(points).query(cands)[0]))]
+    near = np.max([np.max(points[lo:lo + _ROWS] @ cands.T, axis=0)
+                   for lo in range(0, len(points), _ROWS)], axis=0)
+    return cands[int(np.argmin(near))]
 
 
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
@@ -378,21 +390,15 @@ def _gauss_double_sum(X: np.ndarray, Y: np.ndarray) -> float:
     u x v in the plane; the heights interpolated at s and t say which
     passes over. The signed count where X passes over must be minus the
     one where Y does. Segments only cross if their midpoints are within
-    half the sum of the longest chords, so a KD-tree finds all candidates.
-    An orientation within 64 eps scale^2 of zero, a height gap within its
+    half the sum of the longest chords, which _near_pairs at gap 0 finds. An
+    orientation within 64 eps scale^2 of zero, a height gap within its
     roundoff margin or two counts that disagree raise RuntimeError.
     """
-    from scipy.spatial import cKDTree
     frame = _viewing_frame()
     P, Q = X @ frame, Y @ frame           # plane coordinates, then height
-    a, c = P[:-1], Q[:-1]
     u, v = np.diff(P, axis=0), np.diff(Q, axis=0)
-    reach = 0.5 * (np.max(np.hypot(u[:, 0], u[:, 1]))
-                   + np.max(np.hypot(v[:, 0], v[:, 1])))
-    pairs = cKDTree(a[:, :2] + 0.5 * u[:, :2]).sparse_distance_matrix(
-        cKDTree(c[:, :2] + 0.5 * v[:, :2]), reach * (1.0 + 1e-12),
-        output_type="ndarray")            # widened by the distances' roundoff
-    a, u, c, v = a[pairs["i"]], u[pairs["i"]], c[pairs["j"]], v[pairs["j"]]
+    i, j = map(np.concatenate, zip(*_near_pairs(P[:, :2], Q[:, :2], 0.0)))
+    a, u, c, v = P[i], u[i], Q[j], v[j]
     scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
     roundoff = 64.0 * np.finfo(float).eps * scale
     o1, o2 = _cross2(u, c - a), _cross2(u, c + v - a)   # Y's ends about X
@@ -500,8 +506,9 @@ def lift_path(x: np.ndarray, v: np.ndarray) -> LiftResult:
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape or x.ndim != 2 or x.shape[1] != 3:
         raise ValueError("need matching (n, 3) arrays")
-    if np.max(np.abs(np.sum(x * v, axis=1))) > 1e-6:
-        raise ValueError("frames not orthogonal")
+    bad = np.flatnonzero(~(np.abs(np.sum(x * v, axis=1)) <= 1e-6))
+    if bad.size:        # a comparison that nan fails
+        raise ValueError(f"frame {bad[0]} is not a finite orthogonal pair")
     step = np.max(np.linalg.norm(np.diff(x, axis=0), axis=1)
                   + np.linalg.norm(np.diff(v, axis=0), axis=1))
     if step >= 0.1:

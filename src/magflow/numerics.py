@@ -1,8 +1,8 @@
 """Small numerical helpers shared across modules.
 
 Grid-plus-zoom extremum search, bracketed root finding by
-safeguarded Newton steps, cached Gauss-Legendre nodes, and the DOP853
-stepper that every ODE of the package integrates with: the flow, its
+safeguarded Newton or secant steps, cached Gauss-Legendre nodes, and the
+DOP853 stepper that every ODE of the package integrates with: the flow, its
 level sections and the linearized flow behind the Conley-Zehnder
 indices. The stepper's trial step (stages, solution, error norms) is one
 straight-line function generated once per (state length, angle set), a
@@ -93,18 +93,21 @@ def newton_root(fdf, a: float, b: float, fa: float, fb: float,
                 ftol: float = 0.0):
     """Root of f in the bracket [a, b] by Newton's method with bisection.
 
-    fdf(x) returns (f(x), f'(x)) from one evaluation; a < b, and fa and fb
-    are f(a) and f(b), of opposite signs. The first iterate interpolates the
-    bracket linearly. A Newton step that leaves the bracket or does not
-    halve the previous step is replaced by bisection. Returns after the
-    Newton step from an iterate where |f| <= ftol (the rounding error of f)
-    or where the step is below 4 ulp; raises RuntimeError after
-    NEWTON_MAX_ITER steps.
+    fdf(x) returns (f(x), f'(x)) from one evaluation, or (f(x), None) to
+    step along the secant through the last two iterates instead, the end
+    of smaller |f| preceding the first (Dekker's method; docs/decisions.md,
+    entry 23). a < b, and fa and fb are f(a) and f(b), of opposite signs.
+    The first iterate interpolates the bracket linearly. A step that leaves
+    the bracket or does not halve the step before last is replaced by
+    bisection. Returns after the step from an iterate where |f| <= ftol
+    (the rounding error of f) or where the step is below 4 ulp; raises
+    RuntimeError after NEWTON_MAX_ITER steps.
     """
     if fa * fb > 0:
         raise ValueError("newton_root: no sign change on bracket")
-    x = a + (b - a) * fa / (fa - fb)
-    step_old = b - a
+    x = a + (b - a) * fa / (fa - fb) if fa != 0.0 else a
+    x_old, f_old = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    step_old = step_older = b - a
     for _ in range(NEWTON_MAX_ITER):
         fx, dfx = fdf(x)
         if fx == 0.0:
@@ -113,14 +116,17 @@ def newton_root(fdf, a: float, b: float, fa: float, fb: float,
             a, fa = x, fx
         else:
             b = x
+        if dfx is None:
+            dfx = (fx - f_old) / (x - x_old) if x != x_old else 0.0
+            x_old, f_old = x, fx
         step = fx / dfx if dfx != 0.0 else np.inf
         tol = 4.0 * np.spacing(abs(x))
         x_new = x - step
         if abs(step) <= tol or abs(fx) <= ftol:
             return x_new if a <= x_new <= b else x
-        if not a < x_new < b or abs(step) > 0.5 * step_old:
+        if not a < x_new < b or abs(step) > 0.5 * step_older:
             x_new = 0.5 * (a + b)
-        step_old = abs(x_new - x)
+        step_older, step_old = step_old, abs(x_new - x)
         if step_old <= tol:
             return x_new
         x = x_new
@@ -352,7 +358,7 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
     evaluated in one numpy pass at the end. event(t, y), when given, is
     terminal: the run stops at the first root of event along the step's
     interpolant whose sign change agrees with direction (0: either), found
-    by brentq like scipy's. nfev counts every call of fun, including the
+    by newton_root's secant. nfev counts every call of fun, including the
     initial-step probe and the three dense-output stages of a step.
     """
     y = [float(v) for v in y0]
@@ -409,10 +415,9 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
                     or (direction <= 0.0 and g >= 0.0 >= g_new)):
                 row, nfev = _step_row(fun, t_old, h, y_old, y, K), nfev + 3
                 one = np.array([row])
-                from scipy.optimize import brentq
-                t = brentq(_event_on_step, t_old, t, args=(event, one, n),
-                           xtol=4 * np.finfo(float).eps,
-                           rtol=4 * np.finfo(float).eps)
+                (a, ga), (b, gb) = sorted([(t_old, g), (t, g_new)])
+                t = newton_root(lambda s: (event(s, _on_step(one, s, n)),
+                                           None), a, b, ga, gb)
                 y, terminated = _on_step(one, t, n).tolist(), True
             g = g_new
         reached = bisect_right(keys, d * t)
@@ -433,13 +438,6 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
 def _on_step(one, s, n):
     """The dense output at s of the one stored step one."""
     return _dense(one, np.zeros(1, dtype=int), np.array([s]), n)[0]
-
-
-def _event_on_step(s, event, one, n):
-    """event on the dense output of one step, for brentq: module-level,
-    since brentq's wrapper refers to itself and would keep a closure's
-    references alive until the next collection."""
-    return event(s, _on_step(one, s, n))
 
 
 def _nonfinite(K, t, h):

@@ -69,7 +69,6 @@ QUAD_RTOL = 1e-10             # its self-consistency under node doubling
 _BATCH_POINTS = 1 << 12       # level x node points per quadrature jet call
 CLOSURE_TOL = 1e-6            # |q winding - p| per reduced period at closure
 CLOSURE_Q_MAX = 64            # orbit_closure's largest number of periods
-CLOSURE_XTOL = 1e-9           # brentq's tolerance in I for a closure level
 _EPS = float(np.finfo(float).eps)   # np.finfo costs microseconds per call
 
 
@@ -565,23 +564,23 @@ def orbit_closure(level: ReducedLevel) -> ClosureInfo | None:
 
 def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                       q_max: int = 8) -> list:
-    """Levels whose winding is a low rational p/q, by scan plus Brent's method.
+    """Levels whose winding is a low rational p/q, by scan plus secant steps.
 
     Returns (level, ClosureInfo) pairs: exact hits at the regular levels,
     and the roots of q * winding - p in every bracket of consecutive nodes
     where it changes sign, p/q in lowest terms and neither node an exact
     hit of it (a non-monotone winding crosses a p/q in several brackets).
-    Each root is solved by brentq to CLOSURE_XTOL in I and kept only when
-    q * winding lies within CLOSURE_TOL q of p, as orbit_closure requires;
-    consumed by period scans. Across I = +-1 the winding jumps by exactly
-    1, and within about 1e-4 of a pole the quadrature's winding is wrong,
-    so no bracket spans a pole: the nodes are the regular levels at least
-    POLE_GAP from +-1, plus the levels at POLE_GAP on either side of each
-    pole that lie inside the grid. The regular levels and the gap ends are
-    quadratures of one batch, and every level is memoized by I within the
-    call, so that brentq's iterates cost one quadrature each.
+    newton_root solves each root until q * winding lies within QUAD_RTOL q
+    of p (docs/decisions.md, entry 23), and it is kept when within
+    CLOSURE_TOL q, as orbit_closure requires; consumed by period scans.
+    Across I = +-1 the winding jumps by exactly 1, and within about 1e-4
+    of a pole the quadrature's winding is wrong, so no bracket spans a
+    pole: the nodes are the regular levels at least POLE_GAP from +-1,
+    plus the levels at POLE_GAP on either side of each pole that lie
+    inside the grid. The regular levels and the gap ends are quadratures
+    of one batch, and every level is memoized by I within the call, so
+    that the secant's iterates cost one quadrature each.
     """
-    from scipy.optimize import brentq
     system, levels = _system(p, m), regular_levels(p, m, n_levels)
     gap_ends = [pole + side * POLE_GAP for pole in (-1.0, 1.0)
                 for side in (-1.0, 1.0)]
@@ -627,17 +626,12 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                 if ((w0 - pi) * (w1 - pi) >= 0.0 or np.gcd(pi, q) != 1
                         or (a, pi) in hits or (b, pi) in hits):
                     continue
-                lv = level(brentq(_winding_gap, a, b, args=(level, q, pi),
-                                  xtol=CLOSURE_XTOL))
+                lv = level(newton_root(
+                    lambda I: (q * level(I).winding - pi, None), a, b,
+                    w0 - pi, w1 - pi, ftol=QUAD_RTOL * q))
                 if abs(q * lv.winding - pi) <= CLOSURE_TOL * q:
                     register(lv, q, pi)
     return list(found.values())
-
-
-def _winding_gap(I, level, q, pi):
-    """q * winding - pi at I, for brentq: module-level, since brentq's
-    wrapper refers to itself and would keep a closure's levels alive."""
-    return q * level(I).winding - pi
 
 
 def minimal_contractible_closure(level: ReducedLevel,

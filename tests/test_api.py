@@ -388,12 +388,10 @@ def test_one_ode_path():
     assert not users, f"modules that use solve_ivp: {users}"
 
 
-# scipy names the package imports, each inside the functions listed, or
-# inside any function when None
+# scipy names the package imports, each inside the functions listed:
+# newton_root finds every root and hopf._near_pairs every neighbour pair
 DEFERRED_SCIPY = {
     "make_interp_spline": {"profiles.SplineProfile.__init__"},
-    "brentq": None,
-    "cKDTree": None,
 }
 
 
@@ -430,15 +428,17 @@ def test_scipy_imports_are_deferred():
     for scope, name, in_function in found:
         assert in_function, f"{scope} imports {name} at load time"
         assert name in DEFERRED_SCIPY, f"{scope} imports scipy's {name}"
-        allowed = DEFERRED_SCIPY[name]
-        assert allowed is None or scope in allowed, (
-            f"{scope} imports {name}, which only {sorted(allowed)} may")
+        assert scope in DEFERRED_SCIPY[name], (
+            f"{scope} imports {name}, which only "
+            f"{sorted(DEFERRED_SCIPY[name])} may")
 
 
 _NO_SCIPY = """
+import math
 import sys
+import numpy as np
 import magflow.cli
-from magflow import contact, flow, profiles, reduced
+from magflow import contact, flow, hopf, profiles, reduced
 for spec in ("ellipsoid:1.5", "spindle:0.07:0.2"):
     p = profiles.parse_profile_spec(spec)
     assert profiles.validate(p).passed
@@ -447,13 +447,30 @@ for spec in ("ellipsoid:1.5", "spindle:0.07:0.2"):
     p.point_jet()(0.5 * p.ell)
     traj = flow.integrate(p, 0.8, (0.5 * p.ell, 0.4, 0.0), 10.0)
     assert not traj.pole_terminated
+p = profiles.parse_profile_spec("ellipsoid:2")
+assert len(reduced.rational_closures(p, 1.0021, n_levels=11, q_max=5)) == 5
+flow.level_average_ode(p, 0.8, float(reduced.regular_levels(p, 0.8, 5)[2]))
+p = profiles.parse_profile_spec("sphere")
+g, G = p.jet(1.0, 0)
+assert flow.integrate(p, 1.0, (1.0, math.pi - math.asin((1.0 + G) / g), 0.0),
+                      50.0).pole_terminated
+s = np.linspace(0.0, 2.0 * np.pi, 257)
+circle = np.stack([np.cos(s), np.sin(s)] * 2, axis=1)
+assert hopf.gauss_linking(hopf.KnotPolyline(circle * [1, 1, 0, 0]),
+                          hopf.KnotPolyline(circle * math.sqrt(0.5))) == 1
+twist = np.stack([0.6 * np.cos(2 * s), 0.6 * np.sin(2 * s),
+                  0.8 * np.cos(s), 0.8 * np.sin(s)], axis=1)
+assert hopf.antipodal_link_parity(hopf.KnotPolyline(twist)).lk == 2
+assert magflow.cli.main(["hopf", "verify"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_import_and_builtin_profiles_load_no_scipy():
     # a fresh process: import, the tabulated builds, their jets, bounds and
-    # scans, and a flow run that meets no event
+    # scans, a flow run that meets no event and one stopped by the pole
+    # guard, a terminal section event, the closure search, linking numbers
+    # and hopf verify
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY],

@@ -257,6 +257,28 @@ class TestHopfCommands:
         assert main(["hopf", "lift", str(csv)]) == 0
         assert "open path lifted" in capsys.readouterr().out
 
+    def test_lift_rejects_a_nan_row(self, capsys, tmp_path):
+        # the NaN row used to lift to "closes after two traversals" with
+        # max residual nan
+        csv = tmp_path / "nan.csv"
+        th = np.linspace(0.0, 4.0 * np.pi, 1601)
+        rows = ["t,phi,theta"]
+        rows += ["%.12g,%.12g,%.12g" % (np.pi / 4, np.pi / 2, v) for v in th]
+        rows[1 + 40] = "nan,%.12g,%.12g" % (np.pi / 2, th[40])
+        csv.write_text("\n".join(rows) + "\n")
+        assert main(["hopf", "lift", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert "frame 40 is not a finite" in captured.err
+        assert captured.out == ""
+
+    def test_link_rejects_a_nan_point(self, capsys, tmp_path):
+        pts = _circle4([1.0, 0, 0, 0], [0.0, 1, 0, 0], [0.0, 0, 1, 0], 0.4)
+        k1 = _knot_json(tmp_path, "k1.json", pts)
+        pts[3, 0] = np.nan
+        k2 = _knot_json(tmp_path, "k2.json", pts)
+        assert main(["hopf", "link", k1, k2]) == 1
+        assert "point 3 is not a finite" in capsys.readouterr().err
+
     def test_lift_missing_column(self, capsys, tmp_path):
         csv = tmp_path / "cols.csv"
         csv.write_text("t,phi\n0.5,0.1\n0.6,0.2\n")

@@ -267,6 +267,14 @@ class TestKnotPolyline:
         with pytest.raises(ValueError):
             KnotPolyline(self._circle(16))     # chords about 0.39
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_named(self, bad):
+        # a norm check that nan passes would let the point through to gap
+        pts = self._circle()
+        pts[5, 2] = bad
+        with pytest.raises(ValueError, match=r"^point 5 is not a finite "):
+            KnotPolyline(pts)
+
     def test_antipode(self):
         k = KnotPolyline(self._circle())
         a = k.antipode()
@@ -322,8 +330,8 @@ class TestKnotPolyline:
     def test_min_distance_is_min_over_all_pairs(self, seed):
         # coarse circles 5e-4 apart, one lifted off the other's plane, with
         # 64 and 65 segments: the closest segments are not the ones with
-        # the closest midpoints, and the KD-tree radius and the row blocks
-        # of gap drop no pair
+        # the closest midpoints, and the radius and the row blocks of
+        # _near_pairs drop no pair
         def circle(n, offset, height, R):
             s = np.linspace(0.0, 2.0 * np.pi, n + 1) + offset
             zero = np.zeros_like(s)
@@ -349,24 +357,29 @@ class TestKnotPolyline:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(96, 200),
            m=st.integers(96, 200), wobble=st.floats(0.0, 0.02),
            offset=st.floats(0.0, 1.0), lift=st.floats(0.0, 3e-3),
-           same_circle=st.booleans())
+           same_circle=st.booleans(), small=st.booleans())
     @example(seed=1, n=96, m=96, wobble=1e-15, offset=0.0, lift=0.0,
-             same_circle=True)
+             same_circle=True, small=False)
     @example(seed=2, n=96, m=131, wobble=0.0, offset=0.3, lift=9e-4,
-             same_circle=True)
+             same_circle=True, small=False)
     @example(seed=2, n=96, m=131, wobble=0.0, offset=0.3, lift=1.1e-3,
-             same_circle=True)
+             same_circle=True, small=False)
+    @example(seed=3, n=96, m=131, wobble=0.0, offset=0.3, lift=5e-4,
+             same_circle=True, small=True)
     def test_pair_bound_drops_no_minimum(self, seed, n, m, wobble, offset,
-                                         lift, same_circle):
-        # random polygons near one great circle, the second lifted about
-        # lift off it, so that the minimum falls on either side of
-        # LINK_GAP; or near two great circles in general position, far
-        # apart. The pairs that the midpoint bound of gap drops never hold
-        # the minimum: gap is the minimum over all segment pairs or inf. The
-        # examples: polygons that coincide to roundoff, where the closest
-        # midpoints (1.04e-17 apart) are nearer than any segment pair; and
-        # minima at 9e-4 and 1.1e-3, one each side of the gate
+                                         lift, same_circle, small):
+        # random polygons near one circle, the second lifted about lift
+        # off it, so that the minimum falls on either side of LINK_GAP; or
+        # near two circles in general position, far apart. The circles are
+        # great ones, or of radius 1e-3, where one window of _near_pairs
+        # holds most segments. The pairs that the midpoint bound of gap
+        # drops never hold the minimum: gap is the minimum over all segment
+        # pairs or inf. The examples: polygons that coincide to roundoff,
+        # where the closest midpoints (1.04e-17 apart) are nearer than any
+        # segment pair; minima at 9e-4 and 1.1e-3, one each side of the
+        # gate; and two small circles 5e-4 apart
         rng = np.random.default_rng(seed)
+        base = np.arccos(1e-3) if small else 0.0
 
         def polygon(k, R, height):
             s = np.linspace(0.0, 2.0 * np.pi, k + 1) + offset
@@ -377,9 +390,9 @@ class TestKnotPolyline:
             pts[:-1] += wobble * rng.normal(size=(k, 4)) / np.sqrt(k)
             pts[-1] = pts[0]
             return KnotPolyline(pts / np.linalg.norm(pts, axis=1)[:, None])
-        kA = polygon(n, _rotation4(seed % 997), 0.0)
+        kA = polygon(n, _rotation4(seed % 997), base)
         kB = polygon(m, _rotation4(seed % 997 if same_circle
-                                   else seed % 991 + 1000), lift)
+                                   else seed % 991 + 1000), base + lift)
         i, j = np.divmod(np.arange(len(kA) * len(kB)), len(kB))
         u, v = np.diff(kA.points, axis=0), np.diff(kB.points, axis=0)
         brute = np.min(hopf._segment_distance(kA.points[i], u[i],
@@ -390,7 +403,7 @@ class TestKnotPolyline:
         # a long chord widens the search radius for every row: a dense
         # circle against one 5e-4 away with a 0.09 chord has about 30
         # candidates per segment, 58,000 pairs whose data peak near 18 MB
-        # when all rows go through the tree at once
+        # when all rows go through at once
         def circle(s, height):
             return KnotPolyline(np.stack([
                 np.cos(height) * np.cos(s), np.cos(height) * np.sin(s),
@@ -398,7 +411,6 @@ class TestKnotPolyline:
         kA = circle(np.linspace(0.0, 2.0 * np.pi, 2001), 0.0)
         kB = circle(np.r_[np.linspace(0.0, 2.0 * np.pi - 0.09, 2000),
                           2.0 * np.pi], 5e-4)
-        import scipy.spatial  # noqa: F401  loaded before tracing
         tracemalloc.start()
         try:
             d = kA.gap(kB)
@@ -514,15 +526,29 @@ class TestLinking:
     @given(seed=st.integers(0, 2**32 - 1),
            knot=st.one_of(
                st.tuples(st.just("fibers"), st.integers(64, 256)),
+               st.tuples(st.just("small"), st.integers(6, 10)),
                st.tuples(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]),
                          st.floats(0.35, 1.2))))
+    @example(seed=0, knot=("small", 6))
     def test_crossing_count_matches_solid_angles(self, seed, knot):
+        # fibers, torus knots against their antipodes, and a Hopf link of
+        # two coarse circles of radius 0.01, whose chords are so long
+        # against their size that one window of _near_pairs holds most
+        # segments
         R = _rotation4(seed)
         if knot[0] == "fibers":
             n = knot[1]
             U = _rotation4(seed + 1)[0]
             k1 = KnotPolyline(_fiber_knot(np.eye(4)[0], n).points @ R)
             k2 = KnotPolyline(_fiber_knot(U, n).points @ R)
+        elif knot[0] == "small":
+            s = np.linspace(0.0, 2.0 * np.pi, knot[1] + 1)
+            one, zero = np.ones_like(s), np.zeros_like(s)
+            c, d = 0.01 * np.cos(s), 0.01 * np.sin(s)
+            k1, k2 = (KnotPolyline(pts / np.linalg.norm(pts, axis=1)[:, None]
+                                   @ R) for pts in (
+                np.stack([one, c, d, zero], axis=1),
+                np.stack([one, 0.01 + c, zero, d], axis=1)))
         else:
             (p, q), alpha = knot
             k1 = KnotPolyline(_torus_knot(p, q, alpha, 256) @ R)
@@ -591,7 +617,6 @@ class TestLinking:
         # gap's row blocks hold most of the peak, since this knot
         # is about equidistant from its antipode
         knot = _two_twist(3072)
-        import scipy.spatial  # noqa: F401  loaded before tracing
         tracemalloc.start()
         try:
             rep = antipodal_link_parity(knot)
@@ -652,6 +677,15 @@ class TestLift:
         x = np.repeat([[0.0, 0.0, 1.0]], 50, axis=0)
         v = np.repeat([[0.1, 0.0, 1.0]], 50, axis=0)
         with pytest.raises(ValueError):
+            lift_path(x, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_named(self, bad):
+        theta = np.linspace(0.0, 2.0 * np.pi, 101)
+        x, v = sphere_frames(np.full_like(theta, np.pi / 4),
+                             np.full_like(theta, np.pi / 2), theta)
+        v[7, 1] = bad
+        with pytest.raises(ValueError, match=r"^frame 7 is not a finite "):
             lift_path(x, v)
 
     def test_coarse_path_guard(self):

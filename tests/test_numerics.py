@@ -144,6 +144,43 @@ class TestRoots:
         r = newton_root(fdf, -5.0, 5.0, fdf(-5.0)[0], fdf(5.0)[0])
         assert r == pytest.approx(0.3, abs=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(-2.0, 2.0), below=st.floats(1e-3, 3.0),
+           above=st.floats(1e-3, 3.0), steep=st.floats(0.1, 50.0),
+           cubic=st.floats(0.0, 5.0), flip=st.booleans())
+    def test_secant_matches_brentq(self, root, below, above, steep, cubic,
+                                   flip):
+        # without a derivative the step is the secant's; on monotone
+        # functions with random brackets it lands where brentq at xtol
+        # 1e-15 does, to the roundoff of f over its slope
+        from scipy.optimize import brentq
+        sign = -1.0 if flip else 1.0
+
+        def f(x):
+            return sign * (math.tanh(steep * (x - root))
+                           + cubic * (x - root) ** 3)
+        a, b = root - below, root + above
+        x = newton_root(lambda x: (f(x), None), a, b, f(a), f(b))
+        want = brentq(f, a, b, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert a <= x <= b
+        assert abs(x - want) <= 1e-14 / min(steep, 1.0)
+
+    def test_secant_falls_back_to_bisection(self):
+        # on a cube root the secant through the second and third iterates
+        # leaves the bracket [-0.7, x1]: the third iterate is its midpoint
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(np.cbrt(x - 0.3))
+        fa, fb = f(-0.7), f(8.3)
+        calls.clear()
+        r = newton_root(lambda x: (f(x), None), -0.7, 8.3, fa, fb)
+        assert calls[0] == 2.3 and calls[1] > 0.3
+        assert calls[2] == 0.5 * (-0.7 + calls[1])
+        assert r == pytest.approx(0.3, abs=1e-15)
+        assert len(calls) < numerics.NEWTON_MAX_ITER
+
 
 class TestDop853:
     @staticmethod
@@ -169,18 +206,22 @@ class TestDop853:
         # per step that holds output points
         assert run.nfev == len(calls)
 
-    @pytest.mark.parametrize("direction, root", [(-1.0, 0.5 * np.pi),
-                                                 (1.0, 1.5 * np.pi),
-                                                 (0.0, 0.5 * np.pi)])
+    @pytest.mark.parametrize("direction, root", [
+        (-1.0, 0.5 * np.pi), (1.0, 1.5 * np.pi), (0.0, 0.5 * np.pi),
+        (-1.0, -0.5 * np.pi), (1.0, -1.5 * np.pi), (0.0, -0.5 * np.pi)])
     def test_terminal_event_on_the_interpolant(self, direction, root):
+        # y[0] = cos t, run to 10 or back to -10, the sign of root: backward
+        # a step brackets the event with its end below its start, and
+        # direction reads the sign change along the run
+        sign = math.copysign(1.0, root)
         calls = []
-        s = np.linspace(0.0, 10.0, 101)
-        run = dop853(self.oscillator(calls), 0.0, (1.0, 0.0), 10.0, s,
+        s = sign * np.linspace(0.0, 10.0, 101)
+        run = dop853(self.oscillator(calls), 0.0, (1.0, 0.0), sign * 10.0, s,
                      event=lambda t, y: y[0], direction=direction)
         assert run.terminated
         assert run.t_end == pytest.approx(root, abs=1e-12)
         assert abs(run.y_end[0]) < 1e-12
-        assert np.array_equal(run.t, s[s <= run.t_end])
+        assert np.array_equal(run.t, s[sign * s <= sign * run.t_end])
         assert run.nfev == len(calls)
 
     def test_angle_weight_is_fixed(self):

@@ -155,7 +155,7 @@ class TestInvariantRange:
 
 _SAMPLES = np.linspace(0.0, np.pi, 201)
 # (build, m, the table or splines that the point jet reads); the closure
-# search solves brentq brackets on the ellipsoid and the spindle
+# search solves secant brackets on the ellipsoid and the spindle
 _KINDS = {
     "sphere": (make_sphere, 0.8, lambda p: p),
     "ellipsoid": (lambda: make_ellipsoid(2.0), 1.0021,
@@ -725,8 +725,8 @@ class TestClosures:
         # the winding jumps by 1 at I = +-1, and within about 1e-4 of it
         # the quadrature's winding is wrong; no bracket comes nearer than
         # POLE_GAP, so the orbits pair costs its 11 levels, the 4 gap ends
-        # and the brentq iterates, and no quadrature fails; every level
-        # passes through the batched entry, brentq's one at a time
+        # and the secant iterates, and no quadrature fails; every level
+        # passes through the batched entry, the secant's one at a time
         calls, raised = [], []
         batch = reduced._System.levels
 
@@ -746,6 +746,26 @@ class TestClosures:
         for lev, c in found:
             assert abs(c.q * lev.winding - c.p) <= 1e-6 * c.q
             assert abs(abs(lev.I) - 1.0) > 1e-5
+
+    @pytest.mark.parametrize("ratio, m, n_levels, q_max",
+                             [(2.0, 1.0021, 11, 5), (0.5, 1.0, 11, 21)])
+    def test_secant_roots_match_brentq(self, ratio, m, n_levels, q_max):
+        # every root that newton_root's secant solves, the levels off the
+        # grid, lies within 1e-11 in I of brentq's at xtol 1e-15 on the
+        # same quadrature: the orbits pair, and the oblate pair whose four
+        # 19/21 roots sit where the winding is steep
+        p = make_ellipsoid(ratio)
+        grid = set(regular_levels(p, m, n_levels).tolist())
+        solved = [(lev, c) for lev, c in rational_closures(
+            p, m, n_levels=n_levels, q_max=q_max) if lev.I not in grid]
+        assert len(solved) >= 4
+        assert ratio != 0.5 or len([c for _, c in solved
+                                    if (c.q, abs(c.p)) == (21, 19)]) == 4
+        for lev, c in solved:
+            def gap(I):
+                return c.q * birkhoff_action(p, m, I).winding - c.p
+            want = brentq(gap, lev.I - 1e-7, lev.I + 1e-7, xtol=1e-15)
+            assert abs(lev.I - want) <= 1e-11
 
     def test_no_closure_in_the_pole_layer(self):
         # within 1e-4 of I = 1 the quadrature's winding on ellipsoid:4 at
