@@ -100,14 +100,14 @@ def newton_root(fdf, a: float, b: float, fa: float, fb: float,
     The first iterate interpolates the bracket linearly. A step that leaves
     the bracket or does not halve the step before last is replaced by
     bisection. Returns after the step from an iterate where |f| <= ftol
-    (the rounding error of f) or where the step is below 4 ulp; raises
-    RuntimeError after NEWTON_MAX_ITER steps.
+    (the rounding error of f) or a step below 4 ulp of x or 1 of b - a,
+    a floor for roots at 0; raises RuntimeError after NEWTON_MAX_ITER steps.
     """
     if fa * fb > 0:
         raise ValueError("newton_root: no sign change on bracket")
     x = a + (b - a) * fa / (fa - fb) if fa != 0.0 else a
     x_old, f_old = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    step_old = step_older = b - a
+    width = step_old = step_older = b - a
     for _ in range(NEWTON_MAX_ITER):
         fx, dfx = fdf(x)
         if fx == 0.0:
@@ -120,7 +120,7 @@ def newton_root(fdf, a: float, b: float, fa: float, fb: float,
             dfx = (fx - f_old) / (x - x_old) if x != x_old else 0.0
             x_old, f_old = x, fx
         step = fx / dfx if dfx != 0.0 else np.inf
-        tol = 4.0 * np.spacing(abs(x))
+        tol = max(4.0 * math.ulp(x), math.ulp(width))
         x_new = x - step
         if abs(step) <= tol or abs(fx) <= ftol:
             return x_new if a <= x_new <= b else x

@@ -22,12 +22,11 @@ reads. point_jet() returns a scalar evaluator of (gamma, gamma', gamma'',
 Gamma) on Python floats, kept on the profile by derived() like all derived
 state; it agrees with jet(t, 2) to a few ulp, and the flows, the linearized
 flow and the Newton polishes read the profile through it.
-The kinds without a closed form, the ellipsoid and the collar of a
-stretched profile, sample their exact jets once at build and interpolate
-them with one _ColumnSpline, a quintic spline fitted in numpy and held as
-Taylor polynomials, so no evaluation solves or inverts anything and no
-builtin kind loads scipy. The samples kind fits with scipy's
-make_interp_spline, imported when the first one is built.
+Every kind without a closed form evaluates one _ColumnSpline, a quintic
+spline fitted in numpy and held as Taylor polynomials: the ellipsoid and
+the collar of a stretched profile interpolate their exact jets, sampled
+once at build, and the samples kind its gamma samples. No evaluation
+solves or inverts anything, and no kind needs scipy.
 Evaluation does not clamp or raise outside [0, ell]; callers that
 integrate ODEs may probe a few ulps past the ends and receive the natural
 smooth extension of the representation.
@@ -69,7 +68,8 @@ def _point_reader(fields, title, head, columns, namespace):
 
 
 class ProfileFunction:
-    """Base class; subclasses provide jet, gamma_integral and to_dict."""
+    """Base class: jet, _build_point_jet and gamma_integral are those of
+    the _ColumnSpline held as _table unless overridden; to_dict is a kind's."""
 
     kind = "abstract"
     ell: float
@@ -82,7 +82,10 @@ class ProfileFunction:
         order runs from 0 to 3. Every entry has the shape of t, and all of
         them come from one evaluation at t.
         """
-        raise NotImplementedError
+        return self._table.jet(np.asarray(t, dtype=float), order)
+
+    def _build_point_jet(self, fields):
+        return self._table.point_jet(fields, f"{self.kind} table")
 
     def derived(self, name: str, key, build):
         """build(), kept in the profile's __dict__ under name until asked
@@ -119,7 +122,7 @@ class ProfileFunction:
 
     def gamma_integral(self) -> float:
         """Integral of gamma over [0, ell] (equals 2 when normalized)."""
-        raise NotImplementedError
+        return self._table.integral
 
     # -- serialization ------------------------------------------------------
 
@@ -238,67 +241,93 @@ def _cyclic_reduction(lo, di, up, rhs):
     return x
 
 
-def _quintic_fit(x, columns):
-    """Knots, coefficients (a row per point) and _bsplines at x[:-1] of the
-    not-a-knot quintic spline through columns at x: make_interp_spline(x,
-    columns, k=5) in numpy, with scipy's knots. Collocation row i holds
-    the splines left - 5 .. left at x[i], within the three blocks of four
-    columns around its block of four rows: a block tridiagonal system,
-    padded with unit rows. The end rows are unit rows too, since the
-    spline's end values are its end coefficients."""
+def _quintic_fit(x, columns, clamped=None):
+    """Knots, coefficients (a row per B-spline), _bsplines at x[:-1] and the
+    indices in x of the knot intervals' left ends of make_interp_spline(x,
+    columns, k=5, bc_type), in numpy with scipy's knots: not-a-knot, or
+    gamma', gamma'' clamped = ((d1, d2), (e1, e2)) at the ends. Collocation
+    row r holds the splines r - 2 .. r + 3 at its point, within the three
+    blocks of four columns around its block of four rows: a block tridiagonal
+    system, padded with unit rows, as are the coefficients the ends fix: the
+    end values, and when clamped the next two, by de Boor's differences."""
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("spline sample points must increase strictly")
-    n, k, blocks = len(x), columns.shape[1], -(-len(x) // 4)
-    t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
+    n, k = len(x), columns.shape[1]
+    pad = 0 if clamped is None else 2   # more fixed coefficients per end
+    size = n + 2 * pad
+    blocks = -(-size // 4)
+    t = np.concatenate([np.full(6, x[0]), x[3 - pad:pad - 3],
+                        np.full(6, x[-1])])
     i = np.arange(n - 1)
-    left = np.clip(i + 3, 5, n - 1)
+    left = np.clip(i + 3, 5, n - 1) if clamped is None else i + 5
     splines = _bsplines(t, x[:-1], left)
     band = np.zeros((4, 12, blocks))    # [row in block, column, block]
-    i, left = i[1:], left[1:]
-    band[i % 4, left - 1 - 4 * (i // 4) + np.arange(6)[:, None],
-         i // 4] = splines[5][:, 1:]
-    unit = np.r_[0, n - 1:4 * blocks]
+    row, left = i[1:] + pad, left[1:]
+    band[row % 4, left - 1 - 4 * (row // 4) + np.arange(6)[:, None],
+         row // 4] = splines[5][:, 1:]
+    unit = np.r_[0:pad + 1, size - 1 - pad:4 * blocks]
     band[unit % 4, 4 + unit % 4, unit // 4] = 1.0
     rhs = np.zeros((4 * blocks, k))
-    rhs[:n] = columns
+    rhs[pad:pad + n] = columns
+    if clamped is not None:
+        (d1, d2), (e1, e2) = clamped
+        h, g = x[1] - x[0], x[-1] - x[-2]
+        rhs[[0, size - 1]] = columns[[0, -1]]
+        rhs[1], rhs[size - 2] = rhs[0] + d1 * h / 5, rhs[size - 1] - e1 * g / 5
+        rhs[2] = rhs[1] + (d1 + d2 * h / 4) * (x[2] - x[0]) / 5
+        rhs[size - 3] = rhs[size - 2] - (e1 - e2 * g / 4) * (x[-1] - x[-3]) / 5
     coef = _cyclic_reduction(band[:, :4], band[:, 4:8], band[:, 8:],
                              rhs.reshape(blocks, 4, k).transpose(1, 2, 0))
-    coef = coef.transpose(1, 2, 0).reshape(k, 4 * blocks)[:, :n].T
-    return t, coef, splines
+    coef = coef.transpose(1, 2, 0).reshape(k, 4 * blocks)[:, :size].T
+    return t, coef, splines, np.r_[0, 3:n - 3] if clamped is None else i
 
 
 class _ColumnSpline:
-    """The quintic spline of _quintic_fit through exact samples of the
-    columns (gamma, gamma', gamma'', Gamma) at the points x, held as each
-    knot interval's Taylor polynomials about its left end. gamma''' is the
-    derivative of the gamma'' polynomial. Past x[0] and x[-1] the end
-    intervals' polynomials extend the spline, as scipy's BSpline does.
+    """Quintic splines (gamma, gamma', gamma'', Gamma) by _quintic_fit at the
+    points x, as each knot interval's Taylor polynomials about its left end,
+    extended past x[0] and x[-1] by the end ones as scipy's BSpline is. With
+    clamped None each column is fitted to exact samples of it; else columns
+    is gamma alone, the table holds its pieces' derivatives and their
+    antiderivative from Gamma(x[0]) = -1, whose u^6 coefficient, gamma's
+    u^5 one / 6, is formed where it is summed, and integral is gamma's over
+    [x[0], x[-1]] (None when not-a-knot). The coefficient of u^(5 - 2 pair -
+    parity) of column j on interval i sits at [parity, pair, j, i], so that
+    jet gathers one (2, 3, 4, ...) block per call and sums it by Estrin's
+    scheme; its gamma''' is the derivative of the gamma'' polynomial."""
 
-    The coefficient of u^(5 - 2 pair - parity) of column j on interval i
-    sits at [parity, pair, j, i], so that jet gathers one (2, 3, 4, ...)
-    block per call and sums it by Estrin's scheme.
-    """
-
-    def __init__(self, x, columns):
-        n = len(x)
-        t, d, splines = _quintic_fit(x, columns)
-        self.knots = np.concatenate([x[:1], x[3:-3], x[-1:]])
+    def __init__(self, x, columns, clamped):
+        t, d, splines, starts = _quintic_fit(x, columns, clamped)
+        n = len(d)
+        self.knots = t[5:n + 1]
         self._inner = self.knots[1:-1]
-        # coefficient r at the left ends x[0], x[3], .., x[-4]: derivative r
-        # over r!, its B-spline coefficients d the scaled differences of
-        # those of derivative r - 1, weighed by the splines of degree 5 - r,
-        # whose last one starts at the interval's left end: 0 there, r < 5
-        ends = np.r_[0, 3:n - 3]
-        self._table = table = np.empty((2, 3, 4, len(ends)))
+        cells = len(self.knots) - 1
+        # coefficient r at each left end: derivative r over r!, its
+        # B-spline coefficients d the scaled differences of those of
+        # derivative r - 1, weighed by the splines of degree 5 - r, whose
+        # last one starts at the interval's left end: 0 there
+        self._table = table = np.empty((2, 3, columns.shape[1], cells))
+        powers = [table[(5 - r) % 2, (5 - r) // 2] for r in range(6)]  # u^r
         d = d.T
         for r in range(6):
             if r:
                 d = (6 - r) * np.diff(d, axis=1) / (t[6:n + 6 - r] - t[r:n])
-            w = splines[5 - r][:max(5 - r, 1), ends] / math.factorial(r)
-            value = table[(5 - r) % 2, (5 - r) // 2]
-            np.multiply(w[0], d[:, :len(ends)], out=value)
+            w = splines[5 - r][:max(5 - r, 1), starts] / math.factorial(r)
+            np.multiply(w[0], d[:, :cells], out=powers[r])
             for q in range(1, len(w)):
-                value += w[q] * d[:, q:q + len(ends)]
+                powers[r] += w[q] * d[:, q:q + cells]
+        self.integral = None
+        if clamped is not None:
+            a, powers = np.array(powers)[:, 0], np.zeros((6, 4, cells))
+            for j in range(3):
+                powers[:6 - j, j] = a[j:] * np.array(
+                    [math.perm(r, j) for r in range(j, 6)])[:, None]
+            powers[1:, 3] = a[:5] / np.arange(1.0, 6.0)[:, None]
+            swept = np.polynomial.polynomial.polyval(     # as point_jet
+                np.diff(self.knots), np.r_[powers[:, 3], a[5:] / 6.0], False)
+            swept = np.r_[0.0, np.cumsum(swept)]
+            powers[0, 3], self.integral = -1.0 + swept[:-1], float(swept[-1])
+            self._table = np.ascontiguousarray(
+                powers[::-1].reshape(3, 2, 4, cells).transpose(1, 0, 2, 3))
 
     def jet(self, t, order: int):
         i = self._inner.searchsorted(t, "right")
@@ -315,6 +344,8 @@ class _ColumnSpline:
         v = c[0] * u                   # Estrin: a_odd u + a_even, then in u^2
         v += c[1]
         u *= u
+        if self.integral is not None:    # Gamma's u^6 term, as in point_jet
+            v[0, 3] += c[0, 0, 0] / 6.0 * u
         jet = v[0] * u
         jet += v[1]
         jet *= u
@@ -338,15 +369,17 @@ class _ColumnSpline:
         (a list, 0.13 MB): the first 6 * fields of the interval's 24
         doubles, column by column and highest power first, by Horner, from an
         array('d') per block of 2**_BLOCK_BITS intervals (49 kB) copied from
-        the table on first read and shared by the readers (_reads)."""
+        the table on first read and shared by the readers (_reads); Gamma's
+        on a clamped table starts from its u^6 term, gamma's u^5 one / 6."""
         bits, last, powers = _BLOCK_BITS, len(self.knots) - 1, "543210"
+        lead = {} if self.integral is None else {"G": "(g5 / 6.0 * u + G5)"}
         return _point_reader(fields, title, [
             f"i = bisect_right(knots, t, 1, {last}) - 1",
             "".join(f"{c}{r}, " for c in "gdcG"[:fields] for r in powers)
             + f"= unpack(blocks[i >> {bits}] or fill(i >> {bits}), "
               f"192 * (i & {(1 << bits) - 1}))", "u = t - knots[i]"],
-            [f"(((({c}5 * u + {c}4) * u + {c}3) * u + {c}2) * u + {c}1) * u"
-             f" + {c}0" for c in "gdcG"],
+            [f"(((({lead.get(c, c + '5')} * u + {c}4) * u + {c}3) * u + {c}2)"
+             f" * u + {c}1) * u + {c}0" for c in "gdcG"],
             {**self._reads,
              "unpack": struct.Struct(f"{6 * fields}d").unpack_from})
 
@@ -392,7 +425,7 @@ class EllipsoidProfile(ProfileFunction):
         self.ell = float(t[-1])
         Gam = -1.0 + s * s * I_raw
         self._table = _ColumnSpline(
-            t, np.column_stack([s * g_raw, dg, ddg_raw / s, Gam]))
+            t, np.column_stack([s * g_raw, dg, ddg_raw / s, Gam]), None)
         # exact pole curvature of the rescaled profile
         self.pole_curvature = rho**2 / s**2
 
@@ -406,9 +439,6 @@ class EllipsoidProfile(ProfileFunction):
         d3 = np.where(t > self.ell - _POLE_BAND, self.pole_curvature, d3)
         return (*jet[:3], d3, jet[4])
 
-    def _build_point_jet(self, fields):
-        return self._table.point_jet(fields, "ellipsoid table")
-
     def gamma_integral(self) -> float:
         return 2.0
 
@@ -419,12 +449,11 @@ class EllipsoidProfile(ProfileFunction):
 class SplineProfile(ProfileFunction):
     """Profile from samples (t_i, gamma_i) on [0, ell], quintic interpolation.
 
-    End conditions gamma' = +1 / -1 and gamma'' = 0 are imposed on the
-    interpolant unless end_conditions overrides them (useful for building
-    deliberately invalid profiles in tests). Gamma is the exact
-    antiderivative of the spline, and the derivative fields are the exact
-    derivatives of the spline, so the sampled representation is internally
-    consistent to machine precision.
+    The _ColumnSpline through the samples is clamped to gamma' = +1 / -1
+    and gamma'' = 0 at the ends unless end_conditions, one (1, gamma') and
+    one (2, gamma'') pair per end, overrides them (useful for building
+    deliberately invalid profiles in tests). Its gamma', gamma'' and Gamma
+    are the spline's exact derivatives and antiderivative.
     """
 
     kind = "samples"
@@ -437,41 +466,25 @@ class SplineProfile(ProfileFunction):
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("sample abscissae must increase from 0")
         self.ell = float(t[-1])
-        self._t_samples = t
-        self._g_samples = g
+        self._t_samples, self._g_samples = t, g
         if end_conditions is None:
             end_conditions = ([(1, 1.0), (2, 0.0)], [(1, -1.0), (2, 0.0)])
-        self._end_conditions = end_conditions
-        from scipy.interpolate import make_interp_spline
-        sp = make_interp_spline(t, g, k=5, bc_type=end_conditions)
-        self._sp_derivs = [sp] + [sp.derivative(k) for k in (1, 2, 3)]
-        self._sp_Gam = sp.antiderivative()
-        self._Gam0 = float(self._sp_Gam(0.0))
-
-    def jet(self, t, order: int = 1):
-        t = np.asarray(t, dtype=float)
-        derivs = [sp(t) for sp in self._sp_derivs[:order + 1]]
-        return (*derivs, -1.0 + (self._sp_Gam(t) - self._Gam0))
-
-    def _build_point_jet(self, fields):
-        """jet(t, 2) from the same splines, one float at a time: the same
-        operations, so equal to jet bitwise."""
-        sp, dsp, ddsp = self._sp_derivs[:3]
-        return _point_reader(fields, "samples", [
-            "g, dg = float(sp(t)), float(dsp(t))"],
-            ("g", "dg", "float(ddsp(t))", "-1.0 + (float(Gam(t)) - G0)"),
-            {"sp": sp, "dsp": dsp, "ddsp": ddsp, "Gam": self._sp_Gam,
-             "G0": self._Gam0})
-
-    def gamma_integral(self) -> float:
-        return float(self._sp_Gam(self.ell) - self._Gam0)
+        try:   # JSON input: one (1, gamma') and one (2, gamma'') pair per end
+            self._clamped = [[float(dict(side)[k]) for k in (1, 2)]
+                             for side in end_conditions]
+        except (TypeError, ValueError, KeyError):
+            self._clamped = ()
+        if len(self._clamped) != 2 or any(len(s) != 2 for s in end_conditions):
+            raise ValueError("end_conditions needs one (1, gamma') and one "
+                             f"(2, gamma'') pair per end: {end_conditions!r}")
+        self._table = _ColumnSpline(t, g[:, None], self._clamped)
 
     def to_dict(self):
         return {"kind": "samples", "ell": self.ell,
                 "t": self._t_samples.tolist(),
                 "gamma": self._g_samples.tolist(),
-                "end_conditions": [[[int(k), float(val)] for k, val in side]
-                                   for side in self._end_conditions]}
+                "end_conditions": [[[1, d1], [2, d2]]
+                                   for d1, d2 in self._clamped]}
 
 
 class StretchBump:
@@ -583,7 +596,8 @@ class StretchedProfile(ProfileFunction):
         s = t + 2.0 * self.C * (bump.cumulative(x) + 0.5)
         s[0], s[-1] = self._s_lo, self._s_hi
         self._collar = _ColumnSpline(s, np.column_stack(
-            [g, dg / dF, (ddg - dg * ddF / dF) / dF**2, G + 2.0 * self.C * P]))
+            [g, dg / dF, (ddg - dg * ddF / dF) / dF**2, G + 2.0 * self.C * P]),
+            None)
 
     def jet(self, s, order: int = 1):
         s = np.asarray(s, dtype=float)

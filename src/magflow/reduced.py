@@ -68,7 +68,6 @@ QUAD_NODES = 64               # first Gauss-Chebyshev rule of birkhoff_action
 QUAD_RTOL = 1e-10             # its self-consistency under node doubling
 _BATCH_POINTS = 1 << 12       # level x node points per quadrature jet call
 CLOSURE_TOL = 1e-6            # |q winding - p| per reduced period at closure
-CLOSURE_Q_MAX = 64            # orbit_closure's largest number of periods
 _EPS = float(np.finfo(float).eps)   # np.finfo costs microseconds per call
 
 
@@ -548,20 +547,6 @@ def closure_parity(q: int, p: int, I: float) -> bool:
     return (q * pole_band(I) + p) % 2 == 0
 
 
-def orbit_closure(level: ReducedLevel) -> ClosureInfo | None:
-    """Smallest q <= CLOSURE_Q_MAX making q * winding integral to
-    CLOSURE_TOL per period."""
-    w = level.winding
-    for q in range(1, CLOSURE_Q_MAX + 1):
-        pq = round(q * w)
-        if abs(q * w - pq) < CLOSURE_TOL * q:
-            return ClosureInfo(q=q, p=int(pq),
-                               contractible=closure_parity(q, int(pq),
-                                                           level.I),
-                               winding=w)
-    return None
-
-
 def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
                       q_max: int = 8) -> list:
     """Levels whose winding is a low rational p/q, by scan plus secant steps.
@@ -572,7 +557,7 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
     hit of it (a non-monotone winding crosses a p/q in several brackets).
     newton_root solves each root until q * winding lies within QUAD_RTOL q
     of p (docs/decisions.md, entry 23), and it is kept when within
-    CLOSURE_TOL q, as orbit_closure requires; consumed by period scans.
+    CLOSURE_TOL q; consumed by period scans.
     Across I = +-1 the winding jumps by exactly 1, and within about 1e-4
     of a pole the quadrature's winding is wrong, so no bracket spans a
     pole: the nodes are the regular levels at least POLE_GAP from +-1,

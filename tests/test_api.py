@@ -18,9 +18,8 @@ ProfileFunction. No function cached by lru_cache or functools.cache takes
 a ProfileFunction: a global cache keyed by a profile keeps it alive, and
 profile-derived state lives on the profile (ProfileFunction.derived). The
 checks read the source with ast, so they need nothing
-beyond the standard library. scipy is loaded only by the functions that
-still need it: none of them runs when the package is imported or builds
-and evaluates a builtin profile.
+beyond the standard library. No module imports scipy, and a process in
+which importing scipy raises runs every CLI command.
 """
 from __future__ import annotations
 
@@ -44,8 +43,6 @@ ALLOWED_UNCALLED = {
     "h_min": "the paper's certified floor m^2 + 1 - m m_gamma at one m",
     "rotation_matrix": "the covering map S^3 -> SO(3), the reference that "
                        "quat_from_rotation inverts",
-    "orbit_closure": "closure of a single level, the reference for the "
-                     "closures rational_closures solves for",
 }
 
 # public methods that nothing in the package reads, each with its reason
@@ -388,57 +385,50 @@ def test_one_ode_path():
     assert not users, f"modules that use solve_ivp: {users}"
 
 
-# scipy names the package imports, each inside the functions listed:
-# newton_root finds every root and hopf._near_pairs every neighbour pair
-DEFERRED_SCIPY = {
-    "make_interp_spline": {"profiles.SplineProfile.__init__"},
-}
-
-
-def _scipy_imports(tree: ast.Module, stem: str) -> list:
-    """(enclosing definitions, name, inside a function) of every name
-    imported from scipy in tree."""
+def _scipy_imports(tree: ast.Module) -> list:
+    """The names of the scipy modules that tree imports, at load time or
+    inside a function."""
     out = []
-
-    def visit(node, scope, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,), in_function
-                      or not isinstance(child, ast.ClassDef))
-                continue
-            names = []
-            if isinstance(child, ast.ImportFrom):
-                if (child.module or "").split(".")[0] == "scipy":
-                    names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names
-                         if alias.name.split(".")[0] == "scipy"]
-            out.extend((".".join(scope), name, in_function) for name in names)
-            visit(child, scope, in_function)
-
-    visit(tree, (stem,), False)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        out += [name for name in names if name.split(".")[0] == "scipy"]
     return out
 
 
-def test_scipy_imports_are_deferred():
-    found = [imp for stem, tree in _modules().items()
-             for imp in _scipy_imports(tree, stem)]
-    assert found
-    for scope, name, in_function in found:
-        assert in_function, f"{scope} imports {name} at load time"
-        assert name in DEFERRED_SCIPY, f"{scope} imports scipy's {name}"
-        assert scope in DEFERRED_SCIPY[name], (
-            f"{scope} imports {name}, which only "
-            f"{sorted(DEFERRED_SCIPY[name])} may")
+def test_no_scipy_in_the_package():
+    # numpy is the one runtime dependency; scipy is a test oracle
+    found = {stem: names for stem, tree in _modules().items()
+             if (names := _scipy_imports(tree))}
+    assert not found, f"modules that import scipy: {found}"
 
 
+# A fresh process in which importing scipy raises runs every CLI command,
+# on a samples-kind profile JSON wherever a command takes a profile, and
+# the package's other layers on the builtin kinds.
 _NO_SCIPY = """
+import json
 import math
+import os
 import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+
+sys.meta_path.insert(0, NoScipy())
 import numpy as np
-import magflow.cli
 from magflow import contact, flow, hopf, profiles, reduced
+from magflow.cli import main
+
+out = sys.argv[1]
 for spec in ("ellipsoid:1.5", "spindle:0.07:0.2"):
     p = profiles.parse_profile_spec(spec)
     assert profiles.validate(p).passed
@@ -456,24 +446,51 @@ assert flow.integrate(p, 1.0, (1.0, math.pi - math.asin((1.0 + G) / g), 0.0),
                       50.0).pole_terminated
 s = np.linspace(0.0, 2.0 * np.pi, 257)
 circle = np.stack([np.cos(s), np.sin(s)] * 2, axis=1)
-assert hopf.gauss_linking(hopf.KnotPolyline(circle * [1, 1, 0, 0]),
-                          hopf.KnotPolyline(circle * math.sqrt(0.5))) == 1
 twist = np.stack([0.6 * np.cos(2 * s), 0.6 * np.sin(2 * s),
                   0.8 * np.cos(s), 0.8 * np.sin(s)], axis=1)
 assert hopf.antipodal_link_parity(hopf.KnotPolyline(twist)).lk == 2
-assert magflow.cli.main(["hopf", "verify"]) == 0
+
+base = profiles.make_ellipsoid(1.5)
+t = np.linspace(0.0, base.ell, 257)
+samples = os.path.join(out, "samples.json")
+profiles.save_profile(profiles.SplineProfile(t, base.gamma(t)), samples)
+knots = []
+for k, pts in enumerate([circle * [1, 1, 0, 0], circle * math.sqrt(0.5)]):
+    knots.append(os.path.join(out, f"knot{k}.json"))
+    with open(knots[-1], "w") as fh:
+        json.dump(pts.tolist(), fh)
+trace = os.path.join(out, "trace.csv")
+for argv in (
+        ["profile", "make", samples, "--out", os.path.join(out, "p.json"),
+         "--table", os.path.join(out, "p.csv"), "--samples", "32"],
+        ["profile", "check", samples],
+        ["contact", "bounds", samples],
+        ["action", "scan", samples, "--m", "0.8", "--levels", "9"],
+        ["flow", "trace", samples, "--m", "0.8", "--state", "1.0,0.4,0",
+         "--horizon", "10", "--out", trace],
+        ["cz", "latitude", samples, "--m", "0.5"],
+        ["cz", "report", samples, "--m", "0.5", "--levels", "9",
+         "--rho-orbits", "2"],
+        ["hopf", "verify", "--samples", "200"],
+        ["hopf", "link", *knots],
+        ["hopf", "lift", trace, "--profile", samples],
+        ["repro", "ellipsoids", "--ratios", "1,2", "--m", "0.5",
+         "--levels", "9"],
+        ["repro", "noncon", "--delta", "0.1", "--eps", "0.9"],
+        ["repro", "bigm", "--target", "3"]):
+    assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_import_and_builtin_profiles_load_no_scipy():
+def test_the_package_runs_without_scipy(tmp_path):
     # a fresh process: import, the tabulated builds, their jets, bounds and
     # scans, a flow run that meets no event and one stopped by the pole
-    # guard, a terminal section event, the closure search, linking numbers
-    # and hopf verify
+    # guard, a terminal section event, the closure search, linking numbers,
+    # and every CLI command, on a samples profile where it takes one
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _NO_SCIPY],
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
                          capture_output=True, text=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == 0, run.stderr

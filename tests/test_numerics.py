@@ -181,6 +181,22 @@ class TestRoots:
         assert r == pytest.approx(0.3, abs=1e-15)
         assert len(calls) < numerics.NEWTON_MAX_ITER
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_root_at_zero_stops_on_the_bracket_floor(self, exact):
+        # a cube root's root at 0 has no ulp for the 4-ulp stop to reach,
+        # and the steps there leave the bracket: bisection meets the floor
+        # of 1 ulp of the bracket's width, with the secant and with f'
+        calls = []
+
+        def fdf(x):
+            calls.append(x)
+            c = float(np.cbrt(x))
+            return c, (1.0 / (3.0 * c * c) if c else math.inf) if exact \
+                else None
+        r = newton_root(fdf, -1.0, 2.0, -1.0, float(np.cbrt(2.0)))
+        assert abs(r) <= np.spacing(3.0)
+        assert len(calls) < numerics.NEWTON_MAX_ITER
+
 
 class TestDop853:
     @staticmethod

@@ -243,9 +243,9 @@ class TestEllipsoid:
                                       "samples"])
     def test_point_jets_go_with_the_profile(self, spec):
         # the generated readers hold no reference cycle: dropping the
-        # profile frees it and its table and blocks, or its splines,
-        # without the cycle collector, and profiles of one kind share their
-        # readers' compiled source
+        # profile frees it and its table and blocks without the cycle
+        # collector, and profiles of one kind share their readers'
+        # compiled source
         def build():
             p = (SplineProfile(_SAMPLES, np.sin(_SAMPLES)) if spec == "samples"
                  else profiles.parse_profile_spec(spec))
@@ -257,8 +257,7 @@ class TestEllipsoid:
         gc.disable()
         try:
             p = build()
-            data = (getattr(p, "_collar", None) or getattr(p, "_table", None)
-                    or p._sp_Gam)
+            data = getattr(p, "_collar", None) or p._table
             refs = [weakref.ref(p), weakref.ref(data)]
             del p, data
             assert [r() for r in refs] == [None, None]
@@ -280,9 +279,9 @@ class TestColumnSpline:
         """The profile build() makes, and the samples of its spline."""
         seen, fit = [], profiles._ColumnSpline.__init__
 
-        def spy(self, x, columns):
+        def spy(self, x, columns, clamped):
             seen.append((x, columns))
-            fit(self, x, columns)
+            fit(self, x, columns, clamped)
         monkeypatch.setattr(profiles._ColumnSpline, "__init__", spy)
         return build(), seen[-1]
 
@@ -328,11 +327,71 @@ class TestColumnSpline:
         n = 4 * fours + residue
         x = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, n - 1))])
         y = rng.uniform(-1.0, 1.0, (n, 4))
-        t, c, _ = profiles._quintic_fit(x, y)
+        t, c, *_ = profiles._quintic_fit(x, y)
         sp = make_interp_spline(x, y, k=5)
         assert np.array_equal(t, sp.t)
         assert np.all(np.abs(c - sp.c)
                       <= 16 * np.spacing(1.0) * np.max(np.abs(sp.c), axis=0))
+
+    @pytest.mark.parametrize("n, ends", [
+        (201, None), (64, None),
+        (101, ([(1, 2.0), (2, 0.0)], [(1, -1.0), (2, 0.0)]))],
+        ids=["sphere-201", "sphere-64", "slope-2"])
+    def test_samples_jets_match_scipy(self, n, ends):
+        # the samples kind's clamped fit and its exact derivatives and
+        # antiderivative against make_interp_spline's, at every knot, every
+        # midpoint, random points and points 1e-12 outside both ends. gamma
+        # and Gamma are within 16 eps of their columns' largest values.
+        # Derivative r of a spline differences its coefficients r times,
+        # each time over at least the shortest interval h, so fits whose
+        # coefficients agree to 16 eps of the largest agree in derivative r
+        # to that times (2 / h)^r; gamma''' takes the per-interval bound of
+        # test_jet_matches_scipy, gamma'''s over h
+        from scipy.interpolate import make_interp_spline
+        x = np.linspace(0.0, np.pi, n)
+        p = SplineProfile(x, np.sin(x), ends)
+        sp = make_interp_spline(x, np.sin(x), k=5, bc_type=ends or (
+            [(1, 1.0), (2, 0.0)], [(1, -1.0), (2, 0.0)]))
+        prim = sp.antiderivative()
+        knots = p._table.knots
+        t = np.concatenate([
+            knots, 0.5 * (knots[:-1] + knots[1:]),
+            np.random.default_rng(7).uniform(x[0], x[-1], 2000),
+            [x[0] - 1e-12, x[-1] + 1e-12]])
+        want = [sp(t, nu) for nu in range(4)] + [
+            -1.0 + (prim(t) - prim(0.0))]
+        eps, h = np.spacing(1.0), np.min(np.diff(knots))
+        coef = 16 * eps * np.max(np.abs(sp.c))
+        bounds = [16 * eps * np.max(np.abs(want[0])), coef * 2 / h,
+                  coef * (2 / h) ** 2, coef * (2 / h) ** 2 / h,
+                  16 * eps * np.max(np.abs(want[4]))]
+        for field, (got, w, bound) in enumerate(zip(p.jet(t, 3), want,
+                                                    bounds)):
+            assert np.max(np.abs(got - w)) <= bound, field
+        assert p.gamma_integral() == pytest.approx(
+            prim(x[-1]) - prim(0.0), abs=16 * eps)
+
+    @pytest.mark.parametrize("residue", range(4))
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 74), st.integers(0, 2**32 - 1))
+    def test_clamped_fit_matches_scipy_on_random_grids(self, residue, fours,
+                                                       seed):
+        # 8 to 299 points with every alignment of the last block of four
+        # collocation rows, spacings within a factor 2 of each other,
+        # values in [-1, 1] and end derivatives in [-2, 2]: knots equal,
+        # coefficients within 16 eps of the largest
+        from scipy.interpolate import make_interp_spline
+        rng = np.random.default_rng(seed)
+        n = 4 * fours + residue
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, n - 1))])
+        y = rng.uniform(-1.0, 1.0, n)
+        (d1, d2), (e1, e2) = ends = rng.uniform(-2.0, 2.0, (2, 2))
+        t, c, *_ = profiles._quintic_fit(x, y[:, None], ends)
+        sp = make_interp_spline(x, y, k=5, bc_type=([(1, d1), (2, d2)],
+                                                    [(1, e1), (2, e2)]))
+        assert np.array_equal(t, sp.t)
+        assert np.all(np.abs(c[:, 0] - sp.c)
+                      <= 16 * np.spacing(1.0) * np.max(np.abs(sp.c)))
 
     def test_samples_must_increase(self):
         x = np.linspace(0.0, 1.0, 20)
@@ -358,6 +417,34 @@ class TestSplineProfile:
         t = np.linspace(0.5, 2.0, 20)
         with pytest.raises(ValueError):
             SplineProfile(t, np.sin(t))  # does not start at 0
+
+    @pytest.mark.parametrize("ends", [
+        ([(1, 1.0)], [(1, -1.0), (2, 0.0)]),
+        ([(1, 1.0), (1, 0.0)], [(1, -1.0), (2, 0.0)]),
+        ([(1, 1.0), (3, 0.0)], [(1, -1.0), (2, 0.0)]),
+        ([(1, 1.0), (2, 0.0), (2, 0.0)], [(1, -1.0), (2, 0.0)]),
+        ([(1, 1.0), (2, 0.0)],),
+        ([(1, 1.0), (2, 0.0)], [(1, -1.0), (2, 0.0)], [(1, 0.0), (2, 0.0)]),
+        [(1, 1.0), (2, 0.0)],
+        ([(1, 1.0, 0.0), (2, 0.0)], [(1, -1.0), (2, 0.0)]),
+        ([(1, "one"), (2, 0.0)], [(1, -1.0), (2, 0.0)]),
+        ([(1, 1.0), (2, 0.0)], None),
+        "natural",
+    ])
+    def test_malformed_end_conditions_rejected(self, ends):
+        # JSON input: one (1, gamma') and one (2, gamma'') pair per end
+        t = np.linspace(0, np.pi, 41)
+        with pytest.raises(ValueError, match="end_conditions"):
+            SplineProfile(t, np.sin(t), ends)
+
+    def test_end_conditions_in_either_order(self):
+        t = np.linspace(0, np.pi, 41)
+        flipped = SplineProfile(t, np.sin(t), ([(2, 0.0), (1, 1.0)],
+                                               [(2, 0.0), (1, -1.0)]))
+        tt = np.linspace(0, np.pi, 99)
+        for a, b in zip(flipped.jet(tt, 3),
+                        SplineProfile(t, np.sin(t)).jet(tt, 3)):
+            assert np.array_equal(a, b)
 
     def test_invalid_profile_detected(self):
         # cone-like tip: slope 2 at the left end violates the closure model

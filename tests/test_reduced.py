@@ -30,10 +30,12 @@ from magflow.profiles import (SplineProfile, make_ellipsoid,
                               make_negative_action, make_sphere,
                               parse_profile_spec)
 from magflow.reduced import (
+    CLOSURE_TOL,
     ENVELOPE_GRID,
     KmNotPositiveError,
     LATITUDE_BAND,
     LEVEL_BAND,
+    ClosureInfo,
     LevelRangeError,
     POLE_GAP,
     QUAD_NODES,
@@ -48,12 +50,28 @@ from magflow.reduced import (
     latitude_action,
     latitudes,
     minimal_contractible_closure,
-    orbit_closure,
     rational_closures,
     regular_levels,
     scan_csv_lines,
     turning_points,
 )
+
+CLOSURE_Q_MAX = 64            # orbit_closure's largest number of periods
+
+
+def orbit_closure(level):
+    """Smallest q <= CLOSURE_Q_MAX making q * winding integral to
+    CLOSURE_TOL per period: the closure of a single level, the reference
+    for the closures rational_closures solves for."""
+    w = level.winding
+    for q in range(1, CLOSURE_Q_MAX + 1):
+        pq = round(q * w)
+        if abs(q * w - pq) < CLOSURE_TOL * q:
+            return ClosureInfo(q=q, p=int(pq),
+                               contractible=closure_parity(q, int(pq),
+                                                           level.I),
+                               winding=w)
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +172,7 @@ class TestInvariantRange:
 
 
 _SAMPLES = np.linspace(0.0, np.pi, 201)
-# (build, m, the table or splines that the point jet reads); the closure
+# (build, m, the table that the point jet reads); the closure
 # search solves secant brackets on the ellipsoid and the spindle
 _KINDS = {
     "sphere": (make_sphere, 0.8, lambda p: p),
@@ -163,7 +181,7 @@ _KINDS = {
     "spindle": (lambda: parse_profile_spec("spindle:0.07:0.2"), 0.25,
                 lambda p: p._collar._table),
     "samples": (lambda: SplineProfile(_SAMPLES, np.sin(_SAMPLES)), 0.8,
-                lambda p: p._sp_Gam),
+                lambda p: p._table._table),
 }
 
 
@@ -720,6 +738,7 @@ class TestClosures:
             assert abs(lev.I) == pytest.approx(0.922638, abs=1e-3)
             assert c.contractible   # q + p = 3 + 1 even on the mixed band
             assert lev.winding == pytest.approx(c.p / c.q, abs=1e-8)
+            assert orbit_closure(lev) == c
 
     def test_no_quadrature_at_the_winding_jump(self, monkeypatch):
         # the winding jumps by 1 at I = +-1, and within about 1e-4 of it
