@@ -12,6 +12,7 @@ negative-action:D:E) or paths to profile JSON files written by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -450,10 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parse_args reads a parser and
+    leaves it as it was, and each call returns a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -15,11 +15,12 @@ the quadrature values.
 
 Trajectories are integrated by numerics.dop853 on Python floats, with the
 profile read through p.point_jet(2), the reader of (gamma, gamma') alone;
-the level sections also read Gamma. Angles are stored unwrapped, and the
-error weight of phi and theta is fixed at atol + rtol * pi: with scipy's
-weight atol + rtol * |y| the tolerance on phi loosens as phi grows (about
-2 rad per unit s on band orbits), and the invariant drifts linearly in s
-(docs/decisions.md, entry 10).
+the level sections read (gamma, gamma', Gamma) through p.point_jet(3).
+Angles are stored unwrapped, and the error weight of phi and theta is
+fixed at atol + rtol * pi: with scipy's weight atol + rtol * |y| the
+tolerance on phi loosens as phi grows (about 2 rad per unit s on band
+orbits), and the invariant drifts linearly in s (docs/decisions.md, entry
+10).
 """
 from __future__ import annotations
 
@@ -108,7 +109,7 @@ def band_state(p: ProfileFunction, m: float, I: float,
     """State at the band midpoint of level I with t increasing (or not)."""
     tp = turning_points(p, m, I)
     t_mid = 0.5 * (tp.t_minus + tp.t_plus)
-    g, _, _, G = p.point_jet()(t_mid)
+    g, _, G = p.point_jet(3)(t_mid)
     sp = (I + G) / (m * g)
     if not (-1.0 < sp < 1.0):
         raise ValueError(f"level I = {I} has no interior point at t = {t_mid}")
@@ -117,9 +118,10 @@ def band_state(p: ProfileFunction, m: float, I: float,
 
 
 def _augmented_rhs(jet, m: float):
-    """Flow rhs with a running integral of h appended."""
+    """Flow rhs with a running integral of h appended, on a profile read
+    through jet = p.point_jet(3), the (gamma, gamma', Gamma) reader."""
     def rhs(s, y):
-        g, dg, _, G = jet(y[0])
+        g, dg, G = jet(y[0])
         sp, cp = math.sin(y[1]), math.cos(y[1])
         return (m * cp, 1.0 - m * dg * sp / g, m * sp / g,
                 reeb_factor(m, G + dg, sp, g))
@@ -150,7 +152,7 @@ def level_average_ode(p: ProfileFunction, m: float, I: float) -> OdeLevel:
     """
     y0 = np.concatenate([band_state(p, m, I, ascending=True), [0.0]])
     t_mid = y0[0]
-    rhs = _augmented_rhs(p.point_jet(), m)
+    rhs = _augmented_rhs(p.point_jet(3), m)
     span = 2.5 * birkhoff_action(p, m, I).period
 
     # move off the section first so the terminal event cannot fire at s = 0

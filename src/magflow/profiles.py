@@ -21,12 +21,16 @@ the jet. gamma and curvature are the two views of it that the package
 reads. point_jet() returns a scalar evaluator of (gamma, gamma', gamma'',
 Gamma) on Python floats, kept on the profile by derived() like all derived
 state; it agrees with jet(t, 2) to a few ulp, and the flows, the linearized
-flow and the Newton polishes read the profile through it.
+flow and the Newton polishes read the profile through it, or through its
+readers of (gamma, gamma') and (gamma, gamma', Gamma) where they need no
+more.
 Every kind without a closed form evaluates one _ColumnSpline, a quintic
 spline fitted in numpy and held as Taylor polynomials: the ellipsoid and
 the collar of a stretched profile interpolate their exact jets, sampled
-once at build, and the samples kind its gamma samples. No evaluation
-solves or inverts anything, and no kind needs scipy.
+once at build, and the samples kind its gamma samples. Its columns run
+(gamma, gamma', Gamma, gamma''), so that a jet of order 0 or 1 and every
+reader of fewer than four fields read a prefix of them and skip gamma''.
+No evaluation solves or inverts anything, and no kind needs scipy.
 Evaluation does not clamp or raise outside [0, ell]; callers that
 integrate ODEs may probe a few ulps past the ends and receive the natural
 smooth extension of the representation.
@@ -52,16 +56,19 @@ _POLE_BAND = 1e-3
 _TABLE_CELLS = 4096     # cells of the grid a tabulated kind samples on
 _VALIDATE_CELLS = 2048  # cells of validate's grid
 _BLOCK_BITS = 8         # a point jet fills its Taylor table 256 cells at a time
-_FIELDS = ("g", "dg", "ddg", "G")  # a point jet's fields, prefixes first
+# a table's columns, in the order it stores them: a reader of n fields reads
+# the first n, and returns them in the order _FIELDS[n] names
+_COLUMNS = ("g", "dg", "G", "ddg")
+_FIELDS = {2: ("g", "dg"), 3: ("g", "dg", "G"), 4: ("g", "dg", "ddg", "G")}
 
 
-def _point_reader(fields, title, head, columns, namespace):
-    """at(t) -> the first fields of (gamma, gamma', gamma'', Gamma): the
-    lines head, then columns[:fields] returned, generated with namespace as
-    its globals. Every kind's point jet is built here, so a reader of fewer
+def _point_reader(fields, title, head, exprs, namespace):
+    """at(t) -> _FIELDS[fields], each field's expression in exprs: the
+    lines head, then those returned, generated with namespace as its
+    globals. Every kind's point jet is built here, so a reader of fewer
     fields is the same code less the unread columns."""
     lines = ["def at(t):", *("    " + line for line in head),
-             "    return (" + "".join(f"{c}, " for c in columns[:fields])
+             "    return (" + "".join(f"{exprs[f]}, " for f in _FIELDS[fields])
              + ")"]
     return generated_function(lines, "at", f"magflow.profiles {title}, "
                                            f"{fields} fields", namespace)
@@ -96,14 +103,18 @@ class ProfileFunction:
         return entry[1]
 
     def point_jet(self, fields: int = 4):
-        """A float -> (gamma, gamma', gamma'', Gamma)[:fields] callable for
-        one point at a time, kept on the profile per field count (derived).
+        """A float -> _FIELDS[fields] callable for one point at a time, kept
+        on the profile per field count (derived): (gamma, gamma', gamma'',
+        Gamma) with fields = 4, (gamma, gamma', Gamma) with 3 and (gamma,
+        gamma') with 2.
 
-        The linearized flow, the level sections and the Newton polishes
-        call the full reader on Python floats; the flow and its pole event
-        read (gamma, gamma') with fields = 2. It agrees with jet(t, 2) to a
-        few ulp of each column's largest value, a prefix with the full
-        reader bitwise.
+        The linearized flow and the envelope extremum's polish call the
+        full reader on Python floats; the turning points, the envelope's
+        value at its extremum, the latitude action, band states and the
+        level sections read (gamma, gamma', Gamma) with fields = 3, and
+        the flow and its pole event (gamma, gamma') with fields = 2. It
+        agrees with jet(t, 2) to a few ulp of each column's largest value,
+        and every reader with the full one bitwise in the fields it reads.
         """
         return self.derived(f"point jet {fields}", None,
                             lambda: self._build_point_jet(fields))
@@ -163,7 +174,8 @@ class SphereProfile(ProfileFunction):
         return _point_reader(
             fields, "sphere", ["u = t / a",
                                "sin, cos = math.sin(u), math.cos(u)"],
-            ("a * sin", "cos", "-sin / a", "-1.0 + a2 * (1.0 - cos)"),
+            {"g": "a * sin", "dg": "cos", "ddg": "-sin / a",
+             "G": "-1.0 + a2 * (1.0 - cos)"},
             {"math": math, "a": self.radius, "a2": self.radius**2})
 
     def gamma_integral(self) -> float:
@@ -283,17 +295,19 @@ def _quintic_fit(x, columns, clamped=None):
 
 
 class _ColumnSpline:
-    """Quintic splines (gamma, gamma', gamma'', Gamma) by _quintic_fit at the
+    """Quintic splines (gamma, gamma', Gamma, gamma'') by _quintic_fit at the
     points x, as each knot interval's Taylor polynomials about its left end,
     extended past x[0] and x[-1] by the end ones as scipy's BSpline is. With
-    clamped None each column is fitted to exact samples of it; else columns
-    is gamma alone, the table holds its pieces' derivatives and their
-    antiderivative from Gamma(x[0]) = -1, whose u^6 coefficient, gamma's
-    u^5 one / 6, is formed where it is summed, and integral is gamma's over
-    [x[0], x[-1]] (None when not-a-knot). The coefficient of u^(5 - 2 pair -
-    parity) of column j on interval i sits at [parity, pair, j, i], so that
-    jet gathers one (2, 3, 4, ...) block per call and sums it by Estrin's
-    scheme; its gamma''' is the derivative of the gamma'' polynomial."""
+    clamped None columns holds exact samples of (gamma, gamma', gamma'',
+    Gamma), each fitted on its own; else columns is gamma alone, the table
+    holds its pieces' derivatives and their antiderivative from Gamma(x[0])
+    = -1, whose u^6 coefficient, gamma's u^5 one / 6, is formed where it is
+    summed, and integral is gamma's over [x[0], x[-1]] (None when
+    not-a-knot). The coefficient of u^(5 - 2 pair - parity) of column j
+    (_COLUMNS) on interval i sits at [j, parity, pair, i], so that jet
+    gathers one (columns, 2, 3, ...) block per call, of the (gamma, gamma',
+    Gamma) prefix alone below order 2, and sums it by Estrin's scheme; its
+    gamma''' is the derivative of the gamma'' polynomial."""
 
     def __init__(self, x, columns, clamped):
         t, d, splines, starts = _quintic_fit(x, columns, clamped)
@@ -305,9 +319,9 @@ class _ColumnSpline:
         # B-spline coefficients d the scaled differences of those of
         # derivative r - 1, weighed by the splines of degree 5 - r, whose
         # last one starts at the interval's left end: 0 there
-        self._table = table = np.empty((2, 3, columns.shape[1], cells))
-        powers = [table[(5 - r) % 2, (5 - r) // 2] for r in range(6)]  # u^r
-        d = d.T
+        self._table = table = np.empty((columns.shape[1], 2, 3, cells))
+        powers = [table[:, (5 - r) % 2, (5 - r) // 2] for r in range(6)]
+        d = d.T if clamped is not None else d.T[[0, 1, 3, 2]]  # _COLUMNS
         for r in range(6):
             if r:
                 d = (6 - r) * np.diff(d, axis=1) / (t[6:n + 6 - r] - t[r:n])
@@ -318,39 +332,46 @@ class _ColumnSpline:
         self.integral = None
         if clamped is not None:
             a, powers = np.array(powers)[:, 0], np.zeros((6, 4, cells))
-            for j in range(3):
-                powers[:6 - j, j] = a[j:] * np.array(
+            for j, col in enumerate((0, 1, 3)):     # gamma, gamma', gamma''
+                powers[:6 - j, col] = a[j:] * np.array(
                     [math.perm(r, j) for r in range(j, 6)])[:, None]
-            powers[1:, 3] = a[:5] / np.arange(1.0, 6.0)[:, None]
+            powers[1:, 2] = a[:5] / np.arange(1.0, 6.0)[:, None]
             swept = np.polynomial.polynomial.polyval(     # as point_jet
-                np.diff(self.knots), np.r_[powers[:, 3], a[5:] / 6.0], False)
+                np.diff(self.knots), np.r_[powers[:, 2], a[5:] / 6.0], False)
             swept = np.r_[0.0, np.cumsum(swept)]
-            powers[0, 3], self.integral = -1.0 + swept[:-1], float(swept[-1])
+            powers[0, 2], self.integral = -1.0 + swept[:-1], float(swept[-1])
             self._table = np.ascontiguousarray(
-                powers[::-1].reshape(3, 2, 4, cells).transpose(1, 0, 2, 3))
+                powers[::-1].reshape(3, 2, 4, cells).transpose(2, 1, 0, 3))
 
     def jet(self, t, order: int):
         i = self._inner.searchsorted(t, "right")
         u = t - self.knots.take(i)
-        c = self._table.take(i, axis=3)
+        c = (self._table if order > 1 else self._table[:3]).take(i, axis=3)
         third = ()
         if order == 3:
-            a = c[:, :, 2]
+            a = c[3]
             d3 = 5.0 * a[0, 0]
             for k, ak in ((4, a[1, 0]), (3, a[0, 1]), (2, a[1, 1]),
                           (1, a[0, 2])):
                 d3 = d3 * u + k * ak
             third = (d3,)
-        v = c[0] * u                   # Estrin: a_odd u + a_even, then in u^2
-        v += c[1]
+        # the sums run in c, the gather's own copy; on a clamped table
+        # Gamma's u^6 coefficient, gamma's u^5 one / 6 as in point_jet, is
+        # read before they overwrite it
+        if self.integral is not None:
+            six = c[0, 0, 0] / 6.0
+        v = c[:, 0]                    # Estrin: a_odd u + a_even, then in u^2
+        v *= u
+        v += c[:, 1]
         u *= u
-        if self.integral is not None:    # Gamma's u^6 term, as in point_jet
-            v[0, 3] += c[0, 0, 0] / 6.0 * u
-        jet = v[0] * u
-        jet += v[1]
+        if self.integral is not None:
+            v[2, 0] += six * u
+        jet = v[:, 0] * u
+        jet += v[:, 1]
         jet *= u
-        jet += v[2]
-        return (*jet[:min(order, 2) + 1], *third, jet[3])
+        jet += v[:, 2]
+        lead = jet[:order + 1] if order < 2 else (jet[0], jet[1], jet[3])
+        return (*lead, *third, jet[2])
 
     @cached_property
     def _reads(self):
@@ -358,7 +379,7 @@ class _ColumnSpline:
         blocks = [None] * -(-(len(self.knots) - 1) // size)
 
         def fill(b):
-            part = table[..., b * size:(b + 1) * size].transpose(3, 2, 1, 0)
+            part = table[..., b * size:(b + 1) * size].transpose(3, 0, 2, 1)
             blocks[b] = coef = array("d", part.tobytes())
             return coef
         return {"knots": self.knots.tolist(), "blocks": blocks, "fill": fill,
@@ -367,21 +388,22 @@ class _ColumnSpline:
     def point_jet(self, fields, title):
         """The table one interval at a time, found by bisection on the knots
         (a list, 0.13 MB): the first 6 * fields of the interval's 24
-        doubles, column by column and highest power first, by Horner, from an
-        array('d') per block of 2**_BLOCK_BITS intervals (49 kB) copied from
-        the table on first read and shared by the readers (_reads); Gamma's
-        on a clamped table starts from its u^6 term, gamma's u^5 one / 6."""
+        doubles, column by column (_COLUMNS) and highest power first, by
+        Horner, from an array('d') per block of 2**_BLOCK_BITS intervals
+        (49 kB) copied from the table on first read and shared by the
+        readers (_reads); Gamma's on a clamped table starts from its u^6
+        term, gamma's u^5 one / 6."""
         bits, last, powers = _BLOCK_BITS, len(self.knots) - 1, "543210"
         lead = {} if self.integral is None else {"G": "(g5 / 6.0 * u + G5)"}
+        horner = {c: f"(((({lead.get(c, c + '5')} * u + {c}4) * u + {c}3) * u"
+                     f" + {c}2) * u + {c}1) * u + {c}0" for c in _COLUMNS}
         return _point_reader(fields, title, [
             f"i = bisect_right(knots, t, 1, {last}) - 1",
-            "".join(f"{c}{r}, " for c in "gdcG"[:fields] for r in powers)
+            "".join(f"{c}{r}, " for c in _COLUMNS[:fields] for r in powers)
             + f"= unpack(blocks[i >> {bits}] or fill(i >> {bits}), "
               f"192 * (i & {(1 << bits) - 1}))", "u = t - knots[i]"],
-            [f"(((({lead.get(c, c + '5')} * u + {c}4) * u + {c}3) * u + {c}2)"
-             f" * u + {c}1) * u + {c}0" for c in "gdcG"],
-            {**self._reads,
-             "unpack": struct.Struct(f"{6 * fields}d").unpack_from})
+            horner, {**self._reads,
+                     "unpack": struct.Struct(f"{6 * fields}d").unpack_from})
 
 
 class EllipsoidProfile(ProfileFunction):
@@ -616,8 +638,8 @@ class StretchedProfile(ProfileFunction):
         table between them, reading the same fields."""
         return _point_reader(fields, "stretched", [
             "if t <= lo: return base(t)", "if t < hi: return collar(t)",
-            "".join(f"{c}, " for c in _FIELDS[:fields]) + "= base(t - shift)"],
-            ("g", "dg", "ddg", "G + lift"),
+            "".join(f"{c}, " for c in _FIELDS[fields]) + "= base(t - shift)"],
+            {"g": "g", "dg": "dg", "ddg": "ddg", "G": "G + lift"},
             {"base": self.base.point_jet(fields),
              "collar": self._collar.point_jet(fields, "stretched collar"),
              "lo": self._s_lo, "hi": self._s_hi, "shift": 2.0 * self.C,

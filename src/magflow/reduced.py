@@ -132,11 +132,11 @@ class _System:
         g, dg, G = p.jet(t[1:-1], 1)
         # |m gamma'| = gamma <= max gamma at the root: the rounding error there
         ftol = 8.0 * _EPS * float(np.max(g))
-        self.profile, self.m, self.jet = weakref.ref(p), m, p.point_jet()
-        jet, pieces, ext = self.jet, {}, {}
+        self.profile, self.m, self.jet = weakref.ref(p), m, p.point_jet(3)
+        full, pieces, ext = p.point_jet(), {}, {}
         for name, sg in (("upper", 1), ("lower", -1)):
             def fdf(s, sg=sg):
-                gs, dgs, ddgs, _ = jet(s)
+                gs, dgs, ddgs, _ = full(s)
                 return sg * m * dgs - gs, sg * m * ddgs - dgs
 
             # the one sign change of the slope, bracketed between the two
@@ -150,7 +150,7 @@ class _System:
             j = int(flips[0])
             t_ext = newton_root(fdf, float(t[j]), float(t[j + 1]),
                                 float(v[j]), float(v[j + 1]), ftol=ftol)
-            g_ext, _, _, G_ext = jet(t_ext)
+            g_ext, _, G_ext = self.jet(t_ext)
             I_ext = sg * m * g_ext - G_ext
             ext[name] = t_ext, I_ext
             # both envelopes equal +1 at t = 0 and -1 at t = ell; pieces[name,
@@ -184,8 +184,9 @@ class _System:
         binary search brackets each level between the two entries where v
         > I flips; the range checks of turning_points keep every level
         inside the piece's values. Newton's method then runs on the
-        envelope one level at a time, through the point jet, whose
-        derivative +-m gamma' - gamma comes from the same jet as its value.
+        envelope one level at a time, through the point jet of (gamma,
+        gamma', Gamma), whose derivative +-m gamma' - gamma comes from the
+        same jet as its value.
         """
         sg, jet, m, t, v = piece.sign, self.jet, self.m, piece.t, piece.I
         if v[-1] > v[0]:
@@ -195,7 +196,7 @@ class _System:
         roots = []
         for I, k in zip(levels.tolist(), ks.tolist()):
             def fdf(s, I=I):
-                g, dg, _, G = jet(s)
+                g, dg, G = jet(s)
                 return sg * m * g - G - I, sg * m * dg - g
 
             # |m gamma|, |Gamma| <= 1 + |I| near the root: the rounding error
@@ -431,7 +432,7 @@ def latitude_action(p: ProfileFunction, t0: float) -> LatitudeOrbit:
     sign(gamma'), and its normalized action is (gamma^2 - gamma' Gamma) /
     gamma'^2, negative exactly when gamma' Gamma > gamma^2.
     """
-    g, dg, _, G = p.point_jet()(float(t0))
+    g, dg, G = p.point_jet(3)(float(t0))
     if abs(dg) < 1e-8:
         raise ValueError(f"equator-degenerate latitude at t0 = {t0}: "
                          f"gamma'({t0}) = {dg:.3g}")

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from magflow import cli
 from magflow.cli import build_parser, main
 from magflow.profiles import load_profile, validate
 
@@ -322,15 +323,64 @@ class TestReproCommands:
         capsys.readouterr()
 
 
+def _assert_defaults(parse):
+    scan = parse(["action", "scan", "sphere", "--m", "1"])
+    assert (scan.n_levels, scan.band, scan.out) == (33, 1e-3, None)
+    trace = parse(["flow", "trace", "sphere", "--m", "1",
+                   "--state", "1,0,0", "--horizon", "1"])
+    assert (trace.rtol, trace.atol) == (1e-12, 1e-14)
+    report = parse(["cz", "report", "sphere", "--m", "0.05"])
+    assert (report.n_levels, report.json_out) == (33, None)
+    ellipsoids = parse(["repro", "ellipsoids"])
+    assert (ellipsoids.n_levels, ellipsoids.out) == (100, None)
+
+
 class TestParserDefaults:
     def test_unset_flags_keep_defaults(self):
-        parse = build_parser().parse_args
-        scan = parse(["action", "scan", "sphere", "--m", "1"])
-        assert (scan.n_levels, scan.band, scan.out) == (33, 1e-3, None)
-        trace = parse(["flow", "trace", "sphere", "--m", "1",
-                       "--state", "1,0,0", "--horizon", "1"])
-        assert (trace.rtol, trace.atol) == (1e-12, 1e-14)
-        report = parse(["cz", "report", "sphere", "--m", "0.05"])
-        assert (report.n_levels, report.json_out) == (33, None)
-        ellipsoids = parse(["repro", "ellipsoids"])
-        assert (ellipsoids.n_levels, ellipsoids.out) == (100, None)
+        _assert_defaults(build_parser().parse_args)
+
+
+class TestSharedParser:
+    """main parses with one parser per process, built on first use."""
+
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(None)
+            return build_parser()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            rcs = [main(argv) for argv in (
+                ["hopf", "verify", "--samples", "50"], ["frobnicate"],
+                ["repro", "noncon", "--delta", "0.1", "--eps", "0.9"],
+                ["--help"])]
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert rcs == [0, 1, 0, 0]
+        assert len(built) == 1
+
+    def test_usage_error_then_valid_command(self, capsys, tmp_path):
+        assert main(["action", "scan", "sphere", "--levels", "3"]) == 1
+        assert "--m" in capsys.readouterr().err
+        out = tmp_path / "scan.csv"
+        assert main(["action", "scan", "sphere", "--m", "0.5",
+                     "--levels", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == 1 + 3 + 2
+
+    def test_defaults_survive_non_default_flags(self, capsys, tmp_path):
+        # flags set on one call leave nothing behind for the next
+        for argv in (
+                ["action", "scan", "sphere", "--m", "0.5", "--levels", "3",
+                 "--band", "0.01", "--out", str(tmp_path / "scan.csv")],
+                ["flow", "trace", "sphere", "--m", "1", "--state", "1,0.3,0",
+                 "--horizon", "0.5", "--rtol", "1e-9", "--atol", "1e-10",
+                 "--n-out", "5"],
+                ["repro", "ellipsoids", "--ratios", "2", "--m", "0.5",
+                 "--levels", "3", "--out", str(tmp_path / "e.csv")]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        _assert_defaults(cli._parser().parse_args)

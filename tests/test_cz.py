@@ -384,6 +384,17 @@ class TestDeviation:
         assert latitude_deviation(sphere, 0.1) > latitude_deviation(sphere,
                                                                     0.05)
 
+    @pytest.mark.parametrize("m", [0.02, 0.16, 0.5, 2.0])
+    def test_criterion_10_law(self, sphere, m):
+        # the law behind criterion 10's slope (docs/decisions.md, entry
+        # 1): D(m) = m^2 / (1 + m^2), up to path_deviation's central
+        # differences, which on Psi = exp(tau A) read A + dtau^2 A^3 / 6 +
+        # O(dtau^4), with |A^3| <= |A|^3 = 1
+        dtau = (find_latitude(sphere, m, "upper").reeb_period
+                / (cz.DEVIATION_SAMPLES - 1))
+        law = m * m / (1.0 + m * m)
+        assert abs(latitude_deviation(sphere, m) - law) <= dtau**2 / 6 * 1.01
+
 
 class TestConvexityReport:
     def test_sphere_small_m(self, sphere):

@@ -7,6 +7,7 @@ finite-difference consistency of the derivative fields).
 """
 from __future__ import annotations
 
+import functools
 import gc
 import linecache
 import weakref
@@ -267,6 +268,60 @@ class TestEllipsoid:
 
     def test_make_ellipsoid_unit_ratio_is_sphere(self):
         assert isinstance(make_ellipsoid(1.0), SphereProfile)
+
+
+_SLICE_SPECS = ["sphere", "ellipsoid:0.6", "ellipsoid:1.5", "ellipsoid:4",
+                "samples", "spindle:0.07:0.2", "negative-action:0.1:0.9"]
+
+
+@functools.cache
+def _slice_profile(spec):
+    if spec == "samples":
+        return SplineProfile(_SAMPLES, np.sin(_SAMPLES))
+    return parse_profile_spec(spec)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def check_reader_slices(p, t):
+    """Every reader is a slice of the full one, bitwise: jet(t, k) for k =
+    0, 1, 2 the matching entries of jet(t, 3), and the point readers of
+    two and three fields the matching fields of the four-field one."""
+    full = p.jet(t, 3)       # (gamma, gamma', gamma'', gamma''', Gamma)
+    for order, cols in ((0, (0, 4)), (1, (0, 1, 4)), (2, (0, 1, 2, 4))):
+        low = p.jet(t, order)
+        assert len(low) == len(cols)
+        for got, k in zip(low, cols):
+            assert np.array_equal(_bits(got), _bits(full[k])), (order, k)
+    four = np.array([p.point_jet()(s) for s in t.tolist()])
+    for fields, cols in ((2, [0, 1]), (3, [0, 1, 3])):
+        at = p.point_jet(fields)
+        got = np.array([at(s) for s in t.tolist()])
+        assert np.array_equal(_bits(got), _bits(four[:, cols])), fields
+
+
+class TestReaderSlices:
+    """A reader of fewer columns sums the same coefficients in the same
+    order and skips the rest, so it equals the full reader bitwise."""
+
+    @pytest.mark.parametrize("spec", _SLICE_SPECS)
+    def test_slices_on_random_points_seams_and_ends(self, spec):
+        p = _slice_profile(spec)
+        t = [np.random.default_rng(27).uniform(0.0, p.ell, 4000),
+             [0.0, p.ell, -1e-12, p.ell + 1e-12]]
+        if isinstance(p, StretchedProfile):     # both collar seams
+            t += [[e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                   e - 1e-12, e + 1e-12] for e in (p._s_lo, p._s_hi)]
+        check_reader_slices(p, np.concatenate(t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_SLICE_SPECS),
+           st.lists(st.floats(-1e-9, 1.0 + 1e-9), min_size=1, max_size=64))
+    def test_slices_at_random_points(self, spec, fractions):
+        p = _slice_profile(spec)
+        check_reader_slices(p, p.ell * np.array(fractions))
 
 
 class TestColumnSpline:
