@@ -29,6 +29,21 @@ def _floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _bounded(kind, low, strict: bool):
+    """argparse type: kind(text) >= low, or > low when strict; NaN fails."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {'>' if strict else '>='} {low}")
+        return value
+    parse.__name__ = kind.__name__     # argparse's "invalid int value: ..."
+    return parse
+
+
+_POSITIVE, _NATURAL = _bounded(int, 1, False), _bounded(int, 0, False)
+
+
 def _write_text(path, lines):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -357,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_arg(s)
     s.add_argument("--out", help="profile JSON output path")
     s.add_argument("--table", help="CSV sample table output path")
-    s.add_argument("--samples", type=int, default=512)
+    s.add_argument("--samples", type=_POSITIVE, default=512)
     s.set_defaults(fn=cmd_profile_make)
     s = gs.add_parser("check", help="validate profile conditions")
     _add_profile_arg(s)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=_bounded(float, 0.0, True), default=1e-8)
     s.set_defaults(fn=cmd_profile_check)
 
     g = sub.add_parser("contact", help="certified contact bounds")
@@ -376,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = gs.add_parser("scan", help="scan A(I) over regular levels")
     _add_profile_arg(s)
     s.add_argument("--m", type=float, required=True)
-    s.add_argument("--levels", type=int, dest="n_levels", default=33)
+    s.add_argument("--levels", type=_NATURAL, dest="n_levels", default=33)
     s.add_argument("--band", type=float, default=reduced.LEVEL_BAND,
                    help="share of the invariant range padded at each end")
     s.add_argument("--out")
@@ -390,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--state", required=True, help="t0,phi0,theta0")
     s.add_argument("--horizon", type=float, required=True,
                    help="arclength time to integrate")
-    s.add_argument("--n-out", type=int, dest="n_out", default=flow.N_OUT)
+    s.add_argument("--n-out", type=_POSITIVE, dest="n_out",
+                   default=flow.N_OUT)
     s.add_argument("--rtol", type=float, default=flow.RTOL)
     s.add_argument("--atol", type=float, default=flow.ATOL)
     s.add_argument("--out")
@@ -402,20 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_arg(s)
     s.add_argument("--m", type=float, required=True)
     s.add_argument("--side", choices=("upper", "lower"), default="upper")
-    s.add_argument("--covers", type=int, default=2)
+    s.add_argument("--covers", type=_POSITIVE, default=2)
     s.set_defaults(fn=cmd_cz_latitude)
     s = gs.add_parser("report", help="dynamical convexity evidence")
     _add_profile_arg(s)
     s.add_argument("--m", type=float, required=True)
-    s.add_argument("--levels", type=int, dest="n_levels", default=33)
-    s.add_argument("--rho-orbits", type=int, dest="rho_orbits", default=5)
+    s.add_argument("--levels", type=_NATURAL, dest="n_levels", default=33)
+    s.add_argument("--rho-orbits", type=_NATURAL, dest="rho_orbits", default=5)
     s.add_argument("--json-out", dest="json_out")
     s.set_defaults(fn=cmd_cz_report)
 
     g = sub.add_parser("hopf", help="double cover and linking tools")
     gs = g.add_subparsers(dest="cmd", required=True)
     s = gs.add_parser("verify", help="identity battery for the cover")
-    s.add_argument("--samples", type=int, default=1000)
+    s.add_argument("--samples", type=_POSITIVE, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_hopf_verify)
     s = gs.add_parser("link", help="Gauss linking number of two knots")
@@ -435,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = gs.add_parser("ellipsoids", help="action positivity across a family")
     s.add_argument("--ratios", default="0.5,1,2,4")
     s.add_argument("--m", default="0.25,0.5,1,2")
-    s.add_argument("--levels", type=int, dest="n_levels", default=100)
+    s.add_argument("--levels", type=_NATURAL, dest="n_levels", default=100)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_repro_ellipsoids)
     s = gs.add_parser("noncon", help="negative-action latitude witness")
@@ -444,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json-out", dest="json_out")
     s.set_defaults(fn=cmd_repro_noncon)
     s = gs.add_parser("bigm", help="convex profile with large m_gamma")
-    s.add_argument("--target", type=float, required=True)
+    s.add_argument("--target", type=_bounded(float, 0.0, False),
+                   required=True)
     s.add_argument("--out", help="profile JSON output path")
     s.set_defaults(fn=cmd_repro_bigm)
 

@@ -28,7 +28,7 @@ nudging that endpoint just below the integer before applying the rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class SymplecticPath:
     m: float
     descriptor: str
     det_defect: float
-    nfev: int = 0                 # right-hand side calls of the run
+    nfev: int                     # right-hand side calls of the run
 
 
 def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
@@ -275,11 +275,15 @@ def _latitude_path(p: ProfileFunction, lat: LatitudeOrbit, T: float,
 class OrbitIndexReport:
     descriptor: str
     covers: int
-    contractible: bool
     reeb_period: float
     result: CZResult
     det_defect: float
-    predicted_turns: float | None = None
+    predicted_turns: float
+
+    @property
+    def contractible(self) -> bool:
+        """Only even covers of a simple loop (latitude, fiber) contract."""
+        return self.covers % 2 == 0
 
 
 def latitude_cz(p: ProfileFunction, m: float, covers: int = 2,
@@ -298,7 +302,6 @@ def latitude_cz(p: ProfileFunction, m: float, covers: int = 2,
     res = cz_index(path)
     turns = covers * np.sqrt(lat.curvature_m) * lat.gamma_t0 / lat.m_t0
     return OrbitIndexReport(descriptor=path.descriptor, covers=covers,
-                            contractible=(covers % 2 == 0),
                             reeb_period=T, result=res,
                             det_defect=path.det_defect,
                             predicted_turns=float(turns))
@@ -319,7 +322,6 @@ def cz_fiber(p: ProfileFunction, covers: int = 2) -> OrbitIndexReport:
                                 descriptor=f"fiber t0={t0:.6g} x{covers}")
     res = cz_index(path)
     return OrbitIndexReport(descriptor=path.descriptor, covers=covers,
-                            contractible=(covers % 2 == 0),
                             reeb_period=T, result=res,
                             det_defect=path.det_defect,
                             predicted_turns=float(covers))
@@ -371,7 +373,7 @@ class ConvexityReport:
     lhs: float                   # 2 pi / T0_estimate
     rhs: float                   # 1 - rho_sup_empirical
     verdict: bool
-    candidates: list = field(default_factory=list)
+    candidates: list
 
     def lines(self):
         out = [f"T0 estimate (min contractible Reeb period) = "
@@ -408,7 +410,7 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
     closures = rational_closures(p, m, n_levels=n_levels)
     closures.sort(key=lambda lc: lc[1].q * lc[0].reeb_period)
     for level, info in closures:
-        full = minimal_contractible_closure(level, info)
+        full = minimal_contractible_closure(info)
         candidates.append({"kind": f"level I={level.I:.6g} "
                                    f"({info.p}/{info.q})",
                            "covers": full.q,

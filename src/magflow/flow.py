@@ -104,17 +104,14 @@ def integrate(p: ProfileFunction, m: float, state0, s_max: float,
 # -- states on a level ----------------------------------------------------------
 
 
-def band_state(p: ProfileFunction, m: float, I: float,
-               ascending: bool = True) -> np.ndarray:
-    """State at the band midpoint of level I with t increasing (or not)."""
-    tp = turning_points(p, m, I)
-    t_mid = 0.5 * (tp.t_minus + tp.t_plus)
+def band_state(p: ProfileFunction, m: float, I: float) -> np.ndarray:
+    """State at the band midpoint of level I with t increasing."""
+    t_mid = 0.5 * sum(turning_points(p, m, I))
     g, _, G = p.point_jet(3)(t_mid)
     sp = (I + G) / (m * g)
     if not (-1.0 < sp < 1.0):
         raise ValueError(f"level I = {I} has no interior point at t = {t_mid}")
-    phi = np.arcsin(sp) if ascending else np.pi - np.arcsin(sp)
-    return np.array([t_mid, phi, 0.0])
+    return np.array([t_mid, np.arcsin(sp), 0.0])
 
 
 def _augmented_rhs(jet, m: float):
@@ -150,7 +147,7 @@ def level_average_ode(p: ProfileFunction, m: float, I: float) -> OdeLevel:
     here too. The returned action is the h average over exactly one period,
     which by periodicity equals the infinite time average.
     """
-    y0 = np.concatenate([band_state(p, m, I, ascending=True), [0.0]])
+    y0 = np.concatenate([band_state(p, m, I), [0.0]])
     t_mid = y0[0]
     rhs = _augmented_rhs(p.point_jet(3), m)
     span = 2.5 * birkhoff_action(p, m, I).period

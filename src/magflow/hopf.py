@@ -171,12 +171,12 @@ def pullback_residual(n_samples: int, seed: int = 0) -> float:
 
 
 def star_embed(rho, z):
-    """Scale points of S^3 onto the hypersurface {Q_rho = 1}."""
+    """Scale a point of S^3 onto the hypersurface {Q_rho = 1}."""
     z = np.asarray(z, dtype=float)
-    r = np.asarray(rho(z), dtype=float)
-    if np.any(r <= 0.0):
+    r = float(rho(z))
+    if r <= 0.0:
         raise ValueError("rho must be positive")
-    return np.sqrt(r)[..., None] * z if z.ndim > 1 else float(np.sqrt(r)) * z
+    return np.sqrt(r) * z
 
 
 def q_rho(rho, z) -> float:

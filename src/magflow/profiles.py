@@ -42,7 +42,7 @@ import math
 import struct
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -668,18 +668,8 @@ def make_ellipsoid(ratio: float) -> ProfileFunction:
     return EllipsoidProfile(ratio)
 
 
-def stretch(p: ProfileFunction, C: float, bump: StretchBump,
-            center: float | None = None) -> ProfileFunction:
-    """Stretched profile with collar 2C; C = 0 returns p itself."""
-    if C == 0.0:
-        return p
-    if center is None:
-        center = 0.5 * p.ell
-    return StretchedProfile(p, C, bump, center)
-
-
 def normalize_stretch(p: ProfileFunction, bump: StretchBump,
-                      center: float | None = None) -> ProfileFunction:
+                      center: float) -> StretchedProfile:
     """Choose the collar length so the stretched profile has area 4 pi.
 
     Needs gamma_integral(p) < 2, i.e. a base with area deficit to absorb.
@@ -688,13 +678,11 @@ def normalize_stretch(p: ProfileFunction, bump: StretchBump,
     gamma_integral uses; the chosen value is available as the C attribute
     of the returned profile.
     """
-    if center is None:
-        center = 0.5 * p.ell
     base_int = p.gamma_integral()
     if base_int >= 2.0:
         raise ValueError("base profile already has area >= 4 pi")
     C = (2.0 - base_int) / (2.0 * _collar_area(p, bump, center)[1][-1])
-    return stretch(p, C, bump, center)
+    return StretchedProfile(p, C, bump, center)
 
 
 def make_spindle(delta: float, eps: float) -> ProfileFunction:
@@ -707,7 +695,7 @@ def make_spindle(delta: float, eps: float) -> ProfileFunction:
     |Gamma + gamma'| / gamma large: past the collar Gamma has absorbed
     almost all of the area while gamma stays below a, so the ratio at the
     delta-latitude already exceeds (1 - eps)/delta - delta. The cap radius
-    is attached as cap_radius; the collar length is the profile's own C.
+    is the base's, p.base.radius; the collar length is the profile's own C.
     """
     if not (0.0 < delta < np.pi / 2):
         raise ValueError("need 0 < delta < pi/2")
@@ -722,9 +710,7 @@ def make_spindle(delta: float, eps: float) -> ProfileFunction:
     base = SphereProfile(a)
     apex = 0.5 * base.ell
     w = apex - delta  # collar leaves [0, delta] and [ell - delta, ell] intact
-    prof = normalize_stretch(base, StretchBump(w), center=apex)
-    prof.cap_radius = a
-    return prof
+    return normalize_stretch(base, StretchBump(w), apex)
 
 
 def make_negative_action(delta: float, eps: float):
@@ -748,9 +734,7 @@ def make_negative_action(delta: float, eps: float):
         raise ValueError("delta-latitude falls outside the base meridian")
     center = 0.5 * (delta + base.ell)
     w = 0.3 * (base.ell - delta)
-    prof = normalize_stretch(base, StretchBump(w), center=center)
-    prof.cap_radius = a
-    return prof, delta
+    return normalize_stretch(base, StretchBump(w), center), delta
 
 
 # -- validation ---------------------------------------------------------------
@@ -767,7 +751,7 @@ class Condition:
 @dataclass
 class ValidationReport:
     kind: str
-    conditions: list = field(default_factory=list)
+    conditions: list
 
     @property
     def passed(self) -> bool:
@@ -785,33 +769,27 @@ class ValidationReport:
 
 def validate(p: ProfileFunction, tol: float = 1e-8) -> ValidationReport:
     """Check closure, slope, flat-pole, and area conditions on a dense grid."""
-    rep = ValidationReport(kind=p.kind)
     L = p.ell
     (g0, g1), (d0, d1), (dd0, dd1), _ = (
         v.tolist() for v in p.jet(np.array([0.0, L]), 2))
-    rep.conditions.append(Condition(
-        "endpoint values gamma=0", max(abs(g0), abs(g1)) <= tol,
-        max(abs(g0), abs(g1))))
     t = np.linspace(0.0, L, _VALIDATE_CELLS + 1)[1:-1]
     g, dg, _ = p.jet(t, 1)
     gmin = float(g.min())
-    rep.conditions.append(Condition(
-        "interior positivity", gmin > 0.0, gmin,
-        f"min at t={t[np.argmin(g)]:.4g}"))
-    rep.conditions.append(Condition(
-        "endpoint slopes +1/-1", max(abs(d0 - 1), abs(d1 + 1)) <= tol,
-        max(abs(d0 - 1), abs(d1 + 1))))
     dmax = float(np.abs(dg).max())
-    rep.conditions.append(Condition(
-        "interior slope bound |gamma'|<1", dmax < 1.0, 1.0 - dmax))
-    rep.conditions.append(Condition(
-        "flat poles gamma''=0", max(abs(dd0), abs(dd1)) <= tol,
-        max(abs(dd0), abs(dd1))))
     a = p.gamma_integral()
-    rep.conditions.append(Condition(
-        "normalization area=4pi", abs(a - 2.0) <= max(tol, 1e-8), abs(a - 2.0),
-        f"integral gamma = {a:.12g}"))
-    return rep
+    return ValidationReport(kind=p.kind, conditions=[
+        Condition("endpoint values gamma=0", max(abs(g0), abs(g1)) <= tol,
+                  max(abs(g0), abs(g1))),
+        Condition("interior positivity", gmin > 0.0, gmin,
+                  f"min at t={t[np.argmin(g)]:.4g}"),
+        Condition("endpoint slopes +1/-1",
+                  max(abs(d0 - 1), abs(d1 + 1)) <= tol,
+                  max(abs(d0 - 1), abs(d1 + 1))),
+        Condition("interior slope bound |gamma'|<1", dmax < 1.0, 1.0 - dmax),
+        Condition("flat poles gamma''=0", max(abs(dd0), abs(dd1)) <= tol,
+                  max(abs(dd0), abs(dd1))),
+        Condition("normalization area=4pi", abs(a - 2.0) <= max(tol, 1e-8),
+                  abs(a - 2.0), f"integral gamma = {a:.12g}")])
 
 
 # -- serialization ------------------------------------------------------------

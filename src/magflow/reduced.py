@@ -291,7 +291,7 @@ class _System:
         ends = self.turning_points(I)
         band, done = np.vstack((I, ends)), np.empty((3, len(I)))
         todo, prev = np.arange(len(I)), None
-        for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES):
+        for n in (QUAD_NODES, 2 * QUAD_NODES, 4 * QUAD_NODES, 8 * QUAD_NODES):
             cur = self.stage(band, n)
             if prev is not None:       # s_half and the integral of h ds
                 ok = np.logical_and.reduce(
@@ -302,8 +302,7 @@ class _System:
                 if not todo.size:
                     break
             prev = cur
-        else:                          # the last rule is taken as it is
-            done[:, todo] = self.stage(band, 8 * QUAD_NODES)
+        done[:, todo] = cur   # the last rule as it is; prev lags after a break
         return [ReducedLevel(m=self.m, I=i, t_minus=a, t_plus=b, s_half=s,
                              theta_half=th, action=hs / s)
                 for i, a, b, s, th, hs in zip(I.tolist(), *ends.tolist(),
@@ -330,22 +329,11 @@ def I_range(p: ProfileFunction, m: float) -> IRange:
 # -- turning points and band quadrature -----------------------------------------
 
 
-@dataclass(frozen=True)
-class TurningPoints:
-    t_minus: float
-    t_plus: float
-    branch_minus: str      # "upper" or "lower": which envelope is touched
-    branch_plus: str
-
-
-def turning_points(p: ProfileFunction, m: float, I: float) -> TurningPoints:
-    """Boundary of the positivity band of W for a regular level I, with
-    the envelope each end touches (_System.turning_points of one level)."""
+def turning_points(p: ProfileFunction, m: float, I: float) -> tuple:
+    """(t_minus, t_plus), the boundary of the positivity band of W for a
+    regular level I (_System.turning_points of one level)."""
     t_minus, t_plus = _system(p, m).turning_points(np.array([I], dtype=float))
-    return TurningPoints(
-        t_minus=float(t_minus[0]), t_plus=float(t_plus[0]),
-        branch_minus="upper" if I > 1.0 else "lower",
-        branch_plus="lower" if I < -1.0 else "upper")
+    return float(t_minus[0]), float(t_plus[0])
 
 
 @dataclass(frozen=True)
@@ -620,8 +608,7 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
     return list(found.values())
 
 
-def minimal_contractible_closure(level: ReducedLevel,
-                                 info: ClosureInfo) -> ClosureInfo:
+def minimal_contractible_closure(info: ClosureInfo) -> ClosureInfo:
     """Double the closure when the primitive closed orbit is noncontractible."""
     if info.contractible:
         return info

@@ -9,10 +9,16 @@ reads the argument, not that name. Every public method and property of a
 package class must be read as an attribute in the package outside its
 own definition, and every defaulted parameter of a public module-level
 function, method or constructor must be passed by some call in the
-package or in perfbench/; a knob that no caller sets is a module
-constant. Every dataclass field must be read as an attribute in the
-package, where its own class's methods count since they need readers of
-their own, or in perfbench/. No module may import a name it never uses,
+package or in perfbench/ with something other than its own spelling: a
+literal equal to the default, or the default's own constant name, passes
+nothing. A knob that no caller sets is a module constant. No public
+module-level function or method takes a parameter its body never reads;
+callbacks nested in a function have the signature their caller fixes
+and are not checked. Every dataclass field must be read as an attribute
+in the package, where its own class's methods count since they need
+readers of their own, or in perfbench/, and a dataclass field's default
+is a settable value too: some construction in the package omits it and
+another sets it to something else. No module may import a name it never uses,
 and none but profiles.py may set an attribute on a parameter annotated
 ProfileFunction. No function cached by lru_cache or functools.cache takes
 a ProfileFunction: a global cache keyed by a profile keeps it alive, and
@@ -53,11 +59,6 @@ ALLOWED_UNREAD = {
 # dataclass fields that nothing in the package or perfbench reads, each
 # with its reason
 ALLOWED_UNREAD_FIELDS = {
-    "reduced.TurningPoints.branch_minus": "the envelope t_minus lies on; "
-                                          "tests check each end against "
-                                          "its own envelope piece",
-    "reduced.TurningPoints.branch_plus": "the envelope t_plus lies on, "
-                                         "likewise",
     "cz.WindingInterval.u_lo": "the direction attaining lo; tests check the "
                                "interval's ends against brute-force windings",
     "cz.WindingInterval.u_hi": "the direction attaining hi, likewise",
@@ -66,9 +67,12 @@ ALLOWED_UNREAD_FIELDS = {
 }
 
 # defaulted parameters that no call in the package or perfbench passes
+# with a spelling of its own
 ALLOWED_UNPASSED = {
     "cli.main(argv)": "the console entry point, called without arguments; "
                       "tests pass argv through it",
+    "cz.cz_fiber(covers)": "criterion 7 and the unit tests index the single "
+                           "and the double cover of the fiber",
 }
 
 
@@ -180,8 +184,8 @@ def _callables(mods: dict):
 
 
 def _calls(trees) -> dict:
-    """Callee name -> for each call of it, (positional arguments before
-    any starred one, starred, keywords, double-starred)."""
+    """Callee name -> for each call of it, (the positional arguments before
+    any starred one, starred, keyword name -> argument, double-starred)."""
     out = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -192,10 +196,37 @@ def _calls(trees) -> dict:
                 f.attr if isinstance(f, ast.Attribute) else None
             star = [isinstance(a, ast.Starred) for a in node.args]
             out.setdefault(name, []).append((
-                star.index(True) if any(star) else len(star), any(star),
-                {k.arg for k in node.keywords},
+                node.args[:star.index(True) if any(star) else len(star)],
+                any(star),
+                {k.arg: k.value for k in node.keywords if k.arg is not None},
                 any(k.arg is None for k in node.keywords)))
     return out
+
+
+def _spelling(node):
+    """What an argument or a default says: a literal's value, the last
+    name of a dotted name, else the source text."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        pass
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ast.unparse(node)
+
+
+def _sets(call, i, name, default) -> bool:
+    """Whether call may pass the parameter at position i (None: keyword
+    only) or by name with something other than the spelling default
+    (None: any value is its own). A starred argument might pass it."""
+    args, star, kw, dstar = call
+    if name in kw:
+        arg = kw[name]
+    elif i is not None and i < len(args):
+        arg = args[i]
+    else:
+        return dstar or (i is not None and star)
+    return default is None or _spelling(arg) != _spelling(default)
 
 
 def _perfbench() -> list:
@@ -211,16 +242,71 @@ def _unpassed_defaults() -> list:
     for label, name, fn, bound in _callables(mods):
         a = fn.args
         positional = [x.arg for x in (*a.posonlyargs, *a.args)][int(bound):]
-        defaulted = list(enumerate(positional))[len(positional)
-                                                - len(a.defaults):]
-        defaulted += [(None, x.arg) for x, d in zip(a.kwonlyargs,
-                                                    a.kw_defaults)
+        defaulted = [(i, param, d) for (i, param), d in zip(
+            list(enumerate(positional))[len(positional) - len(a.defaults):],
+            a.defaults)]
+        defaulted += [(None, x.arg, d) for x, d in zip(a.kwonlyargs,
+                                                       a.kw_defaults)
                       if d is not None]
-        for i, param in defaulted:
-            if not any(param in kw or dstar
-                       or (i is not None and (i < npos or star))
-                       for npos, star, kw, dstar in calls.get(name, ())):
+        for i, param, default in defaulted:
+            if not any(_sets(call, i, param, default)
+                       for call in calls.get(name, ())):
                 out.append(f"{label}({param})")
+    return out
+
+
+def _dataclasses(mods: dict):
+    """(label, class def, its fields) of every dataclass in mods."""
+    for stem, tree in mods.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in cls.decorator_list):
+                yield f"{stem}.{cls.name}", cls, [
+                    node for node in cls.body
+                    if isinstance(node, ast.AnnAssign)]
+
+
+def _field_defaults() -> list:
+    """Dataclass fields with a default, each as (label, whether some
+    package construction omits it, whether another sets it to something
+    other than the default's spelling). A default_factory has no
+    spelling, so any value sets it."""
+    mods = _modules()
+    mods.pop("__init__")
+    calls = _calls(mods.values())
+    out = []
+    for label, cls, fields in _dataclasses(mods):
+        for i, node in enumerate(fields):
+            if node.value is None:
+                continue
+            default = node.value
+            if isinstance(default, ast.Call) and \
+                    ast.unparse(default.func) == "field":
+                default = {k.arg: k.value
+                           for k in default.keywords}.get("default")
+            name, made = node.target.id, calls.get(cls.name, ())
+            omitted = any(name not in kw and i >= len(args)
+                          and not star and not dstar
+                          for args, star, kw, dstar in made)
+            out.append((f"{label}.{name}", omitted,
+                        any(_sets(call, i, name, default) for call in made)))
+    return out
+
+
+def _unread_parameters() -> list:
+    """Parameters of public module-level functions, methods and
+    constructors that their bodies never read; self is the instance."""
+    out = []
+    for label, name, fn, bound in _callables(_modules()):
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        params = [x.arg for x in (*fn.args.posonlyargs, *fn.args.args,
+                                  *fn.args.kwonlyargs, fn.args.vararg,
+                                  fn.args.kwarg) if x is not None]
+        out += [f"{label}({x})" for x in params[int(bound):]
+                if x not in read]
     return out
 
 
@@ -244,18 +330,10 @@ def _unread_methods() -> list:
 def _unread_fields() -> list:
     mods = _modules()
     reads = [_reads(tree) for tree in [*mods.values(), *_perfbench()]]
-    out = []
-    for stem, tree in mods.items():
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d)
-                    for d in cls.decorator_list)):
-                continue
-            out += [f"{stem}.{cls.name}.{node.target.id}"
-                    for node in cls.body if isinstance(node, ast.AnnAssign)
-                    and not any(attr for r in reads
-                                for _, attr in r.get(node.target.id, ()))]
-    return out
+    return [f"{label}.{node.target.id}"
+            for label, _, fields in _dataclasses(mods) for node in fields
+            if not any(attr for r in reads
+                       for _, attr in r.get(node.target.id, ()))]
 
 
 def _profile_writes() -> list:
@@ -344,6 +422,21 @@ def test_every_default_is_passed_somewhere():
     unpassed = [n for n in _unpassed_defaults() if n not in ALLOWED_UNPASSED]
     assert not unpassed, f"defaulted parameters no call passes; make them " \
                          f"module constants: {unpassed}"
+
+
+def test_every_field_default_is_omitted_and_set():
+    # a dataclass default is a settable value: one construction relies on
+    # it and another sets the field, or the field takes it at every
+    # construction and is a constant, or never and needs no default
+    fixed = [label for label, omitted, overridden in _field_defaults()
+             if not (omitted and overridden)]
+    assert not fixed, f"dataclass defaults no construction both omits and " \
+                      f"sets: {fixed}"
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert not unread, f"parameters their function never reads: {unread}"
 
 
 def test_allow_list_is_current():

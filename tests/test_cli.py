@@ -55,6 +55,68 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+_TRACE = ["flow", "trace", "sphere", "--m", "1", "--state", "1.0,0.4,0",
+          "--horizon", "1"]
+
+
+class TestArgumentBounds:
+    # counts and tolerances are checked at parse time: a value out of
+    # bounds is a usage error, before any computation can divide by it,
+    # index an empty sample or report on zero samples
+    @pytest.mark.parametrize("argv, flag", [
+        (["repro", "bigm", "--target", "-1"], "--target"),
+        (_TRACE + ["--n-out", "0"], "--n-out"),
+        (["hopf", "verify", "--samples", "0"], "--samples"),
+        (["profile", "make", "sphere", "--samples", "0"], "--samples"),
+        (["cz", "latitude", "sphere", "--m", "0.5", "--covers", "0"],
+         "--covers"),
+        (["profile", "check", "sphere", "--tol", "-1"], "--tol"),
+        (["profile", "check", "sphere", "--tol", "0"], "--tol"),
+        (["profile", "check", "sphere", "--tol", "nan"], "--tol"),
+        (["action", "scan", "sphere", "--m", "0.5", "--levels", "-1"],
+         "--levels"),
+        (["cz", "report", "sphere", "--m", "0.05", "--levels", "-1"],
+         "--levels"),
+        (["cz", "report", "sphere", "--m", "0.05", "--rho-orbits", "-1"],
+         "--rho-orbits"),
+        (["repro", "ellipsoids", "--levels", "-1"], "--levels"),
+    ], ids=["target", "n-out", "verify-samples", "make-samples", "covers",
+            "tol-negative", "tol-zero", "tol-nan", "scan-levels",
+            "report-levels", "rho-orbits", "ellipsoids-levels"])
+    def test_out_of_bounds_is_a_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"error: argument {flag}: '{argv[-1]}' is not" in err
+
+    def test_non_numbers_keep_their_message(self, capsys):
+        assert main(["action", "scan", "sphere", "--m", "0.5",
+                     "--levels", "x"]) == 1
+        assert "argument --levels: invalid int value: 'x'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        _TRACE + ["--n-out", "1"],
+        ["cz", "latitude", "sphere", "--m", "0.5", "--covers", "1"],
+        ["hopf", "verify", "--samples", "1"],
+        ["repro", "bigm", "--target", "0"],
+        ["action", "scan", "sphere", "--m", "0.5", "--levels", "0"],
+        ["cz", "report", "sphere", "--m", "0.05", "--levels", "0",
+         "--rho-orbits", "0"],
+    ], ids=["n-out", "covers", "verify-samples", "target", "levels",
+            "report-levels"])
+    def test_boundary_values_run(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_one_sample_table(self, capsys, tmp_path):
+        table = tmp_path / "one.csv"
+        assert main(["profile", "make", "sphere", "--table", str(table),
+                     "--samples", "1"]) == 0
+        capsys.readouterr()
+        assert table.read_text().splitlines()[1:] == ["0,0,1,1"]
+
+
 class TestProfileCommands:
     def test_make_sphere_artifacts(self, capsys, tmp_path):
         out = tmp_path / "sphere.json"

@@ -70,7 +70,8 @@ def _rotation_stack(angles: np.ndarray) -> np.ndarray:
 def _synthetic(matrices: np.ndarray, T: float = 1.0) -> SymplecticPath:
     n = matrices.shape[0]
     return SymplecticPath(times=np.linspace(0.0, T, n), matrices=matrices,
-                          m=0.0, descriptor="synthetic", det_defect=0.0)
+                          m=0.0, descriptor="synthetic", det_defect=0.0,
+                          nfev=0)
 
 
 def _wrap(x):
@@ -246,7 +247,8 @@ class TestLinearizedPath:
                         t_eval=tau, rtol=1e-12, atol=1e-12)
         assert sol.success
         return SymplecticPath(times=tau, matrices=chi_project(p, m, sol.y),
-                              m=m, descriptor="scipy", det_defect=0.0)
+                              m=m, descriptor="scipy", det_defect=0.0,
+                              nfev=sol.nfev)
 
     @pytest.mark.parametrize("case", ["upper", "lower", "band"])
     def test_matches_scipy_dop853(self, ellipsoid, case):

@@ -173,14 +173,18 @@ class TestPoleTermination:
 class TestBandState:
     def test_level_value_exact(self, ellipsoid):
         for I in (-0.8, 0.1, 0.9):
-            st = band_state(ellipsoid, 1.2, I, ascending=True)
+            st = band_state(ellipsoid, 1.2, I)
             g, G = ellipsoid.jet(st[0], 0)
             assert 1.2 * g * np.sin(st[1]) - G == pytest.approx(I, abs=1e-12)
 
     def test_branches(self, ellipsoid):
-        up = band_state(ellipsoid, 1.2, 0.3, ascending=True)
-        dn = band_state(ellipsoid, 1.2, 0.3, ascending=False)
-        assert np.cos(up[1]) > 0 > np.cos(dn[1])
+        # t increases from the state; its mirror pi - phi is the other
+        # crossing of the band midpoint, on the same level, with t falling
+        t, phi, _ = band_state(ellipsoid, 1.2, 0.3)
+        g, G = ellipsoid.jet(t, 0)
+        assert np.cos(phi) > 0 > np.cos(np.pi - phi)
+        assert 1.2 * g * np.sin(np.pi - phi) - G == pytest.approx(0.3,
+                                                                  abs=1e-12)
 
 
 class TestSectionMeasurement:

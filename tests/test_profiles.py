@@ -34,7 +34,6 @@ from magflow.profiles import (
     normalize_stretch,
     parse_profile_spec,
     save_profile,
-    stretch,
     validate,
 )
 
@@ -518,9 +517,6 @@ class TestStretch:
         self.bump = StretchBump(0.5)
         self.center = 0.5 * self.base.ell
 
-    def test_zero_stretch_is_identity(self):
-        assert stretch(self.base, 0.0, self.bump) is self.base
-
     def test_rigid_zones(self):
         C = 0.3
         p = StretchedProfile(self.base, C, self.bump, self.center)
@@ -594,25 +590,26 @@ class TestStretch:
         make_spindle(0.07, 0.2)
         assert rules == [6]
         normalize_stretch(self.base, self.bump, self.center)
-        stretch(self.base, 0.1, self.bump, self.center)
+        StretchedProfile(self.base, 0.1, self.bump, self.center)
         assert rules == [6, 6]
         t, P = profiles._collar_area(self.base, self.bump, self.center)
         assert not (t.flags.writeable or P.flags.writeable)
 
     def test_normalize_stretch(self):
-        p = normalize_stretch(self.base, self.bump)
+        p = normalize_stretch(self.base, self.bump, self.center)
         assert p.C > 0
         assert p.gamma_integral() == pytest.approx(2.0, abs=1e-10)
         assert validate(p).passed
         with pytest.raises(ValueError):
-            normalize_stretch(SphereProfile(1.0), self.bump)  # no deficit
+            normalize_stretch(SphereProfile(1.0), self.bump,
+                              0.5 * np.pi)  # no deficit
 
 
 class TestConstructions:
     def test_spindle_geometry(self):
         delta, eps = 0.05, 0.1
         p = make_spindle(delta, eps)
-        a = p.cap_radius
+        a = p.base.radius
         assert validate(p).passed
         assert np.cos(delta / a) < eps
         # polar caps stay exactly round to depth delta
@@ -621,6 +618,20 @@ class TestConstructions:
         tr = p.ell - t
         assert np.max(np.abs(p.gamma(tr) - a * np.sin(t / a))) < 1e-12
         assert p.C > 1.0  # tiny caps need a long collar
+
+    def test_spindle_fallback_radius(self):
+        # cos(delta) <= 0.9 eps already, so the radius delta / arccos(0.9
+        # eps) is not below 1 and the fallback 0.5 (1 + 2 delta / pi) serves
+        delta, eps = 1.5, 0.2
+        assert delta / np.arccos(0.9 * eps) >= 1.0
+        p = make_spindle(delta, eps)
+        a = p.base.radius
+        assert a == 0.5 * (1.0 + 2.0 * delta / np.pi)
+        assert validate(p).passed
+        assert np.cos(delta / a) < eps
+        t = np.linspace(0, delta, 20)
+        assert np.max(np.abs(p.gamma(t) - a * np.sin(t / a))) < 1e-13
+        assert np.max(np.abs(p.gamma(p.ell - t) - a * np.sin(t / a))) < 1e-13
 
     def test_spindle_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -631,7 +642,7 @@ class TestConstructions:
     def test_negative_action_geometry(self):
         delta, eps = 0.1, 0.9
         p, t_lat = make_negative_action(delta, eps)
-        a = p.cap_radius
+        a = p.base.radius
         assert t_lat == delta
         assert validate(p).passed
         assert float(p.jet(delta, 1)[1]) < -eps

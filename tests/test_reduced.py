@@ -9,6 +9,7 @@ independent direct quadrature of the defining integrals.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -72,6 +73,13 @@ def orbit_closure(level):
                                                            level.I),
                                winding=w)
     return None
+
+
+@functools.cache
+def _profile(spec):
+    """The builtin profile of spec, built once per session for the
+    hypothesis properties, whose examples share no fixture."""
+    return parse_profile_spec(spec)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +233,7 @@ def _system_values(p, m):
     as float hex."""
     levels = regular_levels(p, m, 4)
     values = [*astuple(I_range(p, m)), *levels,
-              *astuple(turning_points(p, m, float(levels[1])))[:2],
+              *turning_points(p, m, float(levels[1])),
               *(x for lat in latitudes(p, m) for x in astuple(lat)),
               *(x for row in action_scan(p, m, 4) for x in astuple(row))]
     return [float(x).hex() for x in values]
@@ -233,25 +241,23 @@ def _system_values(p, m):
 
 class TestTurningPoints:
     def test_sphere_unit_field_center_level(self, sphere):
-        tp = turning_points(sphere, 1.0, 0.0)
-        assert tp.t_minus == pytest.approx(np.pi / 4, abs=1e-10)
-        assert tp.t_plus == pytest.approx(3 * np.pi / 4, abs=1e-10)
+        t_minus, t_plus = turning_points(sphere, 1.0, 0.0)
+        assert t_minus == pytest.approx(np.pi / 4, abs=1e-10)
+        assert t_plus == pytest.approx(3 * np.pi / 4, abs=1e-10)
 
     def test_sphere_general_level(self, sphere):
         # m sin t = |I + Gamma| has arcsin solutions for the mixed band
         m, I = 2.0, 0.4
-        tp = turning_points(sphere, m, I)
+        t_minus, t_plus = turning_points(sphere, m, I)
         W = lambda t: (m * np.sin(t)) ** 2 - (I - np.cos(t)) ** 2
-        assert abs(W(tp.t_minus)) < 1e-9
-        assert abs(W(tp.t_plus)) < 1e-9
-        mid = 0.5 * (tp.t_minus + tp.t_plus)
-        assert W(mid) > 0
-        assert tp.t_plus > tp.t_minus
+        assert abs(W(t_minus)) < 1e-9
+        assert abs(W(t_plus)) < 1e-9
+        assert W(0.5 * (t_minus + t_plus)) > 0
+        assert t_plus > t_minus
 
     def test_band_interior_positive(self, ellipsoid):
         m, I = 1.0, 0.7
-        tp = turning_points(ellipsoid, m, I)
-        t = np.linspace(tp.t_minus, tp.t_plus, 41)[1:-1]
+        t = np.linspace(*turning_points(ellipsoid, m, I), 41)[1:-1]
         g, G = ellipsoid.jet(t, 0)
         assert np.all((m * g) ** 2 - (I + G) ** 2 > 0)
 
@@ -269,8 +275,8 @@ class TestTurningPoints:
         p = make_sphere()
         with pytest.raises(LevelRangeError):
             turning_points(p, 0.5, 1.5)
-        tp = turning_points(p, 2.0, 1.5)
-        assert 0.0 < tp.t_minus < tp.t_plus < np.pi
+        t_minus, t_plus = turning_points(p, 2.0, 1.5)
+        assert 0.0 < t_minus < t_plus < np.pi
         with pytest.raises(LevelRangeError):
             turning_points(p, 0.5, 1.5)
 
@@ -292,15 +298,15 @@ class TestTurningPoints:
     def test_against_brentq(self, spec, m):
         # each turning point is the one root of its envelope piece:
         # [0, argmax_t] or [argmax_t, ell] on the upper envelope, the same
-        # around argmin_t on the lower one
+        # around argmin_t on the lower one; t_minus is on the upper
+        # envelope iff I > 1, t_plus on the lower one iff I < -1
         p = parse_profile_spec(spec)
         r = I_range(p, m)
         for I in regular_levels(p, m, 100):
-            tp = turning_points(p, m, float(I))
-            for t, branch, first in ((tp.t_minus, tp.branch_minus, True),
-                                     (tp.t_plus, tp.branch_plus, False)):
-                sg, ext = ((1, r.argmax_t) if branch == "upper"
-                           else (-1, r.argmin_t))
+            t_minus, t_plus = turning_points(p, m, float(I))
+            for t, upper, first in ((t_minus, I > 1.0, True),
+                                    (t_plus, I >= -1.0, False)):
+                sg, ext = (1, r.argmax_t) if upper else (-1, r.argmin_t)
 
                 def f(s):
                     g, G = p.jet(s, 0)
@@ -308,6 +314,29 @@ class TestTurningPoints:
 
                 a, b = (0.0, ext) if first else (ext, p.ell)
                 assert abs(t - brentq(f, a, b, xtol=1e-15)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from(["sphere", "ellipsoid:0.6", "ellipsoid:4",
+                                 "spindle:0.07:0.2"]),
+           m_frac=st.floats(0.02, 0.999), frac=st.floats(1e-4, 0.9999))
+    def test_each_end_on_the_envelope_its_level_names(self, spec, m_frac,
+                                                      frac):
+        # t_minus < t_plus; t_minus solves the upper envelope m gamma -
+        # Gamma = I iff I > 1, t_plus the lower one -m gamma - Gamma = I
+        # iff I < -1, and each end solves the other envelope otherwise
+        p = _profile(spec)
+        thr = km_positive_threshold(p)
+        m = m_frac * (thr if np.isfinite(thr) else 5.0)
+        r = I_range(p, m)
+        I = r.I_min + frac * (r.I_max - r.I_min)
+        assume(abs(abs(I) - 1.0) > 10 * LATITUDE_BAND)
+        t_minus, t_plus = turning_points(p, m, I)
+        assert t_minus < t_plus
+        for t, upper in ((t_minus, I > 1.0), (t_plus, not I < -1.0)):
+            g, G = (float(x) for x in p.jet(t, 0))
+            on_upper = abs(m * g - G - I) <= 1e-12 * (1.0 + abs(I))
+            on_lower = abs(-m * g - G - I) <= 1e-12 * (1.0 + abs(I))
+            assert (on_upper, on_lower) == (upper, not upper), (t, I)
 
 
     @settings(max_examples=30, deadline=None)
@@ -453,9 +482,8 @@ class TestEllipsoidQuadratureOracle:
         # exactly; nodes and weights are unrelated to the substitution
         # rule used by the library, making this a genuine cross-check
         p, m, I = ellipsoid, 0.8, 0.45
-        tp = turning_points(p, m, I)
+        a, b = turning_points(p, m, I)
         lev = birkhoff_action(p, m, I)
-        a, b = tp.t_minus, tp.t_plus
 
         def Gamma(t):
             return p.jet(t, 0)[-1]
@@ -604,8 +632,7 @@ def _one_level_on_1d_nodes(p, m, I):
     """The row of level I by the quadrature rule written out for one level
     on 1-D node arrays: nodes doubling from QUAD_NODES until s_half and
     the integral of h ds agree to QUAD_RTOL, at most 8 QUAD_NODES."""
-    tp = turning_points(p, m, I)
-    a, b, prev = tp.t_minus, tp.t_plus, None
+    (a, b), prev = turning_points(p, m, I), None
     for n in (QUAD_NODES << j for j in range(4)):
         k = np.arange(1, n + 1)
         t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi
@@ -746,7 +773,7 @@ class TestClosures:
         info = orbit_closure(lev)
         assert (info.q, info.p) == (1, 1)
         assert not info.contractible
-        full = minimal_contractible_closure(lev, info)
+        full = minimal_contractible_closure(info)
         assert (full.q, full.p) == (2, 2)
         assert full.contractible
 
