@@ -42,6 +42,7 @@ def _bounded(kind, low, strict: bool):
 
 
 _POSITIVE, _NATURAL = _bounded(int, 1, False), _bounded(int, 0, False)
+_REAL_GT0, _REAL_GE0 = _bounded(float, 0.0, True), _bounded(float, 0.0, False)
 
 
 def _write_text(path, lines):
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_profile_make)
     s = gs.add_parser("check", help="validate profile conditions")
     _add_profile_arg(s)
-    s.add_argument("--tol", type=_bounded(float, 0.0, True), default=1e-8)
+    s.add_argument("--tol", type=_REAL_GT0, default=1e-8)
     s.set_defaults(fn=cmd_profile_check)
 
     g = sub.add_parser("contact", help="certified contact bounds")
@@ -407,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arclength time to integrate")
     s.add_argument("--n-out", type=_POSITIVE, dest="n_out",
                    default=flow.N_OUT)
-    s.add_argument("--rtol", type=float, default=flow.RTOL)
-    s.add_argument("--atol", type=float, default=flow.ATOL)
+    s.add_argument("--rtol", type=_REAL_GE0, default=flow.RTOL)
+    s.add_argument("--atol", type=_REAL_GT0, default=flow.ATOL)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_flow_trace)
 
@@ -460,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json-out", dest="json_out")
     s.set_defaults(fn=cmd_repro_noncon)
     s = gs.add_parser("bigm", help="convex profile with large m_gamma")
-    s.add_argument("--target", type=_bounded(float, 0.0, False),
-                   required=True)
+    s.add_argument("--target", type=_REAL_GE0, required=True)
     s.add_argument("--out", help="profile JSON output path")
     s.set_defaults(fn=cmd_repro_bigm)
 

@@ -126,15 +126,12 @@ class SymplecticPath:
     """Discretized path Psi(tau) in SL(2), Psi(0) = I, tau in Reeb time."""
     times: np.ndarray
     matrices: np.ndarray          # (n, 2, 2)
-    m: float
-    descriptor: str
     det_defect: float
     nfev: int                     # right-hand side calls of the run
 
 
 def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
-                         n_out: int = PATH_SAMPLES,
-                         descriptor: str = "") -> SymplecticPath:
+                         n_out: int = PATH_SAMPLES) -> SymplecticPath:
     """Integrate the 9-dim linearized Reeb system and project to Psi.
 
     The run is numerics.dop853 with scipy's error weights on every
@@ -155,8 +152,7 @@ def integrate_linearized(p: ProfileFunction, m: float, z0, T: float,
     if defect > SYMPLECTIC_TOL:
         raise FrameError(f"symplecticity defect {defect:.3g} exceeds "
                          f"{SYMPLECTIC_TOL}")
-    return SymplecticPath(times=tau, matrices=Psi, m=m,
-                          descriptor=descriptor, det_defect=defect,
+    return SymplecticPath(times=tau, matrices=Psi, det_defect=defect,
                           nfev=run.nfev)
 
 
@@ -264,11 +260,10 @@ def cz_index(path: SymplecticPath) -> CZResult:
 
 
 def _latitude_path(p: ProfileFunction, lat: LatitudeOrbit, T: float,
-                   n_out: int, descriptor: str) -> SymplecticPath:
+                   n_out: int) -> SymplecticPath:
     """Linearized run along the latitude circle at its own strength m_t0."""
     z0 = frame_state(p, lat.m_t0, lat.t0, lat.sign * np.pi / 2.0)
-    return integrate_linearized(p, lat.m_t0, z0, T, n_out=n_out,
-                                descriptor=descriptor)
+    return integrate_linearized(p, lat.m_t0, z0, T, n_out=n_out)
 
 
 @dataclass(frozen=True)
@@ -286,6 +281,15 @@ class OrbitIndexReport:
         return self.covers % 2 == 0
 
 
+def _report(descriptor: str, path: SymplecticPath, covers: int, T: float,
+            turns: float) -> OrbitIndexReport:
+    """The index report of the closed orbit whose linearized run is path."""
+    return OrbitIndexReport(descriptor=descriptor, covers=covers,
+                            reeb_period=T, result=cz_index(path),
+                            det_defect=path.det_defect,
+                            predicted_turns=float(turns))
+
+
 def latitude_cz(p: ProfileFunction, m: float, covers: int = 2,
                 side: str = "upper") -> OrbitIndexReport:
     """Index data for a latitude orbit traversed covers times.
@@ -297,14 +301,9 @@ def latitude_cz(p: ProfileFunction, m: float, covers: int = 2,
     """
     lat = find_latitude(p, m, side)
     T = covers * lat.reeb_period
-    path = _latitude_path(p, lat, T, PATH_SAMPLES,
-                          f"latitude t0={lat.t0:.6g} x{covers}")
-    res = cz_index(path)
     turns = covers * np.sqrt(lat.curvature_m) * lat.gamma_t0 / lat.m_t0
-    return OrbitIndexReport(descriptor=path.descriptor, covers=covers,
-                            reeb_period=T, result=res,
-                            det_defect=path.det_defect,
-                            predicted_turns=float(turns))
+    return _report(f"latitude t0={lat.t0:.6g} x{covers}",
+                   _latitude_path(p, lat, T, PATH_SAMPLES), covers, T, turns)
 
 
 def cz_fiber(p: ProfileFunction, covers: int = 2) -> OrbitIndexReport:
@@ -317,14 +316,8 @@ def cz_fiber(p: ProfileFunction, covers: int = 2) -> OrbitIndexReport:
     """
     t0 = 0.5 * p.ell
     T = covers * 2.0 * np.pi
-    z0 = frame_state(p, 0.0, t0, 0.0)
-    path = integrate_linearized(p, 0.0, z0, T,
-                                descriptor=f"fiber t0={t0:.6g} x{covers}")
-    res = cz_index(path)
-    return OrbitIndexReport(descriptor=path.descriptor, covers=covers,
-                            reeb_period=T, result=res,
-                            det_defect=path.det_defect,
-                            predicted_turns=float(covers))
+    path = integrate_linearized(p, 0.0, frame_state(p, 0.0, t0, 0.0), T)
+    return _report(f"fiber t0={t0:.6g} x{covers}", path, covers, T, covers)
 
 
 # -- deviation from rigid rotation -----------------------------------------------
@@ -358,8 +351,7 @@ def latitude_deviation(p: ProfileFunction, m: float) -> float:
     strength m."""
     lat = find_latitude(p, m, "upper")
     return path_deviation(_latitude_path(p, lat, lat.reeb_period,
-                                         DEVIATION_SAMPLES,
-                                         "latitude deviation"))
+                                         DEVIATION_SAMPLES))
 
 
 # -- dynamical convexity report --------------------------------------------------
@@ -405,8 +397,7 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
         lat = find_latitude(p, m, side)
         candidates.append({"kind": f"latitude-{side}", "covers": 2,
                            "T": 2.0 * lat.reeb_period})
-        rho_paths.append(_latitude_path(p, lat, lat.reeb_period,
-                                        PATH_SAMPLES, f"latitude-{side}"))
+        rho_paths.append(_latitude_path(p, lat, lat.reeb_period, PATH_SAMPLES))
     closures = rational_closures(p, m, n_levels=n_levels)
     closures.sort(key=lambda lc: lc[1].q * lc[0].reeb_period)
     for level, info in closures:
@@ -417,9 +408,7 @@ def dynamical_convexity_report(p: ProfileFunction, m: float,
                            "T": full.q * level.reeb_period})
     for level, info in closures[:rho_orbits]:
         z0 = frame_state(p, m, *band_state(p, m, level.I)[:2])
-        rho_paths.append(integrate_linearized(
-            p, m, z0, level.reeb_period,
-            descriptor=f"level I={level.I:.6g}"))
+        rho_paths.append(integrate_linearized(p, m, z0, level.reeb_period))
     T0 = min(c["T"] for c in candidates)
     rho = max(path_deviation(path) for path in rho_paths)
     lhs = 2.0 * np.pi / T0

@@ -34,7 +34,7 @@ from .numerics import dop853
 from .profiles import ProfileFunction
 from .reduced import I_hat, birkhoff_action, turning_points
 
-POLE_GUARD = 1e-6  # terminate when gamma < POLE_GUARD * ell
+POLE_GUARD = 1e-6  # stop within POLE_GUARD * ell of a pole in t, ~ gamma
 ANGLES = (1, 2)    # phi and theta, the components with a fixed error weight
 N_OUT = 2001       # samples of an integrate run, and flow trace's --n-out
 RTOL = 1e-12       # integrate's tolerances, and flow trace's --rtol, --atol
@@ -55,7 +55,6 @@ def flow_rhs(jet, m: float):
 
 @dataclass(frozen=True)
 class Trajectory:
-    m: float
     s: np.ndarray
     t: np.ndarray
     phi: np.ndarray
@@ -81,22 +80,26 @@ class Trajectory:
 def integrate(p: ProfileFunction, m: float, state0, s_max: float,
               n_out: int = N_OUT, rtol: float = RTOL,
               atol: float = ATOL) -> Trajectory:
-    """Integrate the flow for time s_max (may be negative).
-
-    Terminates early with pole_terminated when the trajectory enters the
-    guard band around either pole, which regular initial data never does.
+    """Integrate the flow for finite time s_max (may be negative) from t0
+    clear of the pole guards; stops early with pole_terminated when t comes
+    within POLE_GUARD ell of a pole, which regular initial data never does.
     """
     jet, ell = p.point_jet(2), p.ell
     guard = POLE_GUARD * ell
+    if not math.isfinite(s_max):
+        raise ValueError(f"integration time s_max = {s_max!r} is not finite")
+    if not guard < state0[0] < ell - guard:
+        raise ValueError(f"start t0 = {state0[0]!r} is not inside "
+                         f"({guard!r}, {ell - guard!r}), clear of the poles")
 
     def pole_event(s, y):
-        return jet(min(max(y[0], 0.0), ell))[0] - guard
+        return min(y[0], ell - y[0]) - guard
 
     run = dop853(flow_rhs(jet, m), 0.0, state0, s_max,
                  np.linspace(0.0, s_max, n_out), rtol=rtol, atol=atol,
                  angles=ANGLES, event=pole_event)
     t, phi, theta = run.y.T
-    return Trajectory(m=m, s=run.t, t=t, phi=phi, theta=theta,
+    return Trajectory(s=run.t, t=t, phi=phi, theta=theta,
                       I_hat=I_hat(p, m, t, phi),
                       pole_terminated=run.terminated, nfev=run.nfev)
 
@@ -128,45 +131,34 @@ def _augmented_rhs(jet, m: float):
 @dataclass(frozen=True)
 class OdeLevel:
     """One reduced period measured on an integrated trajectory."""
-    m: float
-    I: float
     period: float
     theta_advance: float
     action: float
-
-    @property
-    def winding(self) -> float:
-        return self.theta_advance / (2.0 * np.pi)
 
 
 def level_average_ode(p: ProfileFunction, m: float, I: float) -> OdeLevel:
     """Measure one reduced period by a section event on t = t_mid.
 
-    Independent of the band quadrature except for the span estimate, which
-    is 2.5 quadrature periods; a level that birkhoff_action rejects raises
-    here too. The returned action is the h average over exactly one period,
-    which by periodicity equals the infinite time average.
+    The run starts on the section, which dop853 does not count as a
+    crossing. Independent of the band quadrature except for the span
+    estimate, 2.5 quadrature periods; a level that birkhoff_action rejects
+    raises here too. The returned action is the h average over exactly one
+    period, which by periodicity equals the infinite time average.
     """
     y0 = np.concatenate([band_state(p, m, I), [0.0]])
     t_mid = y0[0]
-    rhs = _augmented_rhs(p.point_jet(3), m)
     span = 2.5 * birkhoff_action(p, m, I).period
-
-    # move off the section first so the terminal event cannot fire at s = 0
-    s_leg = 1e-2 * span
-    leg = dop853(rhs, 0.0, y0, s_leg, rtol=LEVEL_RTOL, atol=LEVEL_ATOL,
-                 angles=ANGLES)
 
     def section(s, y):
         return y[0] - t_mid
 
-    sol = dop853(rhs, s_leg, leg.y_end, span, rtol=LEVEL_RTOL,
-                 atol=LEVEL_ATOL, angles=ANGLES, event=section,
-                 direction=1.0)
+    sol = dop853(_augmented_rhs(p.point_jet(3), m), 0.0, y0, span,
+                 rtol=LEVEL_RTOL, atol=LEVEL_ATOL, angles=ANGLES,
+                 event=section, direction=1.0)
     if not sol.terminated:
         raise RuntimeError(f"no reduced period found within span {span}")
     P, yP = sol.t_end, sol.y_end
-    return OdeLevel(m=m, I=I, period=P, theta_advance=float(yP[2] - y0[2]),
+    return OdeLevel(period=P, theta_advance=float(yP[2] - y0[2]),
                     action=float(yP[3] - y0[3]) / P)
 
 

@@ -346,21 +346,27 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
            direction: float = 0.0) -> OdeRun:
     """Integrate y' = fun(t, y) from t0 to t1 (either direction) by DOP853.
 
-    fun takes a sequence of floats and returns one. The error weight of
-    component i is atol + rtol * max(|y_i|, |y_new_i|), scipy's, except for
-    the components listed in angles, which get atol + rtol * pi: an angle
-    that grows without bound would otherwise loosen its own tolerance as it
-    grows. A step size that falls below ten float spacings of t raises
-    StepSizeError, naming the first non-finite stage value of the rejected
-    steps; a right-hand side that is not finite at an accepted state raises
-    it at once. t_eval points must be ordered from t0 toward t1;
-    the steps that contain them are kept and their dense output is
-    evaluated in one numpy pass at the end. event(t, y), when given, is
-    terminal: the run stops at the first root of event along the step's
-    interpolant whose sign change agrees with direction (0: either), found
-    by newton_root's secant. nfev counts every call of fun, including the
-    initial-step probe and the three dense-output stages of a step.
+    fun takes a sequence of floats and returns one. t0, t1, rtol >= 0 and
+    atol > 0 are finite, else ValueError. The error weight of component i is
+    atol + rtol * max(|y_i|, |y_new_i|), scipy's, except for the components
+    listed in angles, which get atol + rtol * pi: an angle that grows without
+    bound would otherwise loosen its own tolerance as it grows. A step size
+    that falls below ten float spacings of t raises StepSizeError, naming the
+    first non-finite stage value of the rejected steps; a right-hand side that
+    is not finite at an accepted state raises it at once. t_eval points must be
+    ordered from t0 toward t1; the steps that contain them are kept and their
+    dense output is evaluated in one numpy pass at the end. event(t, y), when
+    given, is terminal: the run stops at the first root of event along the
+    step's interpolant whose sign change agrees with direction (0: either),
+    found by newton_root's secant; a sign change starts from a nonzero value,
+    so a run that starts on the surface does not stop there. nfev counts every
+    call of fun, including the initial-step probe and the three dense-output
+    stages of a step.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1) and 0.0 <= rtol < math.inf
+            and 0.0 < atol < math.inf):
+        raise ValueError(f"dop853: needs finite t0, t1, rtol >= 0, atol > 0; "
+                         f"got {t0!r}, {t1!r}, {rtol!r}, {atol!r}")
     y = [float(v) for v in y0]
     n = len(y)
     t_eval = [float(s) for s in t_eval]
@@ -411,8 +417,8 @@ def dop853(fun, t0: float, y0, t1: float, t_eval=(), rtol: float = 1e-12,
         t_old, y_old, t, y, f = t, y, t_new, y_new, K[_STAGES]
         if event is not None:
             g_new = event(t, y)
-            if ((direction >= 0.0 and g <= 0.0 <= g_new)
-                    or (direction <= 0.0 and g >= 0.0 >= g_new)):
+            if ((direction >= 0.0 and g < 0.0 <= g_new)
+                    or (direction <= 0.0 and g > 0.0 >= g_new)):
                 row, nfev = _step_row(fun, t_old, h, y_old, y, K), nfev + 3
                 one = np.array([row])
                 (a, ga), (b, gb) = sorted([(t_old, g), (t, g_new)])

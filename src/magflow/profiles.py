@@ -56,6 +56,7 @@ _POLE_BAND = 1e-3
 _TABLE_CELLS = 4096     # cells of the grid a tabulated kind samples on
 _VALIDATE_CELLS = 2048  # cells of validate's grid
 _BLOCK_BITS = 8         # a point jet fills its Taylor table 256 cells at a time
+_BUMP_EXPONENT = 5      # StretchBump's p, written to profile JSON
 # a table's columns, in the order it stores them: a reader of n fields reads
 # the first n, and returns them in the order _FIELDS[n] names
 _COLUMNS = ("g", "dg", "G", "ddg")
@@ -519,16 +520,13 @@ class StretchBump:
     the mass of rho beyond |u| = 1 - y, a polynomial in y from y^(p+1) up.
     """
 
-    def __init__(self, half_width: float, exponent: int = 5):
+    def __init__(self, half_width: float):
         if half_width <= 0:
             raise ValueError("bump half_width must be positive")
-        if exponent < 3:
-            raise ValueError("exponent >= 3 keeps the bump C^2 at its edges")
         self.half_width = float(half_width)
-        self.exponent = int(exponent)
         # 1 - u^2 = y (2 - y) at depth y = 1 - |u|
         prim = (np.polynomial.Polynomial([0.0, 2.0, -1.0])
-                ** self.exponent).integ()
+                ** _BUMP_EXPONENT).integ()
         self._norm = 2.0 * prim(1.0)          # c_p
         self._tail = prim / self._norm        # mass of rho beyond depth y
 
@@ -537,11 +535,11 @@ class StretchBump:
 
     def density(self, x):
         u = self._u(x)
-        return (((1.0 - u) * (1.0 + u)) ** self.exponent
+        return (((1.0 - u) * (1.0 + u)) ** _BUMP_EXPONENT
                 / (self._norm * self.half_width))
 
     def ddensity(self, x):
-        u, p = self._u(x), self.exponent
+        u, p = self._u(x), _BUMP_EXPONENT
         return (-2.0 * p * u * ((1.0 - u) * (1.0 + u)) ** (p - 1)
                 / (self._norm * self.half_width**2))
 
@@ -551,7 +549,7 @@ class StretchBump:
         return np.sign(u) * (0.5 - self._tail(1.0 - np.abs(u)))
 
     def to_dict(self):
-        return {"half_width": self.half_width, "exponent": self.exponent}
+        return {"half_width": self.half_width, "exponent": _BUMP_EXPONENT}
 
 
 def _collar_area(base: ProfileFunction, bump: StretchBump, center: float):
@@ -805,9 +803,10 @@ def from_dict(d: dict) -> ProfileFunction:
         return SplineProfile(d["t"], d["gamma"], d.get("end_conditions"))
     if kind == "stretched":
         b = d["bump"]
+        if b.get("exponent", _BUMP_EXPONENT) != _BUMP_EXPONENT:
+            raise ValueError(f"bump exponent must be {_BUMP_EXPONENT}: {b}")
         return StretchedProfile(from_dict(d["base"]), d["C"],
-                                StretchBump(b["half_width"], b.get("exponent", 5)),
-                                d["center"])
+                                StretchBump(b["half_width"]), d["center"])
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

@@ -303,7 +303,7 @@ class _System:
                     break
             prev = cur
         done[:, todo] = cur   # the last rule as it is; prev lags after a break
-        return [ReducedLevel(m=self.m, I=i, t_minus=a, t_plus=b, s_half=s,
+        return [ReducedLevel(I=i, t_minus=a, t_plus=b, s_half=s,
                              theta_half=th, action=hs / s)
                 for i, a, b, s, th, hs in zip(I.tolist(), *ends.tolist(),
                                               *done.tolist())]
@@ -344,7 +344,6 @@ class ReducedLevel:
     theta advance per half period. Latitude limits are encoded with
     t_minus == t_plus == t0 and the limiting half period pi / sqrt(K_m).
     """
-    m: float
     I: float
     t_minus: float
     t_plus: float
@@ -468,6 +467,9 @@ def find_latitude(p: ProfileFunction, m: float, side: str) -> LatitudeOrbit:
 def regular_levels(p: ProfileFunction, m: float, n_levels: int,
                    band: float = LEVEL_BAND) -> np.ndarray:
     """Uniform interior grid of levels avoiding +-1 and the range ends."""
+    if not 0.0 < band < 0.5:
+        raise ValueError(f"band {band!r} is not a share in (0, 0.5) of the "
+                         f"invariant range")
     rng = I_range(p, m)
     pad = band * (rng.I_max - rng.I_min)
     I = np.linspace(rng.I_min + pad, rng.I_max - pad, n_levels)
@@ -493,13 +495,12 @@ def action_scan(p: ProfileFunction, m: float, n_levels: int,
     for lat in latitudes(p, m):
         theta_half = np.pi * lat.sign * m / (lat.gamma_t0
                                              * np.sqrt(lat.curvature_m))
-        rows.append(ReducedLevel(m=m, I=lat.I_value, t_minus=lat.t0,
+        rows.append(ReducedLevel(I=lat.I_value, t_minus=lat.t0,
                                  t_plus=lat.t0, s_half=lat.s_half_limit,
                                  theta_half=float(theta_half),
                                  action=lat.action))
-    if n_levels > 0:
-        rows.extend(_system(p, m).levels(regular_levels(p, m, n_levels,
-                                                        band=band)))
+    rows.extend(_system(p, m).levels(regular_levels(p, m, n_levels,
+                                                    band=band)))
     rows.sort(key=lambda r: r.I)
     return rows
 
@@ -516,7 +517,6 @@ class ClosureInfo:
     q: int                 # reduced periods per closure
     p: int                 # signed theta turns over the closure
     contractible: bool
-    winding: float
 
 
 def pole_band(I: float) -> int:
@@ -579,8 +579,7 @@ def rational_closures(p: ProfileFunction, m: float, n_levels: int = 33,
         key = (frac, round(lv.I, 6))
         if key not in found:
             found[key] = (lv, ClosureInfo(
-                q=qq, p=pp, contractible=closure_parity(qq, pp, lv.I),
-                winding=lv.winding))
+                q=qq, p=pp, contractible=closure_parity(qq, pp, lv.I)))
 
     for q in range(1, q_max + 1):
         # exact hits at scan nodes (flat winding needs no bracketing)
@@ -612,5 +611,4 @@ def minimal_contractible_closure(info: ClosureInfo) -> ClosureInfo:
     """Double the closure when the primitive closed orbit is noncontractible."""
     if info.contractible:
         return info
-    return ClosureInfo(q=2 * info.q, p=2 * info.p, contractible=True,
-                       winding=info.winding)
+    return ClosureInfo(q=2 * info.q, p=2 * info.p, contractible=True)

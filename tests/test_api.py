@@ -16,7 +16,11 @@ module-level function or method takes a parameter its body never reads;
 callbacks nested in a function have the signature their caller fixes
 and are not checked. Every dataclass field must be read as an attribute
 in the package, where its own class's methods count since they need
-readers of their own, or in perfbench/, and a dataclass field's default
+readers of their own, or in perfbench/. Reads are matched by attribute
+name alone, not by the class they read: a field named like an attribute
+of another class (m, I, winding, descriptor) passes on that class's
+reads, so such a field needs a reader checked by hand (docs/decisions.md,
+entry 27). A dataclass field's default
 is a settable value too: some construction in the package omits it and
 another sets it to something else. No module may import a name it never uses,
 and none but profiles.py may set an attribute on a parameter annotated

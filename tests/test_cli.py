@@ -9,6 +9,10 @@ check both content and byte-level determinism.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,9 +84,15 @@ class TestArgumentBounds:
         (["cz", "report", "sphere", "--m", "0.05", "--rho-orbits", "-1"],
          "--rho-orbits"),
         (["repro", "ellipsoids", "--levels", "-1"], "--levels"),
+        # a negative rtol integrated with a negative error weight, and
+        # rtol = atol = 0 divided by zero in the initial step
+        (_TRACE + ["--rtol", "-1"], "--rtol"),
+        (_TRACE + ["--atol", "0"], "--atol"),
+        (_TRACE + ["--rtol", "0", "--atol", "0"], "--atol"),
     ], ids=["target", "n-out", "verify-samples", "make-samples", "covers",
             "tol-negative", "tol-zero", "tol-nan", "scan-levels",
-            "report-levels", "rho-orbits", "ellipsoids-levels"])
+            "report-levels", "rho-orbits", "ellipsoids-levels",
+            "rtol-negative", "atol-zero", "rtol-atol-zero"])
     def test_out_of_bounds_is_a_usage_error(self, capsys, argv, flag):
         assert main(argv) == 1
         out, err = capsys.readouterr()
@@ -103,8 +113,9 @@ class TestArgumentBounds:
         ["action", "scan", "sphere", "--m", "0.5", "--levels", "0"],
         ["cz", "report", "sphere", "--m", "0.05", "--levels", "0",
          "--rho-orbits", "0"],
+        _TRACE + ["--rtol", "0"],
     ], ids=["n-out", "covers", "verify-samples", "target", "levels",
-            "report-levels"])
+            "report-levels", "rtol-zero"])
     def test_boundary_values_run(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
@@ -115,6 +126,44 @@ class TestArgumentBounds:
                      "--samples", "1"]) == 0
         capsys.readouterr()
         assert table.read_text().splitlines()[1:] == ["0,0,1,1"]
+
+
+class TestRefusedRuns:
+    # inputs the numerics cannot take fail with a ValueError: exit 1 and
+    # one line on stderr, where they used to end in a traceback, a wrong
+    # run or a hang
+    @pytest.mark.parametrize("argv, message", [
+        (_TRACE[:-1] + ["nan"], "integration time s_max = nan is not finite"),
+        (_TRACE[:6] + ["0,0.3,0"] + _TRACE[7:],
+         "start t0 = 0.0 is not inside (3.141592653589793e-06, "),
+        # past the pole at ell = pi, on the profile's extension
+        (_TRACE[:6] + ["5,0.3,0"] + _TRACE[7:],
+         "start t0 = 5.0 is not inside (3.141592653589793e-06, "),
+        # a band past the middle of the range ran its levels backwards
+        (["action", "scan", "sphere", "--m", "0.5", "--levels", "3",
+          "--band", "0.7"], "band 0.7 is not a share in (0, 0.5)"),
+        (["action", "scan", "sphere", "--m", "0.5", "--levels", "3",
+          "--band", "0"], "band 0.0 is not a share in (0, 0.5)"),
+    ], ids=["horizon-nan", "state-at-pole", "state-past-pole",
+            "band-past-half", "band-zero"])
+    def test_refused(self, capsys, argv, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {message}")
+
+    def test_infinite_horizon_returns(self):
+        # it used to integrate forever; a fresh process with a timeout, so
+        # that a hang fails here instead of stalling the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "magflow.cli",
+                              *_TRACE[:-1], "inf"], capture_output=True,
+                             text=True, timeout=60, env=env)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr == "error: integration time s_max = inf is not " \
+                             "finite\n"
 
 
 class TestProfileCommands:

@@ -70,8 +70,7 @@ def _rotation_stack(angles: np.ndarray) -> np.ndarray:
 def _synthetic(matrices: np.ndarray, T: float = 1.0) -> SymplecticPath:
     n = matrices.shape[0]
     return SymplecticPath(times=np.linspace(0.0, T, n), matrices=matrices,
-                          m=0.0, descriptor="synthetic", det_defect=0.0,
-                          nfev=0)
+                          det_defect=0.0, nfev=0)
 
 
 def _wrap(x):
@@ -224,8 +223,7 @@ class TestLinearizedPath:
         lev = birkhoff_action(ellipsoid, 0.8, 0.45)
         z0 = frame_state(ellipsoid, 0.8,
                          *band_state(ellipsoid, 0.8, 0.45)[:2])
-        path = integrate_linearized(ellipsoid, 0.8, z0, lev.reeb_period,
-                                    descriptor="band return")
+        path = integrate_linearized(ellipsoid, 0.8, z0, lev.reeb_period)
         assert path.det_defect < 1e-6
         res = cz_index(path)
         assert res.degenerate
@@ -247,8 +245,7 @@ class TestLinearizedPath:
                         t_eval=tau, rtol=1e-12, atol=1e-12)
         assert sol.success
         return SymplecticPath(times=tau, matrices=chi_project(p, m, sol.y),
-                              m=m, descriptor="scipy", det_defect=0.0,
-                              nfev=sol.nfev)
+                              det_defect=0.0, nfev=sol.nfev)
 
     @pytest.mark.parametrize("case", ["upper", "lower", "band"])
     def test_matches_scipy_dop853(self, ellipsoid, case):

@@ -10,6 +10,7 @@ the flow owns.
 """
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -112,22 +113,29 @@ class TestScipyOracle:
 
     def test_pole_termination_time(self, sphere):
         # the separatrix of TestPoleTermination, stopped by the pole guard:
-        # the event is a root of the step's interpolant, as in scipy
+        # the event is a root of the step's interpolant, as in scipy. The
+        # guard is a distance in t, and gamma = t + O(t^3) at the pole, so a
+        # guard on gamma stops the run at the same time
         t0 = 1.0
         g, G = sphere.jet(t0, 0)
         u = (1.0 + G) / (1.0 * g)
         state0 = (t0, np.pi - np.arcsin(u), 0.0)
-        guard = POLE_GUARD * sphere.ell
+        ell, guard = sphere.ell, POLE_GUARD * sphere.ell
 
         def pole(s, y):
-            return float(sphere.gamma(np.clip(y[0], 0.0, sphere.ell))) - guard
+            return min(y[0], ell - y[0]) - guard
         pole.terminal = True
+
+        def gamma_pole(s, y):
+            return float(sphere.gamma(np.clip(y[0], 0.0, ell))) - guard
         s_eval = np.linspace(0.0, 50.0, 2001)
         ref = _scipy_oracle(sphere, 1.0, state0, s_eval, events=pole)
-        run = dop853(flow_rhs(sphere.point_jet(2), 1.0), 0.0, state0, 50.0,
-                     s_eval, angles=ANGLES, event=pole)
-        assert run.terminated and ref.status == 1
+        run, by_gamma = (dop853(flow_rhs(sphere.point_jet(2), 1.0), 0.0,
+                                state0, 50.0, s_eval, angles=ANGLES,
+                                event=event) for event in (pole, gamma_pole))
+        assert run.terminated and by_gamma.terminated and ref.status == 1
         assert abs(run.t_end - ref.t_events[0][0]) < 1e-9
+        assert abs(run.t_end - by_gamma.t_end) < 1e-12
         traj = integrate(sphere, 1.0, state0, 50.0)
         assert traj.pole_terminated
         assert np.array_equal(traj.s, ref.t)
@@ -169,6 +177,27 @@ class TestPoleTermination:
                          200.0)
         assert not traj.pole_terminated
 
+    @pytest.mark.parametrize("t0", [0.0, 0.5e-6, -0.1, np.pi - 0.5e-6, np.pi,
+                                    5.0, np.nan])
+    def test_start_inside_a_guard_is_refused(self, sphere, t0):
+        # t0 = 0 divided by gamma = 0, and t0 = 5 ran on the profile's
+        # extension past the pole at ell = pi
+        with pytest.raises(ValueError, match=r"start t0 = .* is not inside "
+                                             r"\(3\.14159\d*e-06, 3\.14158"):
+            integrate(sphere, 1.0, (t0, 0.3, 0.0), 1.0)
+
+    @pytest.mark.parametrize("s_max", [np.inf, -np.inf, np.nan])
+    def test_infinite_time_is_refused(self, sphere, s_max, monkeypatch):
+        # before the sample grid, whose linspace would warn, and before the
+        # stepper, which never ended an infinite span
+        def no_run(*args, **kwargs):
+            raise AssertionError("dop853 called")
+        monkeypatch.setattr("magflow.flow.dop853", no_run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"s_max = .* is not finite"):
+                integrate(sphere, 1.0, (1.2, 0.3, 0.0), s_max)
+
 
 class TestBandState:
     def test_level_value_exact(self, ellipsoid):
@@ -193,11 +222,12 @@ class TestSectionMeasurement:
         lev = level_average_ode(sphere, m, I)
         assert lev.period == pytest.approx(2 * np.pi / np.sqrt(2), rel=1e-9)
         assert lev.action == pytest.approx(2.0, rel=1e-9)
-        assert lev.winding == pytest.approx(0.0, abs=1e-9)
+        assert lev.theta_advance / (2 * np.pi) == pytest.approx(0.0, abs=1e-9)
 
     def test_sphere_rotating_level(self, sphere):
         lev = level_average_ode(sphere, 2.0, 1.7)
-        assert lev.winding == pytest.approx(1.0, rel=1e-8)
+        assert lev.theta_advance / (2 * np.pi) == pytest.approx(1.0,
+                                                               rel=1e-8)
 
     def test_ellipsoid_cross_method(self, ellipsoid):
         rep = compare_level(ellipsoid, 0.8, 0.45)
@@ -232,9 +262,10 @@ class TestPrefixReader:
         ("spindle:0.07:0.2", 0.5, (39.76, 2.9, 0.0), 10529)])
     def test_flow_reads_gamma_and_its_slope_only(self, spec, m, state0, nfev,
                                                  monkeypatch):
-        # the right-hand side and the pole event read the (gamma, gamma')
-        # prefix reader; the four-field reader is never called, and the
-        # steps are those the four-field reads gave (nfev pinned)
+        # the right-hand side reads the (gamma, gamma') prefix reader once
+        # per call, the pole event reads t alone; the four-field reader is
+        # never called, and the steps are those the four-field reads gave
+        # (nfev pinned)
         point_jet, calls = ProfileFunction.point_jet, Counter()
 
         def counted(self, fields=4):

@@ -240,6 +240,45 @@ class TestDop853:
         assert np.array_equal(run.t, s[sign * s <= sign * run.t_end])
         assert run.nfev == len(calls)
 
+    @pytest.mark.parametrize("direction, root", [
+        (0.0, np.pi), (1.0, np.pi), (-1.0, 2.0 * np.pi)])
+    def test_start_on_the_event_surface_is_no_crossing(self, direction,
+                                                       root):
+        # y[1] = -sin t is 0 at the start, falls, rises through 0 at pi and
+        # falls through it at 2 pi: the run stops at the next crossing
+        calls = []
+        run = dop853(self.oscillator(calls), 0.0, (1.0, 0.0), 10.0,
+                     event=lambda t, y: y[1], direction=direction)
+        assert run.terminated
+        assert run.t_end == pytest.approx(root, abs=1e-12)
+
+    @pytest.mark.parametrize("t0, t1, rtol, atol", [
+        (math.nan, 1.0, 1e-12, 1e-14), (0.0, math.inf, 1e-12, 1e-14),
+        (0.0, -math.inf, 1e-12, 1e-14), (0.0, math.nan, 1e-12, 1e-14),
+        (0.0, 1.0, -1.0, 1e-14), (0.0, 1.0, math.nan, 1e-14),
+        (0.0, 1.0, math.inf, 1e-14), (0.0, 1.0, 1e-12, 0.0),
+        (0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 1e-12, -1e-14),
+        (0.0, 1.0, 1e-12, math.nan), (0.0, 1.0, 1e-12, math.inf)])
+    def test_refuses_what_it_cannot_integrate(self, t0, t1, rtol, atol):
+        # an error weight of 0 divided by zero in the initial step, a
+        # negative one integrated wrongly, an infinite span never ended:
+        # fun raises on its first call, so that none of them can run on
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            raise RuntimeError("fun called")
+        with pytest.raises(ValueError, match=r"dop853: needs finite t0, t1, "
+                                             r"rtol >= 0, atol > 0"):
+            dop853(fun, t0, (1.0, 0.0), t1, rtol=rtol, atol=atol)
+        assert calls == []
+
+    def test_relative_tolerance_zero_runs(self):
+        run = dop853(self.oscillator([]), 0.0, (1.0, 0.0), 1.0, rtol=0.0,
+                     atol=1e-12)
+        assert run.y_end == pytest.approx((np.cos(1.0), -np.sin(1.0)),
+                                          abs=1e-10)
+
     def test_angle_weight_is_fixed(self):
         # theta' = cos t from theta = 1000: scipy's weight rtol |theta|
         # loosens the tolerance a thousandfold, the fixed weight does not

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import json
 import linecache
 import weakref
 
@@ -695,6 +696,17 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_dict({"kind": "torus"})
+
+    def test_bump_exponent_other_than_five_refused(self, tmp_path):
+        # the bump's exponent is a constant: a file naming another one was
+        # read as 5 without a word
+        d = make_spindle(0.2, 0.3).to_dict()
+        assert d["bump"]["exponent"] == 5
+        d["bump"]["exponent"] = 4
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="bump exponent must be 5"):
+            load_profile(path)
 
     def test_parse_spec(self):
         assert isinstance(parse_profile_spec("sphere"), SphereProfile)

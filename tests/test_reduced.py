@@ -70,8 +70,7 @@ def orbit_closure(level):
         if abs(q * w - pq) < CLOSURE_TOL * q:
             return ClosureInfo(q=q, p=int(pq),
                                contractible=closure_parity(q, int(pq),
-                                                           level.I),
-                               winding=w)
+                                                           level.I))
     return None
 
 
@@ -613,6 +612,18 @@ class TestScan:
             assert r.action == pytest.approx(2.0, rel=1e-9)
             assert r.s_half == pytest.approx(np.pi / np.sqrt(2), rel=1e-9)
 
+    @pytest.mark.parametrize("band", [0.0, 0.5, 0.7, -1e-3, np.nan])
+    def test_band_outside_half_the_range_refused(self, sphere, band):
+        # a band of half the range or more ran the grid backwards over the
+        # interior and was reported as a scan of the range; the scan
+        # refuses it with or without regular levels
+        for scan in (lambda: regular_levels(sphere, 0.5, 3, band=band),
+                     lambda: action_scan(sphere, 0.5, 3, band=band),
+                     lambda: action_scan(sphere, 0.5, 0, band=band)):
+            with pytest.raises(ValueError, match=r"is not a share in "
+                                                 r"\(0, 0\.5\)"):
+                scan()
+
     def test_csv_deterministic(self, sphere):
         a = scan_csv_lines(action_scan(sphere, 0.7, n_levels=7))
         b = scan_csv_lines(action_scan(sphere, 0.7, n_levels=7))
@@ -648,7 +659,7 @@ def _one_level_on_1d_nodes(p, m, I):
                 for j in (0, 2)):
             break
         prev = cur
-    return (m, I, a, b, cur[0], cur[1], cur[2] / cur[0])
+    return (I, a, b, cur[0], cur[1], cur[2] / cur[0])
 
 
 _SPINDLE = parse_profile_spec("spindle:0.07:0.2")
@@ -667,7 +678,7 @@ class TestBatchedQuadrature:
         assume(km_positive(p, m))
         rows = action_scan(p, m, n_levels=n, band=band)
         want = _one_at_a_time(p, m, regular_levels(p, m, n, band=band))
-        assert _regular_rows(rows) == sorted(want, key=lambda r: r[1])
+        assert _regular_rows(rows) == sorted(want, key=lambda r: r[0])
 
     def test_masked_doubling(self, monkeypatch):
         # four levels of the spindle's scan at m = 0.25 go on to 512 nodes

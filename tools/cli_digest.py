@@ -2,7 +2,7 @@
 
     python tools/cli_digest.py > digest.txt
 
-runs 56 `magflow` commands, each in a fresh `python -m magflow.cli`
+runs 64 `magflow` commands, each in a fresh `python -m magflow.cli`
 process on the `src/` tree next to this script, with one temporary
 directory as every process's working directory and relative output names,
 so that printed paths are the same in every checkout. It prints one line
@@ -21,7 +21,12 @@ commands:
   on both sides and `cz report --json-out`;
 - `hopf verify` at seeds 0 and 3, `hopf link` of two Hopf fibers written
   here, and `repro ellipsoids`, `repro noncon --json-out` and `repro bigm
-  --out`.
+  --out`;
+- last, eight inputs refused with exit 1 and a message on stderr: `flow
+  trace` with rtol = atol = 0, rtol < 0, atol = 0, a NaN or infinite
+  horizon, a start at a pole or past one, and `action scan --band 0.7`
+  (entry 27). The first 56 commands, and so the first 99 lines, are those
+  of earlier versions of this script.
 """
 from __future__ import annotations
 
@@ -40,6 +45,12 @@ SPECS = ("sphere", "ellipsoid:0.5", "ellipsoid:1.5", "ellipsoid:4",
 SCANS = (("sphere", "0.5"), ("ellipsoid:0.5", "0.25"),
          ("ellipsoid:1.5", "1"), ("ellipsoid:4", "0.5"),
          ("spindle:0.07:0.2", "0.25"))
+TRACE = ("flow", "trace", "sphere", "--m", "1", "--state")
+REFUSED = (["1.2,0.3,0", "--horizon", "1", "--rtol", "0", "--atol", "0"],
+           ["1.2,0.3,0", "--horizon", "1", "--rtol", "-1"],
+           ["1.2,0.3,0", "--horizon", "1", "--atol", "0"],
+           ["1.2,0.3,0", "--horizon", "nan"], ["1.2,0.3,0", "--horizon", "inf"],
+           ["0,0.3,0", "--horizon", "1"], ["5,0.3,0", "--horizon", "1"])
 
 
 def commands() -> list:
@@ -73,6 +84,9 @@ def commands() -> list:
               "--json-out", "noncon.json"], ["noncon.json"]),
             (["repro", "bigm", "--target", "10", "--out", "bigm.json"],
              ["bigm.json"])]
+    out += [([*TRACE, *extra], []) for extra in REFUSED]
+    out.append((["action", "scan", "sphere", "--m", "0.5", "--levels", "3",
+                 "--band", "0.7"], []))
     return out
 
 
@@ -97,7 +111,8 @@ def main() -> int:
         _write_fibers(where)
         for argv, files in commands():
             run = subprocess.run([sys.executable, "-m", "magflow.cli", *argv],
-                                 cwd=where, env=env, capture_output=True)
+                                 cwd=where, env=env, capture_output=True,
+                                 timeout=600)
             line = " ".join(argv)
             print(f"{_sha(run.stdout)}  {line}  stdout (exit "
                   f"{run.returncode})", flush=True)
